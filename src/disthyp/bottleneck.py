@@ -10,11 +10,11 @@ noisy distortion-rate function under log-loss.
 
 The solver is the standard alternating minimization of
 I(U;X) - beta*I(U;Y): a geometric sweep over beta with warm starts traces
-out the (rate, relevance) trade-off, random restarts guard against local
-optima, and the reported curve is the upper concave envelope of every
-solution found.  Chord points on the envelope are achievable by time
-sharing between the two endpoint channels, so the envelope is a certified
-lower bound on xi.
+out the (rate, relevance) trade-off, a fixed number of random restarts
+guards against local optima, and the reported curve is the upper concave
+envelope of every solution found.  Chord points on the envelope are
+achievable by time sharing between the two endpoint channels, so the
+envelope is a certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -36,8 +34,6 @@ from . import rngstreams
 
 DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
 PRUNE_EPS = 1e-12
-CONCAVITY_TOL = 1e-3
-ISOTONIC_FLAG_TOL = 1e-4
 
 
 class SolverError(ValueError):
@@ -142,41 +138,53 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
 
 def _iterate(p: JointPmf, beta: float, w: np.ndarray,
              max_iters: int, tol: float) -> tuple[np.ndarray, int, bool]:
-    """Alternating-minimization loop; returns the full-width channel."""
+    """Alternating-minimization loop; returns the full-width channel.
+
+    One pass per iteration: the marginals pu = w^T p(x) and p(u,y) = w^T P
+    of each new channel give both its objective and the next update, so no
+    channel is validated or re-measured inside the loop.  A non-finite
+    iterate makes the objective non-finite, which raises SolverError.
+    """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
     px = p.x_marginal
     pyx = p.probs / px[:, None]
     neg_hyx = (pyx * np.log(pyx)).sum(axis=1)  # row-wise -H(Y|X=x)
+    log_py = np.log(p.y_marginal)
+    pu = w.T @ px
+    puy = w.T @ p.probs
     prev_obj = np.inf
     converged = False
     iters = 0
-    for iters in range(1, max_iters + 1):
-        pu = w.T @ px
-        live = pu > 0
-        # p(y|u) for live clusters: sum_x p(y|x) p(x|u)
-        pxu = w * px[:, None]
-        pyu = np.zeros((w.shape[1], p.ny))
-        pyu[live] = (pxu[:, live] / pu[live]).T @ pyx
-        # KL(p(y|x) || p(y|u)); dead clusters get +inf so their mass stays 0
-        div = np.full((p.nx, w.shape[1]), np.inf)
-        with np.errstate(divide="ignore"):
-            log_pyu = np.log(pyu[live])
-        div[:, live] = neg_hyx[:, None] - pyx @ log_pyu.T
-        # beta * inf must stay inf even at beta = 0 (dead clusters stay dead)
-        with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pu = np.log(pu)
+        for iters in range(1, max_iters + 1):
+            # KL(p(y|x) || p(y|u)) with p(y|u) = p(u,y)/pu.  A dead cluster
+            # (pu = 0) gets NaN here, and every non-finite divergence becomes
+            # an infinite penalty, so dead clusters stay dead even at beta = 0
+            div = neg_hyx[:, None] - pyx @ np.log(puy / pu[:, None]).T
             penalty = np.where(np.isfinite(div), beta * div, np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.log(pu)[None, :] - penalty
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
-        rate, relevance = channel_information(p, TestChannel(w))
-        obj = rate - beta * relevance
-        if abs(prev_obj - obj) < tol:
-            converged = True
-            break
-        prev_obj = obj
+            logw = log_pu[None, :] - penalty
+            logw -= logw.max(axis=1, keepdims=True)
+            w = np.exp(logw)
+            z = w.sum(axis=1, keepdims=True)
+            w /= z
+            pu = w.T @ px
+            puy = w.T @ p.probs
+            log_pu = np.log(pu)
+            # exact zeros contribute nothing; a NaN entry stays NaN
+            rate_terms = w * (logw - np.log(z) - log_pu[None, :])
+            rel_terms = puy * (np.log(puy) - log_pu[:, None] - log_py[None, :])
+            rate = float(px @ np.where(w == 0, 0.0, rate_terms).sum(axis=1))
+            relevance = float(np.where(puy == 0, 0.0, rel_terms).sum())
+            obj = rate - beta * relevance
+            if not math.isfinite(obj):
+                raise SolverError(
+                    f"iterate went non-finite at beta={beta!r}, iteration {iters}")
+            if abs(prev_obj - obj) < tol:
+                converged = True
+                break
+            prev_obj = obj
     return w, iters, converged
 
 
@@ -277,7 +285,12 @@ def _upper_hull(rates: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass
 class EnvelopePool:
-    """All solutions gathered for one model, with envelope evaluation."""
+    """All solutions gathered for one model, with envelope evaluation.
+
+    ``concavity_residual`` is a diagnostic: the largest gap between the
+    concave hull and the Pareto frontier beneath it.  It measures dominated
+    fixed points lying under the hull, not solutions the sweep missed.
+    """
 
     p: JointPmf
     solutions: list[IbSolution]
@@ -330,37 +343,23 @@ class EnvelopePool:
 
 
 def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
-                   beta_grid=None, workers: int = 1,
-                   max_iters: int = 1000, tol: float = 1e-10) -> EnvelopePool:
+                   beta_grid=None, max_iters: int = 1000,
+                   tol: float = 1e-10) -> EnvelopePool:
     """Sweep the trade-off curve and return the solution pool.
 
-    Restarts escalate (doubling, two rounds) if the achieved frontier dips
-    more than CONCAVITY_TOL below its own concave majorant, which indicates
-    the sweep missed solutions.
+    Chain 0 starts from a near-identity channel and chains 1..restarts from
+    random channels; each runs once, and the number of restarts is fixed:
+    it never escalates.  The pool's ``concavity_residual`` is reported, not
+    acted on: it measures dominated fixed points lying under the hull, which
+    more restarts cannot remove.
     """
     if restarts < 0:
         raise SolverError("restarts must be nonnegative")
     beta_grid = tuple(DEFAULT_BETA_GRID if beta_grid is None else beta_grid)
-    pool = EnvelopePool(p, _anchor_solutions(p))
-    run = partial(_run_chain, p, beta_grid, master_seed,
-                  max_iters=max_iters, tol=tol)
-    next_chain = 1
-    n_new = restarts
-    for _ in range(3):
-        chain_ids = ([0] if next_chain == 1 else []) + list(range(next_chain, next_chain + n_new))
-        next_chain += n_new
-        if workers > 1 and len(chain_ids) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                chains = list(pool_exec.map(run, chain_ids))
-        else:
-            chains = [run(cid) for cid in chain_ids]
-        for chain in chains:
-            pool.solutions.extend(chain)
-        pool.restarts_used += n_new
-        pool.refresh()
-        if pool.concavity_residual <= CONCAVITY_TOL:
-            break
-        n_new = max(2 * n_new, 2)
+    pool = EnvelopePool(p, _anchor_solutions(p), restarts_used=restarts)
+    for chain_id in range(restarts + 1):
+        pool.solutions.extend(_run_chain(p, beta_grid, master_seed, chain_id, max_iters, tol))
+    pool.refresh()
     return pool
 
 
@@ -398,7 +397,7 @@ def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3,
 
 
 def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
-                     master_seed: int = 0, workers: int = 1) -> tuple[float, IbSolution]:
+                     master_seed: int = 0) -> tuple[float, IbSolution]:
     """Best exponent at rate budget r (nats) and the channel witnessing it.
 
     The value is read off the concave envelope of all solutions, so it is a
@@ -410,27 +409,9 @@ def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
     """
     if r < 0:
         raise SolverError(f"rate budget must be nonnegative, got {r!r}")
-    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed, workers=workers)
+    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
     _refine_at(pool, r)
     return pool.value_at(r), pool.witness_at(r)
-
-
-def _isotonic_nondecreasing(values: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit, nondecreasing, uniform weights."""
-    vals = [float(v) for v in values]
-    blocks = [[v, 1] for v in vals]
-    merged: list[list[float]] = []
-    for blk in blocks:
-        merged.append(blk)
-        while len(merged) >= 2 and merged[-2][0] > merged[-1][0]:
-            b = merged.pop()
-            a = merged.pop()
-            total = a[1] + b[1]
-            merged.append([(a[0] * a[1] + b[0] * b[1]) / total, total])
-    out = []
-    for mean, count in merged:
-        out.extend([mean] * count)
-    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -472,12 +453,13 @@ class ExponentCurve:
                            "diagnostics": self.diagnostics}, indent=2)
 
 
-def build_curve(p: JointPmf, r_grid, restarts: int = 4, master_seed: int = 0,
-                workers: int = 1) -> ExponentCurve:
+def build_curve(p: JointPmf, r_grid, restarts: int = 4,
+                master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
     One envelope solve is shared by all grid points; each point then gets a
-    local refinement at its supporting beta.  D is defined as H(Y) - xi, so
+    local refinement at its supporting beta.  The upper hull of the Pareto
+    frontier is nondecreasing, so xi is too.  D is defined as H(Y) - xi, so
     the log-loss identity holds by construction, and dD/dR comes from
     central differences on the grid.
     """
@@ -487,12 +469,10 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4, master_seed: int = 0,
                           "(slope estimation needs them)")
     if r[0] < 0 or np.any(np.diff(r) <= 0):
         raise SolverError("rate grid must be nonnegative and strictly increasing")
-    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed, workers=workers)
+    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
     for point in r:
         _refine_at(pool, float(point), rounds=1)
-    raw_xi = np.array([pool.value_at(float(point)) for point in r])
-    xi = _isotonic_nondecreasing(raw_xi)
-    adjustment = float(np.abs(xi - raw_xi).max())
+    xi = np.array([pool.value_at(float(point)) for point in r])
     mi = mutual_information(p)
     if np.any(xi > np.minimum(r, mi) + 1e-9):
         raise SolverError("solver produced xi above min(R, I(X;Y)); model or solver is broken")
@@ -504,8 +484,6 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4, master_seed: int = 0,
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
     diagnostics = {
         "concavity_residual": pool.concavity_residual,
-        "isotonic_adjustment": adjustment,
-        "isotonic_flag": bool(adjustment > ISOTONIC_FLAG_TOL),
         "restarts_used": pool.restarts_used,
         "solutions": len(pool.solutions),
         "master_seed": master_seed,

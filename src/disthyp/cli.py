@@ -148,7 +148,7 @@ def cmd_exponent(args) -> int:
     p = _load_model(args.model)
     grid = _resolve_rate_grid(args)
     curve = bottleneck.build_curve(p, grid, restarts=args.restarts,
-                                   master_seed=args.seed, workers=args.workers)
+                                   master_seed=args.seed)
     path = _out_path(args, args.out)
     _write_text(path, curve.to_csv())
     sidecar = json.loads(curve.sidecar_json())
@@ -180,7 +180,7 @@ def _resolve_curve_point(args) -> tuple[float, float, float]:
     p = _load_model(args.model)
     rate = _to_nats(args.rate, args.units)
     xi, _ = bottleneck.exponent_at_rate(p, rate, restarts=args.restarts,
-                                        master_seed=args.seed, workers=args.workers)
+                                        master_seed=args.seed)
     c = args.c if args.c is not None else dist.c_constant(p)
     return xi, args.d_slope, c
 
@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--units", choices=("bits", "nats"), default="bits",
                         help="unit for rates given on the command line (default bits)")
     common.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker threads; results are identical for any count")
+                        help="worker threads for simulate; results are identical "
+                             "for any count")
 
     parser = argparse.ArgumentParser(
         prog="disthyp",

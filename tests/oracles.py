@@ -104,6 +104,30 @@ def brute_force_exponent(probs: np.ndarray, rate_points, steps: int = 50) -> np.
     return np.interp(np.asarray(rate_points, dtype=np.float64), hx, hv)
 
 
+def _binary_entropy(q: float) -> float:
+    if q <= 0.0 or q >= 1.0:
+        return 0.0
+    return -q * math.log(q) - (1.0 - q) * math.log(1.0 - q)
+
+
+def mrs_gerber(r: float, crossover: float = 0.2) -> float:
+    """Exact xi(R) in nats for a doubly symmetric binary source.
+
+    Mrs. Gerber's lemma (Wyner & Ziv 1973): xi(R) = ln2 - h(a * h^-1(ln2 - R)),
+    where a * q = a(1-q) + q(1-a) and h^-1 maps onto [0, 1/2] (bisection).
+    """
+    target = max(math.log(2.0) - r, 0.0)
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _binary_entropy(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    q = 0.5 * (lo + hi)
+    return math.log(2.0) - _binary_entropy(crossover * (1.0 - q) + q * (1.0 - crossover))
+
+
 # --------------------------------------------------------------------------
 # Exhaustive Neyman-Pearson enumeration for count-based statistics
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ sequence eps_n:
 * an explicit probability interval [lb_prob, ub_prob] bracketing the
   optimal Type II error around its nominal value exp(-n*xi),
 * the critical number of samples: the first n at which the interval
-  collapses onto the nominal value within a tolerance delta.
+  collapses onto the nominal value within a tolerance delta, found by an
+  array screen over chunks of n whose candidates the scalar interval confirms.
 
 All asymptotically vanishing residual terms in the closed forms are set to
 zero; every report carries a dropped-residuals marker to make that visible.
@@ -20,9 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _E = math.e
 # Regime-1 threshold constant in the h-selection rule sqrt(2 eps) >= K ln(1/eps)/n.
 K_REGIME = 1.0
+# The CNS screen evaluates n in chunks that double from _CHUNK_MIN to
+# _CHUNK_MAX: scans that stop early stay cheap and memory stays bounded.
+_CHUNK_MIN = 64
+_CHUNK_MAX = 2048
+# Relative difference allowed per elementary operation between the screen's
+# numpy arithmetic and the scalar math-module path (32 ulp), and an absolute
+# allowance for probabilities in the subnormal range.
+_SCREEN_REL = 2.0 ** -48
+_SCREEN_TINY = 2.0 ** -1000
 
 
 class RegimeDomainError(ValueError):
@@ -159,6 +171,19 @@ def select_block_length(regime: TypeIRegime, n: int) -> int:
     return max(1, math.ceil(float(n) ** alpha - 1e-12))
 
 
+def _log_inv_eps(regime: TypeIRegime, n: int, eps: float) -> float:
+    """ln(1/eps_n), exact where eps_n = eps_at(regime, n) is too small to invert.
+
+    Polynomial and superpolynomial budgets underflow float64 at large n;
+    their logarithms p ln(n) and n^p stay finite.
+    """
+    if eps > 0.0 and 1.0 / eps < math.inf:
+        return math.log(1.0 / eps)
+    if regime.kind == "polynomial":
+        return regime.param * math.log(n)
+    return float(n) ** regime.param
+
+
 def select_h(regime: TypeIRegime, n: int) -> float:
     """Slack mass h_n splitting the Type I budget in the converse bound.
 
@@ -166,7 +191,7 @@ def select_h(regime: TypeIRegime, n: int) -> float:
     Otherwise (budgets decaying too fast): take h = n^-2.
     """
     eps = eps_at(regime, n)
-    if math.sqrt(2.0 * eps) >= K_REGIME * math.log(1.0 / eps) / n:
+    if math.sqrt(2.0 * eps) >= K_REGIME * _log_inv_eps(regime, n, eps) / n:
         return eps
     return float(n) ** -2.0
 
@@ -271,6 +296,18 @@ class BoundReport:
         return ",".join(cells)
 
 
+def _check_point(curve_point: tuple[float, float], c: float) -> tuple[float, float]:
+    """(xi, d_slope) as floats, after checking the curve point and c."""
+    xi, d_slope = float(curve_point[0]), float(curve_point[1])
+    if xi < 0:
+        raise RegimeSpecError(f"xi must be nonnegative, got {xi!r}")
+    if d_slope > 1e-6:
+        raise RegimeSpecError(f"d_slope must be nonpositive, got {d_slope!r}")
+    if c <= 0:
+        raise RegimeSpecError(f"concentration constant must be positive, got {c!r}")
+    return xi, d_slope
+
+
 def feasibility_interval(curve_point: tuple[float, float], c: float,
                          regime: TypeIRegime, n: int) -> BoundReport:
     """Bracket the optimal Type II error at sample size n.
@@ -282,20 +319,15 @@ def feasibility_interval(curve_point: tuple[float, float], c: float,
     When 1 - eps_n - h_n <= 0 the converse degenerates and lb_prob is
     reported as 0 with valid_lb = False.
     """
-    xi, d_slope = float(curve_point[0]), float(curve_point[1])
-    if xi < 0:
-        raise RegimeSpecError(f"xi must be nonnegative, got {xi!r}")
-    if d_slope > 1e-6:
-        raise RegimeSpecError(f"d_slope must be nonpositive, got {d_slope!r}")
-    if c <= 0:
-        raise RegimeSpecError(f"concentration constant must be positive, got {c!r}")
+    xi, d_slope = _check_point(curve_point, c)
     eps = eps_at(regime, n)
     block_l = select_block_length(regime, n)
     h = select_h(regime, n)
-    log_inv_eps = math.log(1.0 / eps)
+    log_inv_eps = _log_inv_eps(regime, n, eps)
     delta_tilde = c * math.sqrt(2.0 * log_inv_eps / (n * block_l))
     ub_exponent = xi + d_slope * math.log(block_l) / (2.0 * block_l) - delta_tilde
-    ub_prob = _clamp_prob(math.exp(-n * ub_exponent))
+    # exp(-n * ub_exponent) >= 1 clamps to 1; skipping it avoids overflow
+    ub_prob = 1.0 if ub_exponent <= 0.0 else _clamp_prob(math.exp(-n * ub_exponent))
     nominal = math.exp(-n * xi)
     slack = 1.0 - eps - h
     valid_lb = slack > 0.0
@@ -335,6 +367,92 @@ class CnsResult:
         return f"{self.regime.label},{repr(float(self.delta))},{cns}"
 
 
+def _sqrt_spread(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Bound on |sqrt(x') - sqrt(x)| over x' >= 0 with |x' - x| <= dx."""
+    return np.fmin(np.sqrt(dx), dx / (np.sqrt(x) + np.sqrt(np.maximum(x - dx, 0.0))))
+
+
+def _screen(xi: float, d_slope: float, c: float, regime: TypeIRegime,
+            delta: float, ns: np.ndarray) -> np.ndarray:
+    """The sample sizes in ns at which the CNS condition may hold.
+
+    Evaluates feasibility_interval's arithmetic on arrays and carries, with
+    each quantity, a bound on its absolute difference from the scalar value
+    (_SCREEN_REL per operation, propagated).  An n is kept when its gap can
+    be <= delta within those bounds, or when a discrete choice is too close
+    to call: the block length's ceiling, the regime-1 test of select_h, or
+    the sign of the converse slack.  Every n dropped fails the condition.
+    """
+    n = ns.astype(np.float64)
+    rel = 4.0 * _SCREEN_REL
+    kind, p = regime.kind, regime.param
+    with np.errstate(all="ignore"):
+        if kind == "constant":
+            eps, rel_eps = np.full_like(n, p), 0.0
+        elif kind == "logarithmic":
+            eps, rel_eps = 1.0 / np.log(n), rel
+        elif kind == "polynomial":
+            eps, rel_eps = n ** -p, rel
+        else:
+            power = n ** p
+            eps, rel_eps = np.exp(-power), rel * (1.0 + power)
+        log_inv_eps = np.log(1.0 / eps)
+        if kind in ("polynomial", "superpolynomial"):
+            # as _log_inv_eps: the exact logarithm where eps_n underflowed
+            exact = p * np.log(n) if kind == "polynomial" else power
+            log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, exact)
+        d_log_inv_eps = 2.0 * rel_eps + rel * (1.0 + log_inv_eps)
+
+        # select_block_length
+        alpha = (1.0 - p) / 3.0 if kind == "superpolynomial" else 1.0 / 3.0
+        root = n ** alpha - 1e-12
+        block_l = np.maximum(1.0, np.ceil(root))
+        unsure = np.abs(root - np.rint(root)) <= rel * np.maximum(1.0, root)
+
+        # select_h
+        lhs = np.sqrt(2.0 * eps)
+        rhs = K_REGIME * log_inv_eps / n
+        regime1 = lhs >= rhs
+        unsure |= (np.abs(lhs - rhs)
+                   <= lhs * (rel_eps + rel) + K_REGIME * d_log_inv_eps / n + rel * rhs)
+        h = np.where(regime1, eps, n ** -2.0)
+        rel_h = np.where(regime1, rel_eps, rel)
+
+        # achievability exponent
+        scale = c * np.sqrt(2.0 / (n * block_l))
+        delta_tilde = scale * np.sqrt(log_inv_eps)
+        slope = d_slope * np.log(block_l) / (2.0 * block_l)
+        ub_exponent = xi + slope - delta_tilde
+        d_ub = (scale * _sqrt_spread(log_inv_eps, d_log_inv_eps)
+                + rel * (xi + np.abs(slope) + 2.0 * delta_tilde))
+
+        # converse exponent; an invalid converse has lb_prob = 0 exactly
+        slack = 1.0 - eps - h
+        d_slack = rel_eps * eps + rel_h * h
+        d_slack += rel * (d_slack > 0.0)  # differing inputs may round 1 - eps - h apart
+        unsure |= np.abs(slack) < 2.0 * d_slack
+        valid_lb = slack > 0.0
+        log_inv_slack = np.log(1.0 / slack)
+        d_log_inv_slack = 2.0 * d_slack / slack + rel * (1.0 + log_inv_slack)
+        converse = 4.0 * math.sqrt(2.0) * c * np.sqrt(log_inv_slack)
+        log_inv_h = np.log(1.0 / h)
+        lb_exponent = xi + converse + log_inv_h / n
+        d_lb = (4.0 * math.sqrt(2.0) * c * _sqrt_spread(log_inv_slack, d_log_inv_slack)
+                + (2.0 * rel_h + rel * (1.0 + log_inv_h)) / n
+                + rel * (converse + lb_exponent))
+
+        def prob(exponent, err, side):
+            """clamp(exp(-n exponent)) pushed down (side 1) or up (side -1) by err."""
+            return np.clip(np.exp(-n * (exponent + side * err)) * (1.0 - side * 2.0 * rel),
+                           0.0, 1.0)
+
+        gap = np.maximum(prob(ub_exponent, d_ub, 1.0) - prob(xi, rel * xi, -1.0),
+                         prob(xi, rel * xi, 1.0)
+                         - np.where(valid_lb, prob(lb_exponent, d_lb, -1.0), 0.0))
+    # a NaN gap (an overflowed error bound) keeps its n
+    return ns[unsure | ~(gap > delta + _SCREEN_TINY)]
+
+
 def critical_sample_size(curve_point: tuple[float, float], c: float,
                          regime: TypeIRegime, delta: float,
                          cap: int = 100_000, keep_trace: bool = False) -> CnsResult:
@@ -343,22 +461,45 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     The condition is max(ub_prob - nominal, nominal - lb_prob) <= delta.
     Sample sizes where the regime is undefined (tiny n) simply fail the
     condition.  Returns cns = None if no n <= cap qualifies.
+
+    The scan screens n in chunks (64 sizes, doubling up to 2048) with an
+    array evaluation of the interval that keeps every n whose gap may be
+    within delta, allowing for rounding differences from the scalar path
+    and for near-ties in the discrete choices.  Each kept n, in order, is
+    confirmed with feasibility_interval; the first that meets the condition
+    is the cns.  The screen therefore never changes the answer, only how
+    many sizes get the scalar evaluation.  With keep_trace, the result
+    carries the feasibility_interval report of every admissible n up to the
+    cns (or the cap).
     """
     if delta <= 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
     if cap < 1:
         raise RegimeSpecError(f"cap must be >= 1, got {cap}")
-    trace = []
-    for n in range(1, cap + 1):
+    xi, d_slope = _check_point(curve_point, c)
+    first = 1
+    while first <= cap:
         try:
-            report = feasibility_interval(curve_point, c, regime, n)
+            eps_at(regime, first)
+            break
         except RegimeDomainError:
-            continue
-        if keep_trace:
-            trace.append(report)
-        if max(report.ub_prob - report.nominal, report.nominal - report.lb_prob) <= delta:
-            return CnsResult(regime, delta, n, cap, tuple(trace))
-    return CnsResult(regime, delta, None, cap, tuple(trace))
+            first += 1
+    cns = None
+    lo, size = first, _CHUNK_MIN
+    while cns is None and lo <= cap:
+        hi = min(lo + size, cap + 1)
+        for n in _screen(xi, d_slope, c, regime, delta, np.arange(lo, hi)).tolist():
+            report = feasibility_interval(curve_point, c, regime, n)
+            if max(report.ub_prob - report.nominal, report.nominal - report.lb_prob) <= delta:
+                cns = n
+                break
+        lo, size = hi, min(2 * size, _CHUNK_MAX)
+    trace = ()
+    if keep_trace:
+        last = cap if cns is None else cns
+        trace = tuple(feasibility_interval(curve_point, c, regime, n)
+                      for n in range(first, last + 1))
+    return CnsResult(regime, delta, cns, cap, trace)
 
 
 def bounds_csv(reports: list[BoundReport]) -> str:

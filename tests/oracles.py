@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from disthyp import bounds
+
 
 def xlogx_sum(a: np.ndarray, axis=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -223,6 +225,48 @@ def interval_reference(xi: float, d_slope: float, c: float, eps: float,
     lb = math.exp(-n * (xi + 4 * c * math.sqrt(2 * math.log(1 / slack))
                         + math.log(1 / h) / n))
     return min(1.0, lb), min(1.0, ub)
+
+
+# --------------------------------------------------------------------------
+# Critical sample size, one scalar interval per n
+# --------------------------------------------------------------------------
+
+# (xi, dD/dR) at the README curve's 7 rates, as `disthyp exponent` printed
+# them, with the README model's concentration constant.
+README_CURVE = (
+    (0.0010155115720374504, -0.14215782956652182),
+    (0.0049569635223797965, -0.13913353788129765),
+    (0.008730713132337566, -0.13293232434003693),
+    (0.012328296788105614, -0.12683829586791803),
+    (0.01576412170576766, -0.11978012602867746),
+    (0.018970317319617392, -0.11488924612607361),
+    (0.022134934268083304, -0.11413942944662794),
+)
+README_C = 9.919821
+README_REGIMES = ("const:0.1", "log", "poly:0.5", "poly:2", "superpoly:0.5")
+
+
+def cns_gap(curve_point, c: float, regime, n: int) -> float:
+    """max(ub_prob - nominal, nominal - lb_prob) at n, from feasibility_interval."""
+    report = bounds.feasibility_interval(curve_point, c, regime, n)
+    return max(report.ub_prob - report.nominal, report.nominal - report.lb_prob)
+
+
+def cns_reference(curve_point, c: float, regime, delta: float,
+                  cap: int = 100_000) -> int | None:
+    """First n <= cap whose gap is <= delta, evaluating every n in turn.
+
+    The per-n scalar loop that critical_sample_size's screened scan must
+    agree with; sizes outside the regime's domain fail the condition.
+    """
+    for n in range(1, cap + 1):
+        try:
+            gap = cns_gap(curve_point, c, regime, n)
+        except bounds.RegimeDomainError:
+            continue
+        if gap <= delta:
+            return n
+    return None
 
 
 def best_contiguous_mse(points, weights, levels: int) -> float:

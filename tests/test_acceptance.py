@@ -54,6 +54,30 @@ def test_cns_low_rate():
             ok, f"cns={sizes}, {elapsed:.2f}s")
 
 
+def test_cns_readme_curve():
+    t0 = time.perf_counter()
+    delta, failed, found = 1e-5, [], []
+    for point in oracles.README_CURVE:
+        for spec in oracles.README_REGIMES:
+            reg = d.TypeIRegime.parse(spec)
+            try:
+                cns = d.critical_sample_size(point, oracles.README_C, reg, delta).cns
+            except Exception as exc:  # the gate reports every cell that raises
+                failed.append(f"{point[0]:.4f} {spec}: {type(exc).__name__}")
+                continue
+            if cns is None:
+                continue
+            found.append(cns)
+            if oracles.cns_gap(point, oracles.README_C, reg, cns) > delta:
+                failed.append(f"{point[0]:.4f} {spec}: condition fails at cns={cns}")
+            elif cns > 1 and oracles.cns_gap(point, oracles.README_C, reg, cns - 1) <= delta:
+                failed.append(f"{point[0]:.4f} {spec}: condition already holds at {cns - 1}")
+    elapsed = time.perf_counter() - t0
+    ok = not failed and elapsed < 5.0
+    _report("CNS README curve: 35 cells to cap 1e5, none raises, each cns is the first n",
+            ok, f"{len(found)} found, failed={failed}, {elapsed:.2f}s")
+
+
 def test_interval_decay():
     t0 = time.perf_counter()
     xi, c = HIGH_RATE["xi"], HIGH_RATE["c"]

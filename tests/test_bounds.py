@@ -209,6 +209,28 @@ class TestFeasibilityInterval:
         assert header[0] == "n" and row[0] == "100"
         assert row[-1] == "1"  # valid_lb flag
 
+    def test_negative_upper_exponent_clamps_without_overflow(self):
+        # -n * ub_exponent is past 709 here, so exp() of it overflows float64
+        rep = b.feasibility_interval(oracles.README_CURVE[0], oracles.README_C,
+                                     b.TypeIRegime.superpolynomial(0.5), 383)
+        assert rep.ub_prob == 1.0
+        assert math.isfinite(rep.ub_exponent) and -383 * rep.ub_exponent > 709
+
+    @pytest.mark.parametrize("spec,n,eps_is_zero", [("superpoly:0.9", 1500, False),
+                                                    ("superpoly:0.9", 1554, True),
+                                                    ("poly:150", 200, True)])
+    def test_underflowed_budget_uses_exact_log(self, spec, n, eps_is_zero):
+        # at superpoly:0.9, n = 1500, eps_n is subnormal and 1/eps_n overflows;
+        # the other two budgets underflow to 0
+        reg = b.TypeIRegime.parse(spec)
+        rep = b.feasibility_interval((0.5, 0.0), 1.0, reg, n)
+        assert (rep.eps_n == 0.0) == eps_is_zero and 1.0 / max(rep.eps_n, 5e-324) == math.inf
+        exact = n ** reg.param if reg.kind == "superpolynomial" else reg.param * math.log(n)
+        assert rep.delta_tilde == pytest.approx(math.sqrt(2.0 * exact / (n * rep.block_l)),
+                                                rel=1e-14)
+        assert math.isfinite(rep.ub_exponent)
+        assert rep.h_n == float(n) ** -2.0
+
     def test_rejects_bad_curve_point(self):
         reg = b.TypeIRegime.constant(0.1)
         with pytest.raises(b.RegimeSpecError):
@@ -254,9 +276,25 @@ class TestCriticalSampleSize:
         assert len(res.trace) == res.cns
         assert res.trace[-1].n == res.cns
 
+    def test_log_trace_skips_inadmissible_sizes(self):
+        reg = b.TypeIRegime.logarithmic()
+        found = b.critical_sample_size((0.7, 0.0), 1.92, reg, 1e-5, keep_trace=True)
+        assert [rep.n for rep in found.trace] == list(range(3, found.cns + 1))
+        missed = b.critical_sample_size((0.7, 0.0), 1.92, reg, 1e-300, cap=50, keep_trace=True)
+        assert missed.cns is None
+        assert [rep.n for rep in missed.trace] == list(range(3, 51))
+        assert (missed.trace[-1].csv_row()
+                == b.feasibility_interval((0.7, 0.0), 1.92, reg, 50).csv_row())
+
     def test_rejects_bad_delta(self):
         with pytest.raises(b.RegimeSpecError):
             b.critical_sample_size((0.7, 0.0), 1.0, b.TypeIRegime.logarithmic(), 0.0)
+
+    def test_rejects_bad_curve_point(self):
+        reg = b.TypeIRegime.logarithmic()
+        for point, c in (((-0.1, 0.0), 1.0), ((0.5, 0.1), 1.0), ((0.5, 0.0), 0.0)):
+            with pytest.raises(b.RegimeSpecError):
+                b.critical_sample_size(point, c, reg, 1e-5, cap=2)
 
     def test_csv_shape(self):
         res = b.critical_sample_size((0.7, 0.0), 1.92, b.TypeIRegime.constant(0.1), 1e-5)
@@ -264,6 +302,77 @@ class TestCriticalSampleSize:
         lines = text.strip().split("\n")
         assert lines[0] == "regime,delta,cns"
         assert lines[1].startswith("const:0.1,")
+
+
+class TestCnsScanAgainstReference:
+    """critical_sample_size against oracles.cns_reference, the per-n scalar loop."""
+
+    @pytest.mark.parametrize("spec", oracles.README_REGIMES)
+    def test_readme_curve(self, spec):
+        reg = b.TypeIRegime.parse(spec)
+        for point in oracles.README_CURVE:
+            got = b.critical_sample_size(point, oracles.README_C, reg, 1e-5, cap=3000).cns
+            assert got == oracles.cns_reference(point, oracles.README_C, reg, 1e-5, cap=3000)
+
+    @pytest.mark.parametrize("spec,cns", [("const:0.1", 46657), ("log", 47446),
+                                          ("poly:0.5", 85185)])
+    def test_late_readme_cells(self, spec, cns):
+        point, reg = oracles.README_CURVE[-1], b.TypeIRegime.parse(spec)
+        assert b.critical_sample_size(point, oracles.README_C, reg, 1e-5).cns == cns
+        assert oracles.cns_reference(point, oracles.README_C, reg, 1e-5) == cns
+
+    def test_tiny_delta(self):
+        # the gap reaches 0 only once all three probabilities underflow
+        for spec in ("const:0.1", "log", "poly:0.1", "superpoly:0.5"):
+            reg = b.TypeIRegime.parse(spec)
+            got = b.critical_sample_size((3.0, 0.0), 2.47, reg, 1e-300, cap=3000).cns
+            assert got is not None
+            assert got == oracles.cns_reference((3.0, 0.0), 2.47, reg, 1e-300, cap=3000)
+
+    @pytest.mark.parametrize("spec,first", [("poly:1", 1), ("log", 3)])
+    @pytest.mark.parametrize("chunk_end", [64, 192, 448, 960, 1984, 4032, 6080])
+    def test_chunk_edges(self, spec, first, chunk_end):
+        # chunks hold 64, 128, ..., 2048, 2048, ... sizes from the first
+        # admissible n.  This cell's gap falls strictly over [60, 6100], so
+        # delta = gap(m) makes m the cns with equality in the condition.
+        reg, point, c = b.TypeIRegime.parse(spec), (0.05, 0.0), 0.2
+        edge = first - 1 + chunk_end
+        for m in (edge - 1, edge, edge + 1):
+            delta = oracles.cns_gap(point, c, reg, m)
+            assert oracles.cns_reference(point, c, reg, delta, cap=edge + 1) == m
+            for cap in (edge - 1, edge, edge + 1):
+                got = b.critical_sample_size(point, c, reg, delta, cap=cap).cns
+                assert got == (m if m <= cap else None)
+
+    def test_lower_side_binds(self):
+        # nominal - lb_prob exceeds ub_prob - nominal at every n of this cell
+        reg, point, c = b.TypeIRegime.constant(0.05), (0.35, 0.0), 0.05
+        for m in (14, 25, 33, 40):
+            at = b.feasibility_interval(point, c, reg, m)
+            assert at.nominal - at.lb_prob > at.ub_prob - at.nominal
+            delta = oracles.cns_gap(point, c, reg, m)
+            got = b.critical_sample_size(point, c, reg, delta, cap=500).cns
+            assert got == oracles.cns_reference(point, c, reg, delta, cap=500) == m
+
+    def test_log_below_its_domain(self):
+        reg = b.TypeIRegime.logarithmic()
+        for cap in (1, 2, 3, 4):
+            for delta in (1.0, 1e-5):
+                got = b.critical_sample_size((0.7, 0.0), 1.92, reg, delta, cap=cap).cns
+                assert got == oracles.cns_reference((0.7, 0.0), 1.92, reg, delta, cap=cap)
+
+    def test_unit_budget_at_n_one(self):
+        # poly:1 has eps_1 = 1: ln(1/eps) = 0 and the converse degenerates
+        reg, point, c = b.TypeIRegime.polynomial(1.0), (0.7, -0.1), 1.92
+        for delta in (1.0, oracles.cns_gap(point, c, reg, 1), 1e-5):
+            got = b.critical_sample_size(point, c, reg, delta, cap=200).cns
+            assert got == oracles.cns_reference(point, c, reg, delta, cap=200)
+
+    def test_superpolynomial_scan_past_budget_underflow(self):
+        # eps_n underflows to 0 from n = 1554 on
+        reg = b.TypeIRegime.superpolynomial(0.9)
+        got = b.critical_sample_size((0.5, 0.0), 1.0, reg, 1e-5, cap=5000).cns
+        assert got == oracles.cns_reference((0.5, 0.0), 1.0, reg, 1e-5, cap=5000)
 
 
 class TestBoundsCsv:

@@ -5,6 +5,8 @@ import pytest
 
 from disthyp import cli
 
+import oracles
+
 
 def run(args):
     return cli.main([str(a) for a in args])
@@ -131,6 +133,14 @@ class TestBoundsCommand:
         assert run(["bounds", "--xi", 0.7, "--regime", "poly:1",
                     "--n-grid", "50", "--out-dir", tmp_path]) == 1
 
+    def test_overflowing_upper_exponent(self, tmp_path):
+        xi, slope = oracles.README_CURVE[0]
+        assert run(["bounds", "--xi", repr(xi), "--c", oracles.README_C, "--d-slope", repr(slope),
+                    "--regime", "superpoly:0.5", "--n-grid", 383,
+                    "--out-dir", tmp_path, "--out", "b.csv"]) == 0
+        row = (tmp_path / "b.csv").read_text().strip().split("\n")[1].split(",")
+        assert row[0] == "383" and float(row[7]) == 1.0  # ub_prob
+
     def test_model_driven_point(self, tmp_path):
         model = make_model(tmp_path)
         assert run(["bounds", "--model", model, "--rate", 0.1,
@@ -149,6 +159,15 @@ class TestCnsCommand:
         assert len(lines) == 4
         for line in lines[1:]:
             assert int(line.split(",")[2]) <= 22
+
+    def test_readme_point_all_regimes(self, tmp_path):
+        xi, slope = oracles.README_CURVE[0]
+        assert run(["cns", "--xi", repr(xi), "--c", oracles.README_C, "--d-slope", repr(slope),
+                    "--regimes", ",".join(oracles.README_REGIMES), "--delta", 1e-5,
+                    "--out-dir", tmp_path, "--out", "c.csv"]) == 0
+        rows = (tmp_path / "c.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == list(oracles.README_REGIMES)
+        assert all(row.endswith(",none") for row in rows)
 
     def test_unsatisfiable_cap(self, tmp_path):
         assert run(["cns", "--xi", 0.01, "--c", 5.0, "--regimes", "poly:0.1",

@@ -8,8 +8,12 @@ sequence eps_n:
 * an explicit probability interval [lb_prob, ub_prob] bracketing the
   optimal Type II error around its nominal value exp(-n*xi),
 * the critical number of samples: the first n at which the interval
-  collapses onto the nominal value within a tolerance delta, found by an
-  array screen over chunks of n whose candidates the scalar interval confirms.
+  collapses onto the nominal value within a tolerance delta, found by
+  evaluating the interval over chunks of n at once.
+
+The interval arithmetic is written once, on numpy arrays of sample sizes
+(_budget, _interval); the scalar functions evaluate it at a single n, so a
+report and a scan see the same numbers.
 
 All asymptotically vanishing residual terms in the closed forms are set to
 zero; every report carries a dropped-residuals marker to make that visible.
@@ -19,22 +23,17 @@ All logarithms are natural; rates and exponents are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _E = math.e
 # Regime-1 threshold constant in the h-selection rule sqrt(2 eps) >= K ln(1/eps)/n.
 K_REGIME = 1.0
-# The CNS screen evaluates n in chunks that double from _CHUNK_MIN to
+# The CNS scan evaluates n in chunks that double from _CHUNK_MIN to
 # _CHUNK_MAX: scans that stop early stay cheap and memory stays bounded.
 _CHUNK_MIN = 64
 _CHUNK_MAX = 2048
-# Relative difference allowed per elementary operation between the screen's
-# numpy arithmetic and the scalar math-module path (32 ulp), and an absolute
-# allowance for probabilities in the subnormal range.
-_SCREEN_REL = 2.0 ** -48
-_SCREEN_TINY = 2.0 ** -1000
 
 
 class RegimeDomainError(ValueError):
@@ -72,9 +71,9 @@ class TypeIRegime:
             if self.param is not None:
                 raise RegimeSpecError("logarithmic regime takes no parameter")
         elif self.kind == "polynomial":
-            if self.param is None or self.param <= 0:
+            if self.param is None or not (0.0 < self.param < math.inf):
                 raise RegimeSpecError(
-                    f"polynomial regime needs exponent > 0, got {self.param!r}")
+                    f"polynomial regime needs a finite exponent > 0, got {self.param!r}")
         else:
             if self.param is None or not (0.0 < self.param < 1.0):
                 raise RegimeSpecError(
@@ -140,20 +139,69 @@ class TypeIRegime:
         return None
 
 
-def eps_at(regime: TypeIRegime, n: int) -> float:
-    """Type I budget at sample size n."""
+def _check_size(regime: TypeIRegime, n: int) -> None:
+    """Raise RegimeDomainError where eps_n is undefined."""
     if n < 1:
         raise RegimeDomainError(f"sample size must be >= 1, got {n}")
-    if regime.kind == "constant":
-        return regime.param
-    if regime.kind == "logarithmic":
-        if n <= _E:
-            raise RegimeDomainError(
-                f"1/ln(n) is not a valid error level at n = {n} (needs n >= 3)")
-        return 1.0 / math.log(n)
-    if regime.kind == "polynomial":
-        return float(n) ** (-regime.param)
-    return math.exp(-(float(n) ** regime.param))
+    if regime.kind == "logarithmic" and n <= _E:
+        raise RegimeDomainError(
+            f"1/ln(n) is not a valid error level at n = {n} (needs n >= 3)")
+
+
+def _check_slope_and_c(d_slope: float, c: float) -> None:
+    if not (math.isfinite(d_slope) and d_slope <= 1e-6):
+        raise RegimeSpecError(f"d_slope must be finite and nonpositive, got {d_slope!r}")
+    if not (math.isfinite(c) and c > 0):
+        raise RegimeSpecError(
+            f"concentration constant must be finite and positive, got {c!r}")
+
+
+def _check_point(curve_point: tuple[float, float], c: float) -> tuple[float, float]:
+    """(xi, d_slope) as floats, after checking the curve point and c."""
+    xi, d_slope = float(curve_point[0]), float(curve_point[1])
+    if not (math.isfinite(xi) and xi >= 0):
+        raise RegimeSpecError(f"xi must be finite and nonnegative, got {xi!r}")
+    _check_slope_and_c(d_slope, c)
+    return xi, d_slope
+
+
+def _budget(regime: TypeIRegime, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """eps_n, ln(1/eps_n), block length l and slack mass h_n at the sizes n.
+
+    n is a float64 array.  Callers hold np.errstate(all="ignore"): eps_n
+    underflows and 1/eps_n overflows at large n, and polynomial and
+    superpolynomial budgets then take the exact logarithms p ln(n) and n^p.
+    """
+    kind, p = regime.kind, regime.param
+    if kind == "constant":
+        eps = np.full_like(n, p)
+    elif kind == "logarithmic":
+        eps = 1.0 / np.log(n)
+    elif kind == "polynomial":
+        eps = n ** -p
+    else:
+        eps = np.exp(-(n ** p))
+    log_inv_eps = np.log(1.0 / eps)
+    if kind == "polynomial":
+        log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, p * np.log(n))
+    elif kind == "superpolynomial":
+        log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, n ** p)
+    alpha = (1.0 - p) / 3.0 if kind == "superpolynomial" else 1.0 / 3.0
+    block_l = np.maximum(1.0, np.ceil(n ** alpha - 1e-12))
+    h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
+    return eps, log_inv_eps, block_l, h
+
+
+def _budget_at(regime: TypeIRegime, n: int) -> tuple[float, float, float, float]:
+    """_budget at a single sample size, as Python floats."""
+    with np.errstate(all="ignore"):
+        return tuple(a.item() for a in _budget(regime, np.array([n], dtype=np.float64)))
+
+
+def eps_at(regime: TypeIRegime, n: int) -> float:
+    """Type I budget at sample size n."""
+    _check_size(regime, n)
+    return _budget_at(regime, n)[0]
 
 
 def select_block_length(regime: TypeIRegime, n: int) -> int:
@@ -164,24 +212,7 @@ def select_block_length(regime: TypeIRegime, n: int) -> int:
     """
     if n < 1:
         raise RegimeDomainError(f"sample size must be >= 1, got {n}")
-    if regime.kind == "superpolynomial":
-        alpha = (1.0 - regime.param) / 3.0
-    else:
-        alpha = 1.0 / 3.0
-    return max(1, math.ceil(float(n) ** alpha - 1e-12))
-
-
-def _log_inv_eps(regime: TypeIRegime, n: int, eps: float) -> float:
-    """ln(1/eps_n), exact where eps_n = eps_at(regime, n) is too small to invert.
-
-    Polynomial and superpolynomial budgets underflow float64 at large n;
-    their logarithms p ln(n) and n^p stay finite.
-    """
-    if eps > 0.0 and 1.0 / eps < math.inf:
-        return math.log(1.0 / eps)
-    if regime.kind == "polynomial":
-        return regime.param * math.log(n)
-    return float(n) ** regime.param
+    return int(_budget_at(regime, n)[2])
 
 
 def select_h(regime: TypeIRegime, n: int) -> float:
@@ -190,10 +221,8 @@ def select_h(regime: TypeIRegime, n: int) -> float:
     Regime 1 (sqrt(2 eps_n) >= K ln(1/eps_n)/n): take h = eps_n.
     Otherwise (budgets decaying too fast): take h = n^-2.
     """
-    eps = eps_at(regime, n)
-    if math.sqrt(2.0 * eps) >= K_REGIME * _log_inv_eps(regime, n, eps) / n:
-        return eps
-    return float(n) ** -2.0
+    _check_size(regime, n)
+    return _budget_at(regime, n)[3]
 
 
 def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[float, float]:
@@ -203,10 +232,7 @@ def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[f
     zero, so the lower bound can be negative at small n and is reported as
     written.  Constant budgets are not covered (use feasibility_interval).
     """
-    if c <= 0:
-        raise RegimeSpecError(f"concentration constant must be positive, got {c!r}")
-    if d_slope > 1e-6:
-        raise RegimeSpecError(f"d_slope must be nonpositive, got {d_slope!r}")
+    _check_slope_and_c(d_slope, c)
     case = regime.gap_case
     if case is None:
         raise RegimeSpecError(
@@ -237,10 +263,6 @@ def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[f
     upper = (8.0 * math.sqrt(2.0) * c * math.sqrt(math.exp(-(float(n) ** p)) * n * n + 1.0) / ln_n
              + 2.0) * (ln_n / n)
     return lower, upper
-
-
-def _clamp_prob(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -296,16 +318,30 @@ class BoundReport:
         return ",".join(cells)
 
 
-def _check_point(curve_point: tuple[float, float], c: float) -> tuple[float, float]:
-    """(xi, d_slope) as floats, after checking the curve point and c."""
-    xi, d_slope = float(curve_point[0]), float(curve_point[1])
-    if xi < 0:
-        raise RegimeSpecError(f"xi must be nonnegative, got {xi!r}")
-    if d_slope > 1e-6:
-        raise RegimeSpecError(f"d_slope must be nonpositive, got {d_slope!r}")
-    if c <= 0:
-        raise RegimeSpecError(f"concentration constant must be positive, got {c!r}")
-    return xi, d_slope
+def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
+              n: np.ndarray) -> dict[str, np.ndarray]:
+    """BoundReport's interval fields at the admissible float64 sizes n.
+
+    The only evaluation of the interval: feasibility_interval calls it on
+    one n, critical_sample_size on chunks of n.  Probabilities come out
+    clamped to [0, 1] without a clamp: the lower exponent is >= 0, and the
+    upper one is floored at 0, which also keeps exp() from overflowing.
+    """
+    with np.errstate(all="ignore"):
+        eps, log_inv_eps, block_l, h = _budget(regime, n)
+        delta_tilde = c * np.sqrt(2.0 * log_inv_eps / (n * block_l))
+        ub_exponent = xi + d_slope * np.log(block_l) / (2.0 * block_l) - delta_tilde
+        slack = 1.0 - eps - h
+        valid_lb = slack > 0.0
+        log_inv_slack = np.log(1.0 / slack)
+        s_n = np.where(valid_lb, 4.0 * math.sqrt(2.0) * c * np.sqrt(log_inv_slack), np.nan)
+        lb_exponent = np.where(
+            valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
+        return {"eps_n": eps, "block_l": block_l, "h_n": h, "delta_tilde": delta_tilde,
+                "s_n": s_n, "valid_lb": valid_lb, "ub_exponent": ub_exponent,
+                "lb_exponent": lb_exponent, "nominal": np.exp(-n * xi),
+                "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0)),
+                "lb_prob": np.exp(-n * lb_exponent)}
 
 
 def feasibility_interval(curve_point: tuple[float, float], c: float,
@@ -320,34 +356,15 @@ def feasibility_interval(curve_point: tuple[float, float], c: float,
     reported as 0 with valid_lb = False.
     """
     xi, d_slope = _check_point(curve_point, c)
-    eps = eps_at(regime, n)
-    block_l = select_block_length(regime, n)
-    h = select_h(regime, n)
-    log_inv_eps = _log_inv_eps(regime, n, eps)
-    delta_tilde = c * math.sqrt(2.0 * log_inv_eps / (n * block_l))
-    ub_exponent = xi + d_slope * math.log(block_l) / (2.0 * block_l) - delta_tilde
-    # exp(-n * ub_exponent) >= 1 clamps to 1; skipping it avoids overflow
-    ub_prob = 1.0 if ub_exponent <= 0.0 else _clamp_prob(math.exp(-n * ub_exponent))
-    nominal = math.exp(-n * xi)
-    slack = 1.0 - eps - h
-    valid_lb = slack > 0.0
-    if valid_lb:
-        s_n = 4.0 * math.sqrt(2.0) * c * math.sqrt(math.log(1.0 / slack))
-        lb_exponent = xi + 4.0 * c * math.sqrt(2.0 * math.log(1.0 / slack)) + math.log(1.0 / h) / n
-        lb_prob = _clamp_prob(math.exp(-n * lb_exponent))
-    else:
-        s_n = math.nan
-        lb_exponent = math.inf
-        lb_prob = 0.0
+    _check_size(regime, n)
+    fields = {key: value.item() for key, value in
+              _interval(xi, d_slope, c, regime, np.array([n], dtype=np.float64)).items()}
+    fields["block_l"] = int(fields["block_l"])
     try:
         gap_lower, gap_upper = gap_bounds(regime, n, d_slope, c)
     except (RegimeSpecError, RegimeDomainError):
         gap_lower, gap_upper = math.nan, math.nan
-    return BoundReport(n=n, eps_n=eps, gap_lower=gap_lower, gap_upper=gap_upper,
-                       lb_prob=lb_prob, ub_prob=ub_prob, nominal=nominal,
-                       block_l=block_l, h_n=h, s_n=s_n, delta_tilde=delta_tilde,
-                       valid_lb=valid_lb, ub_exponent=ub_exponent,
-                       lb_exponent=lb_exponent)
+    return BoundReport(n=n, gap_lower=gap_lower, gap_upper=gap_upper, **fields)
 
 
 @dataclass(frozen=True)
@@ -358,7 +375,6 @@ class CnsResult:
     delta: float
     cns: int | None
     cap: int
-    trace: tuple = field(default_factory=tuple)
 
     CSV_HEADER = "regime,delta,cns"
 
@@ -367,139 +383,42 @@ class CnsResult:
         return f"{self.regime.label},{repr(float(self.delta))},{cns}"
 
 
-def _sqrt_spread(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Bound on |sqrt(x') - sqrt(x)| over x' >= 0 with |x' - x| <= dx."""
-    return np.fmin(np.sqrt(dx), dx / (np.sqrt(x) + np.sqrt(np.maximum(x - dx, 0.0))))
-
-
-def _screen(xi: float, d_slope: float, c: float, regime: TypeIRegime,
-            delta: float, ns: np.ndarray) -> np.ndarray:
-    """The sample sizes in ns at which the CNS condition may hold.
-
-    Evaluates feasibility_interval's arithmetic on arrays and carries, with
-    each quantity, a bound on its absolute difference from the scalar value
-    (_SCREEN_REL per operation, propagated).  An n is kept when its gap can
-    be <= delta within those bounds, or when a discrete choice is too close
-    to call: the block length's ceiling, the regime-1 test of select_h, or
-    the sign of the converse slack.  Every n dropped fails the condition.
-    """
-    n = ns.astype(np.float64)
-    rel = 4.0 * _SCREEN_REL
-    kind, p = regime.kind, regime.param
-    with np.errstate(all="ignore"):
-        if kind == "constant":
-            eps, rel_eps = np.full_like(n, p), 0.0
-        elif kind == "logarithmic":
-            eps, rel_eps = 1.0 / np.log(n), rel
-        elif kind == "polynomial":
-            eps, rel_eps = n ** -p, rel
-        else:
-            power = n ** p
-            eps, rel_eps = np.exp(-power), rel * (1.0 + power)
-        log_inv_eps = np.log(1.0 / eps)
-        if kind in ("polynomial", "superpolynomial"):
-            # as _log_inv_eps: the exact logarithm where eps_n underflowed
-            exact = p * np.log(n) if kind == "polynomial" else power
-            log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, exact)
-        d_log_inv_eps = 2.0 * rel_eps + rel * (1.0 + log_inv_eps)
-
-        # select_block_length
-        alpha = (1.0 - p) / 3.0 if kind == "superpolynomial" else 1.0 / 3.0
-        root = n ** alpha - 1e-12
-        block_l = np.maximum(1.0, np.ceil(root))
-        unsure = np.abs(root - np.rint(root)) <= rel * np.maximum(1.0, root)
-
-        # select_h
-        lhs = np.sqrt(2.0 * eps)
-        rhs = K_REGIME * log_inv_eps / n
-        regime1 = lhs >= rhs
-        unsure |= (np.abs(lhs - rhs)
-                   <= lhs * (rel_eps + rel) + K_REGIME * d_log_inv_eps / n + rel * rhs)
-        h = np.where(regime1, eps, n ** -2.0)
-        rel_h = np.where(regime1, rel_eps, rel)
-
-        # achievability exponent
-        scale = c * np.sqrt(2.0 / (n * block_l))
-        delta_tilde = scale * np.sqrt(log_inv_eps)
-        slope = d_slope * np.log(block_l) / (2.0 * block_l)
-        ub_exponent = xi + slope - delta_tilde
-        d_ub = (scale * _sqrt_spread(log_inv_eps, d_log_inv_eps)
-                + rel * (xi + np.abs(slope) + 2.0 * delta_tilde))
-
-        # converse exponent; an invalid converse has lb_prob = 0 exactly
-        slack = 1.0 - eps - h
-        d_slack = rel_eps * eps + rel_h * h
-        d_slack += rel * (d_slack > 0.0)  # differing inputs may round 1 - eps - h apart
-        unsure |= np.abs(slack) < 2.0 * d_slack
-        valid_lb = slack > 0.0
-        log_inv_slack = np.log(1.0 / slack)
-        d_log_inv_slack = 2.0 * d_slack / slack + rel * (1.0 + log_inv_slack)
-        converse = 4.0 * math.sqrt(2.0) * c * np.sqrt(log_inv_slack)
-        log_inv_h = np.log(1.0 / h)
-        lb_exponent = xi + converse + log_inv_h / n
-        d_lb = (4.0 * math.sqrt(2.0) * c * _sqrt_spread(log_inv_slack, d_log_inv_slack)
-                + (2.0 * rel_h + rel * (1.0 + log_inv_h)) / n
-                + rel * (converse + lb_exponent))
-
-        def prob(exponent, err, side):
-            """clamp(exp(-n exponent)) pushed down (side 1) or up (side -1) by err."""
-            return np.clip(np.exp(-n * (exponent + side * err)) * (1.0 - side * 2.0 * rel),
-                           0.0, 1.0)
-
-        gap = np.maximum(prob(ub_exponent, d_ub, 1.0) - prob(xi, rel * xi, -1.0),
-                         prob(xi, rel * xi, 1.0)
-                         - np.where(valid_lb, prob(lb_exponent, d_lb, -1.0), 0.0))
-    # a NaN gap (an overflowed error bound) keeps its n
-    return ns[unsure | ~(gap > delta + _SCREEN_TINY)]
-
-
 def critical_sample_size(curve_point: tuple[float, float], c: float,
                          regime: TypeIRegime, delta: float,
-                         cap: int = 100_000, keep_trace: bool = False) -> CnsResult:
+                         cap: int = 100_000) -> CnsResult:
     """First n <= cap where the feasibility interval hugs the nominal value.
 
     The condition is max(ub_prob - nominal, nominal - lb_prob) <= delta.
     Sample sizes where the regime is undefined (tiny n) simply fail the
     condition.  Returns cns = None if no n <= cap qualifies.
 
-    The scan screens n in chunks (64 sizes, doubling up to 2048) with an
-    array evaluation of the interval that keeps every n whose gap may be
-    within delta, allowing for rounding differences from the scalar path
-    and for near-ties in the discrete choices.  Each kept n, in order, is
-    confirmed with feasibility_interval; the first that meets the condition
-    is the cns.  The screen therefore never changes the answer, only how
-    many sizes get the scalar evaluation.  With keep_trace, the result
-    carries the feasibility_interval report of every admissible n up to the
-    cns (or the cap).
+    The scan evaluates the interval over chunks of n (64 sizes, doubling up
+    to 2048) with the same arithmetic as feasibility_interval, so the
+    condition holds at the cns, as feasibility_interval reports it, and at
+    no admissible n before it.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
     if cap < 1:
         raise RegimeSpecError(f"cap must be >= 1, got {cap}")
     xi, d_slope = _check_point(curve_point, c)
-    first = 1
-    while first <= cap:
+    lo = 1
+    while lo <= cap:
         try:
-            eps_at(regime, first)
+            _check_size(regime, lo)
             break
         except RegimeDomainError:
-            first += 1
-    cns = None
-    lo, size = first, _CHUNK_MIN
-    while cns is None and lo <= cap:
+            lo += 1
+    size = _CHUNK_MIN
+    while lo <= cap:
         hi = min(lo + size, cap + 1)
-        for n in _screen(xi, d_slope, c, regime, delta, np.arange(lo, hi)).tolist():
-            report = feasibility_interval(curve_point, c, regime, n)
-            if max(report.ub_prob - report.nominal, report.nominal - report.lb_prob) <= delta:
-                cns = n
-                break
+        f = _interval(xi, d_slope, c, regime, np.arange(lo, hi, dtype=np.float64))
+        gap = np.maximum(f["ub_prob"] - f["nominal"], f["nominal"] - f["lb_prob"])
+        hits = np.flatnonzero(gap <= delta)
+        if hits.size:
+            return CnsResult(regime, delta, lo + int(hits[0]), cap)
         lo, size = hi, min(2 * size, _CHUNK_MAX)
-    trace = ()
-    if keep_trace:
-        last = cap if cns is None else cns
-        trace = tuple(feasibility_interval(curve_point, c, regime, n)
-                      for n in range(first, last + 1))
-    return CnsResult(regime, delta, cns, cap, trace)
+    return CnsResult(regime, delta, None, cap)
 
 
 def bounds_csv(reports: list[BoundReport]) -> str:

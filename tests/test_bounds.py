@@ -25,7 +25,8 @@ class TestRegimeSpec:
 
     def test_parse_rejects_garbage(self):
         for text in ("exp:1", "poly", "log:3", "const:1.5", "poly:-1",
-                     "superpoly:1.0", "const:abc"):
+                     "superpoly:1.0", "const:abc", "poly:nan", "poly:inf", "const:nan",
+                     "superpoly:nan"):
             with pytest.raises(b.RegimeSpecError):
                 b.TypeIRegime.parse(text)
 
@@ -81,6 +82,16 @@ class TestSelectors:
 
     def test_h_regime_two_takes_inverse_square(self):
         assert b.select_h(b.TypeIRegime.polynomial(3.0), 100) == pytest.approx(1e-4)
+
+    def test_report_uses_the_selectors_values(self):
+        for spec in ("const:0.1", "log", "poly:0.5", "poly:150", "superpoly:0.9"):
+            reg = b.TypeIRegime.parse(spec)
+            for n in (3, 64, 1001, 1554, 46657):
+                rep = b.feasibility_interval((0.7, -0.05), 1.92, reg, n)
+                eps, block_l, h = (b.eps_at(reg, n), b.select_block_length(reg, n),
+                                   b.select_h(reg, n))
+                assert (type(eps), type(block_l), type(h)) == (float, int, float)
+                assert (rep.eps_n, rep.block_l, rep.h_n) == (eps, block_l, h)
 
     def test_h_boundary_degeneracy_flags_invalid_lb(self):
         rep = b.feasibility_interval((1.0, 0.0), 1.0, b.TypeIRegime.constant(0.5), 10)
@@ -145,24 +156,38 @@ class TestGapBounds:
         b.gap_bounds(b.TypeIRegime.logarithmic(), 16, 0.0, 1.0)
 
     def test_rejects_positive_d_slope(self):
-        with pytest.raises(b.RegimeSpecError, match="nonpositive"):
-            b.gap_bounds(b.TypeIRegime.polynomial(1.0), 100, 0.5, 1.0)
+        for d_slope in (0.5, math.nan, -math.inf):
+            with pytest.raises(b.RegimeSpecError, match="nonpositive"):
+                b.gap_bounds(b.TypeIRegime.polynomial(1.0), 100, d_slope, 1.0)
 
     def test_rejects_nonpositive_c(self):
-        with pytest.raises(b.RegimeSpecError, match="positive"):
-            b.gap_bounds(b.TypeIRegime.polynomial(1.0), 100, 0.0, 0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(b.RegimeSpecError, match="positive"):
+                b.gap_bounds(b.TypeIRegime.polynomial(1.0), 100, 0.0, c)
 
 
 class TestFeasibilityInterval:
+    # (curve point, c, regimes, sizes).  At the README point the reference's
+    # exp(-n * ub_exponent) overflows past the sizes listed for each regime.
+    CROSS_CHECK = [
+        ((0.7, -0.05), 1.92, ("const:0.1", "log", "poly:1", "poly:3", "superpoly:0.4"),
+         (50, 500, 5000, 64, 2111, 46657)),
+        (oracles.README_CURVE[0], oracles.README_C, ("const:0.1", "log", "poly:0.5", "poly:1"),
+         (64, 2111)),
+        (oracles.README_CURVE[0], oracles.README_C,
+         ("poly:2", "poly:3", "superpoly:0.4", "superpoly:0.5"), (64,)),
+    ]
+
     def test_cross_check_against_independent_transcription(self):
-        for spec in ("const:0.1", "log", "poly:1", "poly:3", "superpoly:0.4"):
-            reg = b.TypeIRegime.parse(spec)
-            for n in (50, 500, 5000):
-                rep = b.feasibility_interval((0.7, -0.05), 1.92, reg, n)
-                lb, ub = oracles.interval_reference(
-                    0.7, -0.05, 1.92, rep.eps_n, n, rep.block_l, rep.h_n)
-                assert rep.ub_prob == pytest.approx(ub, rel=1e-12, abs=1e-320)
-                assert rep.lb_prob == pytest.approx(lb, rel=1e-12, abs=1e-320)
+        for (xi, d_slope), c, specs, sizes in self.CROSS_CHECK:
+            for spec in specs:
+                reg = b.TypeIRegime.parse(spec)
+                for n in sizes:
+                    rep = b.feasibility_interval((xi, d_slope), c, reg, n)
+                    lb, ub = oracles.interval_reference(
+                        xi, d_slope, c, rep.eps_n, n, rep.block_l, rep.h_n)
+                    assert rep.ub_prob == pytest.approx(ub, rel=1e-12, abs=1e-320)
+                    assert rep.lb_prob == pytest.approx(lb, rel=1e-12, abs=1e-320)
 
     def test_interval_brackets_are_ordered(self):
         for spec in ("const:0.1", "log", "poly:1", "superpoly:0.4"):
@@ -233,12 +258,12 @@ class TestFeasibilityInterval:
 
     def test_rejects_bad_curve_point(self):
         reg = b.TypeIRegime.constant(0.1)
-        with pytest.raises(b.RegimeSpecError):
-            b.feasibility_interval((-0.1, 0.0), 1.0, reg, 100)
-        with pytest.raises(b.RegimeSpecError):
-            b.feasibility_interval((0.5, 0.1), 1.0, reg, 100)
-        with pytest.raises(b.RegimeSpecError):
-            b.feasibility_interval((0.5, 0.0), -1.0, reg, 100)
+        for point, c in (((-0.1, 0.0), 1.0), ((0.5, 0.1), 1.0), ((0.5, 0.0), -1.0),
+                         ((math.nan, 0.0), 1.0), ((math.inf, 0.0), 1.0),
+                         ((0.5, math.nan), 1.0), ((0.5, -math.inf), 1.0),
+                         ((0.5, 0.0), math.nan), ((0.5, 0.0), math.inf)):
+            with pytest.raises(b.RegimeSpecError):
+                b.feasibility_interval(point, c, reg, 100)
 
 
 class TestCriticalSampleSize:
@@ -270,29 +295,15 @@ class TestCriticalSampleSize:
                                      1e-300, cap=10)
         assert res.cns is None and res.cap == 10
 
-    def test_trace_retention(self):
-        res = b.critical_sample_size((0.7, 0.0), 1.92, b.TypeIRegime.constant(0.1),
-                                     1e-5, keep_trace=True)
-        assert len(res.trace) == res.cns
-        assert res.trace[-1].n == res.cns
-
-    def test_log_trace_skips_inadmissible_sizes(self):
-        reg = b.TypeIRegime.logarithmic()
-        found = b.critical_sample_size((0.7, 0.0), 1.92, reg, 1e-5, keep_trace=True)
-        assert [rep.n for rep in found.trace] == list(range(3, found.cns + 1))
-        missed = b.critical_sample_size((0.7, 0.0), 1.92, reg, 1e-300, cap=50, keep_trace=True)
-        assert missed.cns is None
-        assert [rep.n for rep in missed.trace] == list(range(3, 51))
-        assert (missed.trace[-1].csv_row()
-                == b.feasibility_interval((0.7, 0.0), 1.92, reg, 50).csv_row())
-
     def test_rejects_bad_delta(self):
-        with pytest.raises(b.RegimeSpecError):
-            b.critical_sample_size((0.7, 0.0), 1.0, b.TypeIRegime.logarithmic(), 0.0)
+        for delta in (0.0, -1e-5, math.nan):
+            with pytest.raises(b.RegimeSpecError, match="delta"):
+                b.critical_sample_size((0.7, 0.0), 1.0, b.TypeIRegime.logarithmic(), delta)
 
     def test_rejects_bad_curve_point(self):
         reg = b.TypeIRegime.logarithmic()
-        for point, c in (((-0.1, 0.0), 1.0), ((0.5, 0.1), 1.0), ((0.5, 0.0), 0.0)):
+        for point, c in (((-0.1, 0.0), 1.0), ((0.5, 0.1), 1.0), ((0.5, 0.0), 0.0),
+                         ((math.nan, 0.0), 1.0), ((0.5, math.nan), 1.0), ((0.5, 0.0), math.nan)):
             with pytest.raises(b.RegimeSpecError):
                 b.critical_sample_size(point, c, reg, 1e-5, cap=2)
 

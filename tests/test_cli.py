@@ -176,6 +176,15 @@ class TestCnsCommand:
         row = (tmp_path / "c.csv").read_text().strip().split("\n")[1]
         assert row.endswith(",none")
 
+    @pytest.mark.parametrize("flag,value", [("--delta", "nan"), ("--regimes", "poly:nan")])
+    def test_non_finite_input_is_an_error(self, tmp_path, capsys, flag, value):
+        args = {"--xi": 0.7, "--c": 1.92, "--regimes": "log", "--delta": 1e-5,
+                "--cap": 2000, "--out-dir": tmp_path}
+        args[flag] = value
+        assert run(["cns", *(item for pair in args.items() for item in pair)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "cns.csv").exists()
+
 
 class TestSimulateCommand:
     def test_identity_encoder_run(self, tmp_path):

@@ -5,8 +5,9 @@ concentration constant c, this module evaluates, for a Type I budget
 sequence eps_n:
 
 * the closed-form four-regime gap bounds on  -(1/n) log beta_n - xi(R),
-* an explicit probability interval [lb_prob, ub_prob] bracketing the
-  optimal Type II error around its nominal value exp(-n*xi),
+* an explicit probability interval [lb_prob, ub_prob] around the nominal
+  value exp(-n*xi) of the optimal Type II error: lb_prob is a converse
+  bound, ub_prob the achievability formula without its residual terms,
 * the critical number of samples: the first n at which the interval
   collapses onto the nominal value within a tolerance delta, found by
   evaluating the interval over chunks of n at once.
@@ -346,12 +347,14 @@ def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
 
 def feasibility_interval(curve_point: tuple[float, float], c: float,
                          regime: TypeIRegime, n: int) -> BoundReport:
-    """Bracket the optimal Type II error at sample size n.
+    """The interval around the optimal Type II error at sample size n.
 
-    curve_point is (xi, d_slope) at the operating rate.  The upper bound is
+    curve_point is (xi, d_slope) at the operating rate.  The upper end is
     the achievability of a block-quantized scheme with block length l and
-    concentration slack delta_tilde = c * sqrt(2 ln(1/eps_n) / (n l)); the
-    lower bound is the change-of-measure converse with slack mass h_n.
+    concentration slack delta_tilde = c * sqrt(2 ln(1/eps_n) / (n l)), with
+    its vanishing residual terms dropped: it is not a bound, and it can fall
+    below the optimum.  The lower end is the change-of-measure converse with
+    slack mass h_n.
     When 1 - eps_n - h_n <= 0 the converse degenerates and lb_prob is
     reported as 0 with valid_lb = False.
     """

@@ -3,11 +3,11 @@
 Subcommands build a model, trace its exponent curve, evaluate the
 finite-length feasibility bounds and critical sample sizes, and run the
 Monte Carlo validation, writing UTF-8 CSV tables plus JSON sidecars that
-echo the full configuration (seed included).  Rates on the command line
-are in bits per sample unless --units nats is given; exponent-like inputs
-(xi, c, d_slope) and all CSV columns are always in nats.  Every command is
-deterministic given its arguments, and the exit code is 0 only when the
-run's invariant checks pass.
+echo the full configuration (seed included).  `exponent` reads its rate
+grid in bits per sample unless --units nats is given; the curve point that
+`bounds` and `cns` take (--xi, --d-slope, --c) and all CSV columns are
+always in nats.  Every command is deterministic given its arguments, and
+the exit code is 0 only when the run's invariant checks pass.
 """
 
 from __future__ import annotations
@@ -151,14 +151,15 @@ def cmd_exponent(args) -> int:
                                    master_seed=args.seed)
     path = _out_path(args, args.out)
     _write_text(path, curve.to_csv())
+    c = dist.c_constant(p)
     sidecar = json.loads(curve.sidecar_json())
-    _write_sidecar(path, _config_echo(args, **sidecar))
+    _write_sidecar(path, _config_echo(args, c_nats=c, **sidecar))
     mi = dist.mutual_information(p)
     for i in range(len(curve.r)):
         print(f"R={_from_nats(float(curve.r[i]), args.units):.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
     residual = curve.diagnostics.get("concavity_residual", 0.0)
-    print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, "
+    print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
           f"concavity residual {residual:.2e}")
     if np.any(curve.xi > np.minimum(curve.r, mi) + 1e-9):
         return _fail_invariant("xi <= min(R, I(X;Y))")
@@ -169,24 +170,8 @@ def cmd_exponent(args) -> int:
 # bounds / cns
 # --------------------------------------------------------------------------
 
-def _resolve_curve_point(args) -> tuple[float, float, float]:
-    """Returns (xi, d_slope, c) in nats from direct flags or a model + rate."""
-    if args.xi is not None:
-        if args.c is None:
-            raise bounds.RegimeSpecError("--xi needs --c (both in nats)")
-        return args.xi, args.d_slope, args.c
-    if args.model is None or args.rate is None:
-        raise bounds.RegimeSpecError("give either --xi/--c or --model/--rate")
-    p = _load_model(args.model)
-    rate = _to_nats(args.rate, args.units)
-    xi, _ = bottleneck.exponent_at_rate(p, rate, restarts=args.restarts,
-                                        master_seed=args.seed)
-    c = args.c if args.c is not None else dist.c_constant(p)
-    return xi, args.d_slope, c
-
-
 def cmd_bounds(args) -> int:
-    xi, d_slope, c = _resolve_curve_point(args)
+    xi, d_slope, c = args.xi, args.d_slope, args.c
     regime = bounds.TypeIRegime.parse(args.regime)
     reports = []
     for n in args.n_grid:
@@ -198,8 +183,7 @@ def cmd_bounds(args) -> int:
         raise bounds.RegimeDomainError("no sample size in --n-grid is admissible")
     path = _out_path(args, args.out)
     _write_text(path, bounds.bounds_csv(reports))
-    _write_sidecar(path, _config_echo(args, xi_nats=xi, d_slope=d_slope, c_nats=c,
-                                      regime=regime.label))
+    _write_sidecar(path, _config_echo(args, xi_nats=xi, c_nats=c, regime=regime.label))
     for rep in reports:
         print(f"n={rep.n}: lb={rep.lb_prob:.3e} nominal={rep.nominal:.3e} "
               f"ub={rep.ub_prob:.3e} valid_lb={rep.valid_lb}")
@@ -213,14 +197,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cns(args) -> int:
-    xi, d_slope, c = _resolve_curve_point(args)
+    xi, d_slope, c = args.xi, args.d_slope, args.c
     regimes = [bounds.TypeIRegime.parse(token) for token in args.regimes.split(",")]
     results = [bounds.critical_sample_size((xi, d_slope), c, regime, args.delta,
                                            cap=args.cap)
                for regime in regimes]
     path = _out_path(args, args.out)
     _write_text(path, bounds.cns_csv(results))
-    _write_sidecar(path, _config_echo(args, xi_nats=xi, d_slope=d_slope, c_nats=c))
+    _write_sidecar(path, _config_echo(args, xi_nats=xi, c_nats=c))
     for res in results:
         shown = res.cns if res.cns is not None else f"not found below {res.cap}"
         print(f"{res.regime.label}: cns={shown}")
@@ -301,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="master seed; echoed into all outputs (default 0)")
     common.add_argument("--out-dir", default=".", help="output directory (default .)")
-    common.add_argument("--units", choices=("bits", "nats"), default="bits",
-                        help="unit for rates given on the command line (default bits)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker threads for simulate; results are identical "
-                             "for any count")
 
     parser = argparse.ArgumentParser(
         prog="disthyp",
@@ -338,22 +317,25 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--rate-min", type=float, help="linear grid start (in --units)")
     pe.add_argument("--rate-max", type=float, help="linear grid end (in --units)")
     pe.add_argument("--rate-points", type=_positive_int, help="linear grid size (>= 3)")
+    pe.add_argument("--units", choices=("bits", "nats"), default="bits",
+                    help="unit of the rate grid and the printed rates (default bits)")
     pe.add_argument("--restarts", type=_positive_int, default=4,
                     help="random solver restarts (default 4)")
     pe.add_argument("--out", default="curve.csv", help="curve filename (default curve.csv)")
     pe.set_defaults(func=cmd_exponent)
 
-    point_help = "curve point: either --xi/--c (nats) or --model/--rate"
     for name, fn in (("bounds", cmd_bounds), ("cns", cmd_cns)):
         px = sub.add_parser(name, parents=[common],
                             help=f"evaluate {'feasibility intervals' if name == 'bounds' else 'critical sample sizes'}")
-        px.add_argument("--xi", type=float, help=f"exponent at the operating rate; {point_help}")
-        px.add_argument("--c", type=float, help="concentration constant (nats)")
+        px.add_argument("--xi", type=float, required=True,
+                        help="exponent xi(R) at the operating rate (nats): "
+                             "the xi_nats column of an exponent curve")
+        px.add_argument("--c", type=float, required=True,
+                        help="concentration constant (nats): c_nats in the "
+                             "exponent or model sidecar")
         px.add_argument("--d-slope", type=float, default=0.0,
-                        help="distortion slope dD/dR at the rate, <= 0 (default 0)")
-        px.add_argument("--model", help="model JSON path (alternative to --xi)")
-        px.add_argument("--rate", type=float, help="operating rate (in --units)")
-        px.add_argument("--restarts", type=_positive_int, default=4)
+                        help="distortion slope dD/dR at the rate, <= 0: the dD_dR "
+                             "column of an exponent curve (default 0)")
         if name == "bounds":
             px.add_argument("--regime", required=True,
                             help="const:<eps> | log | poly:<p> | superpoly:<p>")
@@ -390,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="named trial profile; explicit --trials overrides")
     ps.add_argument("--force-threshold", type=float,
                     help="skip calibration and use this threshold (inf/-inf allowed)")
+    ps.add_argument("--workers", type=_positive_int, default=1,
+                    help="sampling threads; results are identical for any count")
     ps.add_argument("--out", default="sim.csv")
     ps.set_defaults(func=cmd_simulate)
     return parser

@@ -160,6 +160,50 @@ def statistic_atoms(pmf0: np.ndarray, pmf1: np.ndarray, lr: np.ndarray,
     return values, p0, p1
 
 
+def _binomial_log_pmf(n: int, q: float) -> np.ndarray:
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                           for k in range(n + 1)])
+    k = np.arange(n + 1)
+    return log_choose + k * math.log(q) + (n - k) * math.log1p(-q)
+
+
+def dsbs_np_optimum(n: int, eps: float, crossover: float = 0.2) -> float:
+    """ln beta*(n, eps): the exact optimal Type II error on the DSBS.
+
+    Under P, X is a uniform bit and Y is X flipped with probability
+    crossover; Q is the product of its uniform marginals.  The likelihood
+    ratio of a sample depends only on whether X == Y, so the randomized
+    Neyman-Pearson test is a test on the agreement count K, which is
+    Bin(n, 1 - crossover) under P and Bin(n, 1/2) under Q.  It decides P
+    when K > k, and with probability gamma when K == k, where k and gamma
+    make its Type I error exactly eps.  Works in log space at any n.
+    """
+    log_p = _binomial_log_pmf(n, 1.0 - crossover)
+    log_q = _binomial_log_pmf(n, 0.5)
+    log_cdf_p = np.logaddexp.accumulate(log_p)
+    k = int(np.argmax(log_cdf_p > math.log(eps)))  # first k with P(K <= k) > eps
+    below = math.exp(log_cdf_p[k - 1]) if k > 0 else 0.0
+    gamma = 1.0 - (eps - below) / math.exp(log_p[k])
+    terms = list(log_q[k + 1:])
+    if gamma > 0.0:
+        terms.append(math.log(gamma) + log_q[k])
+    return float(np.logaddexp.reduce(terms)) if terms else -math.inf
+
+
+def np_optimum_from_atoms(p0: np.ndarray, p1: np.ndarray, eps: float) -> float:
+    """Randomized Neyman-Pearson Type II error on an enumerated law of S.
+
+    p0 and p1 are the atom masses under both hypotheses, in ascending order
+    of S.  The test decides the null above the cut atom, and at the cut
+    atom with the probability that spends the Type I budget eps exactly.
+    """
+    cum = np.cumsum(p0)
+    k = int(np.argmax(cum > eps))
+    below = float(cum[k - 1]) if k > 0 else 0.0
+    gamma = 1.0 - (eps - below) / float(p0[k])
+    return float(p1[k + 1:].sum()) + gamma * float(p1[k])
+
+
 def exact_error_probs(values: np.ndarray, p0: np.ndarray, p1: np.ndarray,
                       t: float) -> tuple[float, float]:
     """Exact (Type I, Type II) of the acceptance region {S > t}.

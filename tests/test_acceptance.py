@@ -226,10 +226,11 @@ def test_determinism(tmp_path):
 
     def render(tag: str, workers: int) -> dict[str, bytes]:
         out = tmp_path / tag
-        base = ["--seed", "3", "--out-dir", str(out), "--workers", str(workers)]
+        base = ["--seed", "3", "--out-dir", str(out)]
         assert cli.main(["simulate", "--model", str(model), "--identity-encoder",
                          "--n", "8", "--eps", "0.2", "--trials", "6000",
-                         "--cal-trials", "6000", "--out", "sim.csv"] + base) == 0
+                         "--cal-trials", "6000", "--workers", str(workers),
+                         "--out", "sim.csv"] + base) == 0
         assert cli.main(["exponent", "--model", str(model),
                          "--rates", "0.05,0.1,0.2", "--out", "curve.csv"]
                         + base) == 0

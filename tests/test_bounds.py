@@ -394,3 +394,42 @@ class TestBoundsCsv:
         lines = text.strip().split("\n")
         assert lines[0] == b.BoundReport.CSV_HEADER
         assert len(lines) == 3
+
+
+class TestDsbsOptimum:
+    """The interval against the exact optimal Type II error on the DSBS.
+
+    At R >= H(X) the detector sees X, so the optimum is the centralized
+    Neyman-Pearson test on [[.4, .1], [.1, .4]], and the curve point is
+    xi = I(X;Y) with a flat distortion (d_slope = 0).
+    """
+
+    DSBS = d.JointPmf.from_probs([[0.4, 0.1], [0.1, 0.4]])
+
+    def _point(self):
+        return (d.mutual_information(self.DSBS), 0.0), d.c_constant(self.DSBS)
+
+    def test_oracle_matches_enumeration(self):
+        pmf0, pmf1, lr = d.quantized_model(self.DSBS, d.Encoder.identity(2)).flat()
+        for n in range(1, 7):
+            _, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
+            for eps in (0.01, 0.05, 0.1, 0.3, 0.5):
+                want = oracles.np_optimum_from_atoms(p0, p1, eps)
+                got = math.exp(oracles.dsbs_np_optimum(n, eps))
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ["const:0.1", "log", "poly:1", "poly:2"])
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_lower_end_bounds_the_optimum(self, spec, n):
+        point, c = self._point()
+        rep = b.feasibility_interval(point, c, b.TypeIRegime.parse(spec), n)
+        assert rep.valid_lb
+        assert -n * rep.lb_exponent <= oracles.dsbs_np_optimum(n, rep.eps_n)
+
+    def test_upper_end_is_not_a_bound(self):
+        # ln ub_prob = -158.7 against ln beta* = -145.7: the upper end drops
+        # residual terms, so it can fall below the optimum it approximates
+        point, c = self._point()
+        n = 1_000
+        rep = b.feasibility_interval(point, c, b.TypeIRegime.polynomial(1.0), n)
+        assert -n * max(rep.ub_exponent, 0.0) < oracles.dsbs_np_optimum(n, rep.eps_n)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from disthyp import cli
+from disthyp import bounds, cli
 
 import oracles
 
@@ -130,8 +130,10 @@ class TestBoundsCommand:
                     "--n-grid", "50", "--out-dir", tmp_path]) == 1
 
     def test_xi_requires_c(self, tmp_path):
-        assert run(["bounds", "--xi", 0.7, "--regime", "poly:1",
-                    "--n-grid", "50", "--out-dir", tmp_path]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--xi", 0.7, "--regime", "poly:1",
+                 "--n-grid", "50", "--out-dir", tmp_path])
+        assert exc.value.code == 2
 
     def test_overflowing_upper_exponent(self, tmp_path):
         xi, slope = oracles.README_CURVE[0]
@@ -140,13 +142,6 @@ class TestBoundsCommand:
                     "--out-dir", tmp_path, "--out", "b.csv"]) == 0
         row = (tmp_path / "b.csv").read_text().strip().split("\n")[1].split(",")
         assert row[0] == "383" and float(row[7]) == 1.0  # ub_prob
-
-    def test_model_driven_point(self, tmp_path):
-        model = make_model(tmp_path)
-        assert run(["bounds", "--model", model, "--rate", 0.1,
-                    "--regime", "poly:1", "--n-grid", "50,100",
-                    "--out-dir", tmp_path, "--out", "mb.csv"]) == 0
-        assert (tmp_path / "mb.csv").exists()
 
 
 class TestCnsCommand:
@@ -184,6 +179,65 @@ class TestCnsCommand:
         assert run(["cns", *(item for pair in args.items() for item in pair)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "cns.csv").exists()
+
+
+class TestCurveWorkflow:
+    def test_curve_row_and_sidecar_feed_bounds_and_cns(self, tmp_path):
+        model = make_model(tmp_path)
+        assert run(["exponent", "--model", model, "--rates", "0.05,0.1,0.2",
+                    "--out-dir", tmp_path, "--out", "curve.csv"]) == 0
+        header, *rows = (tmp_path / "curve.csv").read_text().strip().split("\n")
+        assert header == "R_nats,xi_nats,D_nats,dD_dR"
+        _, xi_text, _, slope_text = rows[-1].split(",")
+        c = json.loads((tmp_path / "curve.meta.json").read_text())["c_nats"]
+        assert c == json.loads((tmp_path / "model.meta.json").read_text())["c_nats"]
+        xi, slope = float(xi_text), float(slope_text)
+        assert slope < 0.0
+        point = ["--xi", xi_text, "--d-slope", slope_text, "--c", repr(c)]
+
+        specs = ["const:0.1", "log", "poly:1"]
+        assert run(["cns", *point, "--regimes", ",".join(specs),
+                    "--out-dir", tmp_path, "--out", "cns.csv"]) == 0
+        want = bounds.cns_csv([bounds.critical_sample_size(
+            (xi, slope), c, bounds.TypeIRegime.parse(spec), 1e-5) for spec in specs])
+        assert (tmp_path / "cns.csv").read_bytes() == want.encode()
+        assert not want.split("\n")[1].endswith(",none")  # const:0.1 finds a size
+
+        sizes = [50, 1000, 60000]
+        assert run(["bounds", *point, "--regime", "poly:1",
+                    "--n-grid", ",".join(map(str, sizes)),
+                    "--out-dir", tmp_path, "--out", "bounds.csv"]) == 0
+        want = bounds.bounds_csv([bounds.feasibility_interval(
+            (xi, slope), c, bounds.TypeIRegime.polynomial(1.0), n) for n in sizes])
+        assert (tmp_path / "bounds.csv").read_bytes() == want.encode()
+
+        for stem in ("cns", "bounds"):
+            meta = json.loads((tmp_path / f"{stem}.meta.json").read_text())
+            assert (meta["xi_nats"], meta["d_slope"], meta["c_nats"]) == (xi, slope, c)
+
+
+class TestRemovedFlags:
+    BASE = {
+        "bounds": ["--xi", 0.7, "--c", 1.92, "--regime", "poly:1", "--n-grid", 50],
+        "cns": ["--xi", 0.7, "--c", 1.92, "--regimes", "log"],
+        "model": ["--gaussian", "--rho", 0.5, "--grid", 8],
+        "exponent": ["--model", "model.json", "--rates", "0.05,0.1,0.2"],
+        "simulate": ["--model", "model.json", "--identity-encoder", "--n", 8, "--eps", 0.2],
+    }
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("bounds", "--model", "m.json"), ("cns", "--rate", 0.1), ("bounds", "--restarts", 2),
+        ("cns", "--units", "nats"), ("model", "--workers", 2), ("exponent", "--workers", 2),
+        ("simulate", "--units", "bits"),
+    ])
+    def test_rejected_and_not_echoed(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *self.BASE[command], flag, value, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert run(["cns", *self.BASE["cns"], "--out-dir", tmp_path]) == 0
+        meta = json.loads((tmp_path / "cns.meta.json").read_text())
+        assert not {"model", "rate", "restarts", "units", "workers"} & meta.keys()
 
 
 class TestSimulateCommand:

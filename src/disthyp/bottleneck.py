@@ -12,9 +12,10 @@ The solver is the standard alternating minimization of
 I(U;X) - beta*I(U;Y): a geometric sweep over beta with warm starts traces
 out the (rate, relevance) trade-off, a fixed number of random restarts
 guards against local optima, and the reported curve is the upper concave
-envelope of every solution found.  Chord points on the envelope are
-achievable by time sharing between the two endpoint channels, so the
-envelope is a certified lower bound on xi.
+envelope of every solution found.  The restart chains run in lockstep as
+one stacked iterate, each with its own stopping rule.  Chord points on the
+envelope are achievable by time sharing between the two endpoint channels,
+so the envelope is a certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -136,56 +137,79 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
     return max(rate, 0.0), max(relevance, 0.0)
 
 
-def _iterate(p: JointPmf, beta: float, w: np.ndarray,
-             max_iters: int, tol: float) -> tuple[np.ndarray, int, bool]:
-    """Alternating-minimization loop; returns the full-width channel.
+def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
+             tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating minimization of a stack of chains run in lockstep.
+
+    ``w`` has shape (chains, |X|, |U|).  Returns the final stack with each
+    chain's iteration count and converged flag.  Every chain keeps its own
+    stopping rule |prev_obj - obj| < tol: a chain that meets it is written
+    back and dropped from the active stack, so its channel is frozen while
+    the others go on.  No operation mixes chains, so a chain's iterates are
+    the same whichever stack it runs in.
 
     One pass per iteration: the marginals pu = w^T p(x) and p(u,y) = w^T P
     of each new channel give both its objective and the next update, so no
     channel is validated or re-measured inside the loop.  A non-finite
-    iterate makes the objective non-finite, which raises SolverError.
+    iterate makes its chain's objective non-finite, which raises SolverError.
     """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
     px = p.x_marginal
     pyx = p.probs / px[:, None]
-    neg_hyx = (pyx * np.log(pyx)).sum(axis=1)  # row-wise -H(Y|X=x)
+    neg_hyx = (pyx * np.log(pyx)).sum(axis=1)[:, None]  # row-wise -H(Y|X=x)
     log_py = np.log(p.y_marginal)
-    pu = w.T @ px
-    puy = w.T @ p.probs
-    prev_obj = np.inf
-    converged = False
-    iters = 0
+    out = np.empty_like(w)
+    iters = np.full(len(w), max_iters)
+    converged = np.zeros(len(w), dtype=bool)
+    active = np.arange(len(w))
+    pu = w.transpose(0, 2, 1) @ px
+    puy = w.transpose(0, 2, 1) @ p.probs
+    prev_obj = [math.inf] * len(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pu = np.log(pu)
-        for iters in range(1, max_iters + 1):
+        for it in range(1, max_iters + 1):
             # KL(p(y|x) || p(y|u)) with p(y|u) = p(u,y)/pu.  A dead cluster
             # (pu = 0) gets NaN here, and every non-finite divergence becomes
             # an infinite penalty, so dead clusters stay dead even at beta = 0
-            div = neg_hyx[:, None] - pyx @ np.log(puy / pu[:, None]).T
+            div = neg_hyx - pyx @ np.log(puy / pu[:, :, None]).transpose(0, 2, 1)
             penalty = np.where(np.isfinite(div), beta * div, np.inf)
-            logw = log_pu[None, :] - penalty
-            logw -= logw.max(axis=1, keepdims=True)
+            logw = log_pu[:, None, :] - penalty
+            logw -= logw.max(axis=2, keepdims=True)
             w = np.exp(logw)
-            z = w.sum(axis=1, keepdims=True)
+            z = w.sum(axis=2, keepdims=True)
             w /= z
-            pu = w.T @ px
-            puy = w.T @ p.probs
+            pu = w.transpose(0, 2, 1) @ px
+            puy = w.transpose(0, 2, 1) @ p.probs
             log_pu = np.log(pu)
             # exact zeros contribute nothing; a NaN entry stays NaN
-            rate_terms = w * (logw - np.log(z) - log_pu[None, :])
-            rel_terms = puy * (np.log(puy) - log_pu[:, None] - log_py[None, :])
-            rate = float(px @ np.where(w == 0, 0.0, rate_terms).sum(axis=1))
-            relevance = float(np.where(puy == 0, 0.0, rel_terms).sum())
-            obj = rate - beta * relevance
-            if not math.isfinite(obj):
-                raise SolverError(
-                    f"iterate went non-finite at beta={beta!r}, iteration {iters}")
-            if abs(prev_obj - obj) < tol:
-                converged = True
-                break
+            rate_terms = w * (logw - np.log(z) - log_pu[:, None, :])
+            rel_terms = puy * (np.log(puy) - log_pu[:, :, None] - log_py)
+            # one dot per chain: a single gemv over the stack may round a
+            # chain differently depending on how many chains it holds
+            rate = (np.where(w == 0, 0.0, rate_terms).sum(axis=2)[:, None, :] @ px)[:, 0]
+            relevance = np.where(puy == 0, 0.0, rel_terms).reshape(len(w), -1).sum(axis=1)
+            # a handful of chains: the stopping rule is cheaper on floats
+            obj = (rate - beta * relevance).tolist()
+            if not all(map(math.isfinite, obj)):
+                chain = active[list(map(math.isfinite, obj)).index(False)]
+                raise SolverError(f"iterate went non-finite at beta={beta!r}, "
+                                  f"iteration {it}, chain {chain}")
+            done = [abs(a - b) < tol for a, b in zip(prev_obj, obj)]
+            if any(done):
+                done = np.array(done)
+                stopped = active[done]
+                out[stopped] = w[done]
+                iters[stopped] = it
+                converged[stopped] = True
+                if done.all():
+                    return out, iters, converged
+                go = ~done
+                active, w, pu, puy, log_pu = active[go], w[go], pu[go], puy[go], log_pu[go]
+                obj = [o for o, stop in zip(obj, done) if not stop]
             prev_obj = obj
-    return w, iters, converged
+    out[active] = w
+    return out, iters, converged
 
 
 def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
@@ -204,8 +228,8 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
         raise SolverError(
             f"init must have shape ({p.nx}, {p.nx + 1}), got ({init.nx}, {init.nu})"
         )
-    w, iters, converged = _iterate(p, float(beta), init.cond_probs.copy(), max_iters, tol)
-    return _wrap_solution(p, w, float(beta), iters, converged)
+    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters, tol)
+    return _wrap_solution(p, w[0], float(beta), int(iters[0]), bool(converged[0]))
 
 
 def _wrap_solution(p: JointPmf, w: np.ndarray, beta: float,
@@ -228,27 +252,6 @@ def _anchor_solutions(p: JointPmf) -> list[IbSolution]:
         ch = maker(p.nx, nu)
         rate, relevance = channel_information(p, ch)
         out.append(IbSolution(ch, rate, relevance, math.inf, 0, True, 0))
-    return out
-
-
-def _run_chain(p: JointPmf, beta_grid, master_seed: int, chain_id: int,
-               max_iters: int, tol: float) -> list[IbSolution]:
-    """One warm-started sweep down the beta grid from a single init.
-
-    Sweeping from large beta to small tracks the nontrivial solution branch
-    from its stable side: ascending sweeps collapse to the trivial fixed
-    point below the critical beta and cannot leave it afterwards, losing
-    the whole small-rate part of the curve.
-    """
-    if chain_id == 0:
-        w = TestChannel.identity_plus_noise(p.nx, p.nx + 1).cond_probs.copy()
-    else:
-        rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
-        w = TestChannel.random(p.nx, p.nx + 1, rng).cond_probs.copy()
-    out = []
-    for beta in sorted(beta_grid, reverse=True):
-        w, iters, converged = _iterate(p, float(beta), w, max_iters, tol)
-        out.append(_wrap_solution(p, w.copy(), float(beta), iters, converged))
     return out
 
 
@@ -348,17 +351,35 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
     """Sweep the trade-off curve and return the solution pool.
 
     Chain 0 starts from a near-identity channel and chains 1..restarts from
-    random channels; each runs once, and the number of restarts is fixed:
-    it never escalates.  The pool's ``concavity_residual`` is reported, not
-    acted on: it measures dominated fixed points lying under the hull, which
-    more restarts cannot remove.
+    random channels.  The chains run in lockstep as one stacked iterate,
+    each with its own stopping rule, through a single sweep down the beta
+    grid; every beta is warm-started from the stack the previous one
+    returned.  Sweeping from large beta to small tracks the nontrivial
+    solution branch from its stable side: ascending sweeps collapse to the
+    trivial fixed point below the critical beta and cannot leave it
+    afterwards, losing the whole small-rate part of the curve.
+
+    The pool holds the solutions chain by chain, each chain in sweep order.
+    The number of restarts is fixed: it never escalates.  The pool's
+    ``concavity_residual`` is reported, not acted on: it measures dominated
+    fixed points lying under the hull, which more restarts cannot remove.
     """
     if restarts < 0:
         raise SolverError("restarts must be nonnegative")
     beta_grid = tuple(DEFAULT_BETA_GRID if beta_grid is None else beta_grid)
+    starts = [TestChannel.identity_plus_noise(p.nx, p.nx + 1)]
+    for chain_id in range(1, restarts + 1):
+        rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
+        starts.append(TestChannel.random(p.nx, p.nx + 1, rng))
+    w = np.stack([start.cond_probs for start in starts])
+    chains: list[list[IbSolution]] = [[] for _ in starts]
+    for beta in sorted(beta_grid, reverse=True):
+        w, iters, converged = _iterate(p, float(beta), w, max_iters, tol)
+        for chain, wk, n, ok in zip(chains, w, iters, converged):
+            chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
     pool = EnvelopePool(p, _anchor_solutions(p), restarts_used=restarts)
-    for chain_id in range(restarts + 1):
-        pool.solutions.extend(_run_chain(p, beta_grid, master_seed, chain_id, max_iters, tol))
+    for chain in chains:
+        pool.solutions.extend(chain)
     pool.refresh()
     return pool
 
@@ -387,8 +408,8 @@ def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3,
         if w.shape[1] < pool.p.nx + 1:  # re-pad pruned channels for the iteration
             pad = np.zeros((pool.p.nx, pool.p.nx + 1 - w.shape[1]))
             w = np.hstack([w, pad])
-        w, iters, converged = _iterate(pool.p, beta, w.copy(), max_iters, tol)
-        sol = _wrap_solution(pool.p, w, beta, iters, converged)
+        w, iters, converged = _iterate(pool.p, beta, w[None], max_iters, tol)
+        sol = _wrap_solution(pool.p, w[0], beta, int(iters[0]), bool(converged[0]))
         before = pool.value_at(r)
         pool.solutions.append(sol)
         pool.refresh()
@@ -482,10 +503,14 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     d_slope[1:-1] = (d[2:] - d[:-2]) / (r[2:] - r[:-2])
     d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
+    solves = [s for s in pool.solutions if math.isfinite(s.beta)]  # anchors carry beta = inf
     diagnostics = {
         "concavity_residual": pool.concavity_residual,
         "restarts_used": pool.restarts_used,
         "solutions": len(pool.solutions),
         "master_seed": master_seed,
+        "beta_solves": len(solves),
+        "iterations": sum(s.iterations for s in solves),
+        "unconverged": sum(not s.converged for s in solves),
     }
     return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)

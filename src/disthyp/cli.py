@@ -158,9 +158,10 @@ def cmd_exponent(args) -> int:
     for i in range(len(curve.r)):
         print(f"R={_from_nats(float(curve.r[i]), args.units):.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
-    residual = curve.diagnostics.get("concavity_residual", 0.0)
+    diag = curve.diagnostics
     print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
-          f"concavity residual {residual:.2e}")
+          f"concavity residual {diag['concavity_residual']:.2e}, "
+          f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
     if np.any(curve.xi > np.minimum(curve.r, mi) + 1e-9):
         return _fail_invariant("xi <= min(R, I(X;Y))")
     return 0
@@ -183,7 +184,7 @@ def cmd_bounds(args) -> int:
         raise bounds.RegimeDomainError("no sample size in --n-grid is admissible")
     path = _out_path(args, args.out)
     _write_text(path, bounds.bounds_csv(reports))
-    _write_sidecar(path, _config_echo(args, xi_nats=xi, c_nats=c, regime=regime.label))
+    _write_sidecar(path, _config_echo(args, regime=regime.label))
     for rep in reports:
         print(f"n={rep.n}: lb={rep.lb_prob:.3e} nominal={rep.nominal:.3e} "
               f"ub={rep.ub_prob:.3e} valid_lb={rep.valid_lb}")
@@ -204,7 +205,7 @@ def cmd_cns(args) -> int:
                for regime in regimes]
     path = _out_path(args, args.out)
     _write_text(path, bounds.cns_csv(results))
-    _write_sidecar(path, _config_echo(args, xi_nats=xi, c_nats=c))
+    _write_sidecar(path, _config_echo(args))
     for res in results:
         shown = res.cns if res.cns is not None else f"not found below {res.cap}"
         print(f"{res.regime.label}: cns={shown}")

@@ -275,8 +275,10 @@ def interval_reference(xi: float, d_slope: float, c: float, eps: float,
 # Critical sample size, one scalar interval per n
 # --------------------------------------------------------------------------
 
-# (xi, dD/dR) at the README curve's 7 rates, as `disthyp exponent` printed
-# them, with the README model's concentration constant.
+# (xi, dD/dR) at the README curve's 7 rates, with the README model's
+# concentration constant.  These are recorded inputs, printed by an earlier
+# solver; `disthyp exponent` now prints slightly different digits, and the
+# cns of every README cell is the same for both.
 README_CURVE = (
     (0.0010155115720374504, -0.14215782956652182),
     (0.0049569635223797965, -0.13913353788129765),

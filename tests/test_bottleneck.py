@@ -17,6 +17,13 @@ def sym_model():
     return d.JointPmf.from_probs(SYM)
 
 
+def three_by_two_model():
+    rng = np.random.default_rng(11)
+    probs = rng.dirichlet(np.ones(6)).reshape(3, 2)
+    probs = np.maximum(probs, 1e-3)
+    return d.JointPmf.from_probs(probs / probs.sum())
+
+
 class TestTestChannel:
     def test_rejects_negative_entry(self):
         with pytest.raises(bn.SolverError):
@@ -75,7 +82,7 @@ class TestFixedPoint:
         # the loop itself must stop there, not hand a NaN channel back
         init = bn.TestChannel.identity_plus_noise(2, 3).cond_probs.copy()
         with pytest.raises(bn.SolverError):
-            bn._iterate(sym_model, math.inf, init, max_iters=1, tol=1e-10)
+            bn._iterate(sym_model, math.inf, init[None], max_iters=1, tol=1e-10)
 
     def test_rejects_wrong_init_shape(self, sym_model):
         with pytest.raises(bn.SolverError, match="init"):
@@ -89,6 +96,51 @@ class TestFixedPoint:
             rate, rel = bn.channel_information(sym_model, sol.channel)
             assert rate == pytest.approx(sol.rate, abs=1e-10)
             assert rel == pytest.approx(sol.relevance, abs=1e-10)
+
+
+class TestLockstep:
+    """Chains stacked into one iterate run exactly as each does alone."""
+
+    @pytest.fixture(params=["sym", "three_by_two"])
+    def model(self, request, sym_model):
+        return sym_model if request.param == "sym" else three_by_two_model()
+
+    @staticmethod
+    def stack(p):
+        # near-identity, random, and the constant channel, which is a fixed
+        # point and stops at once while the other two go on
+        nx, nu = p.nx, p.nx + 1
+        return np.stack([bn.TestChannel.identity_plus_noise(nx, nu).cond_probs,
+                         bn.TestChannel.random(nx, nu, np.random.default_rng(7)).cond_probs,
+                         bn.TestChannel.constant(nx, nu).cond_probs])
+
+    @pytest.mark.parametrize("beta", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("max_iters", [1000, 20])
+    def test_each_chain_matches_its_one_chain_run(self, model, beta, max_iters):
+        stack = self.stack(model)
+        w, iters, converged = bn._iterate(model, beta, stack, max_iters, 1e-10)
+        assert w.shape == stack.shape
+        assert iters[2] == 2 and converged[2]
+        for k in range(len(stack)):
+            alone, n, ok = bn._iterate(model, beta, stack[k:k + 1], max_iters, 1e-10)
+            assert (iters[k], converged[k]) == (n[0], ok[0])
+            assert np.max(np.abs(w[k] - alone[0])) <= 1e-12
+
+    def test_chains_stop_on_their_own(self, model):
+        # the cap cuts the two moving chains off but not the constant one
+        _, iters, converged = bn._iterate(model, 5.0, self.stack(model), 10, 1e-10)
+        assert iters.tolist() == [10, 10, 2]
+        assert converged.tolist() == [False, False, True]
+
+    def test_restarts_leave_chain_zero_alone(self, model):
+        alone = bn.solve_envelope(model, restarts=0)
+        stacked = bn.solve_envelope(model, restarts=3)
+        # anchors, then chain 0's sweep: the pool is chain-major
+        assert len(stacked.solutions) == 2 + 4 * (len(alone.solutions) - 2)
+        for a, b in zip(alone.solutions, stacked.solutions):
+            assert np.array_equal(a.channel.cond_probs, b.channel.cond_probs)
+            assert (a.rate, a.relevance, a.beta, a.iterations, a.converged) == \
+                (b.rate, b.relevance, b.beta, b.iterations, b.converged)
 
 
 class TestEnvelope:
@@ -158,8 +210,19 @@ class TestCurve:
                               restarts=2, master_seed=3)
         payload = json.loads(curve.sidecar_json())
         assert payload["fingerprint"] == sym_model.fingerprint()
+        diag = payload["diagnostics"]
         for key in ("concavity_residual", "restarts_used"):
-            assert key in payload["diagnostics"]
+            assert key in diag
+        assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
+        assert diag["beta_solves"] == diag["solutions"] - 2  # the two anchors
+
+    def test_counters_report_capped_solves(self):
+        # on this 4x4 Gaussian a few beta-solves stop at the 1000-iteration cap
+        p = d.discretized_gaussian(0.8, 4, 4)
+        diag = d.build_curve(p, np.linspace(0.05, 0.5, 3), restarts=1).diagnostics
+        assert diag["unconverged"] > 0
+        assert diag["iterations"] >= 1000 * diag["unconverged"]
+        assert diag["beta_solves"] == 2 * len(bn.DEFAULT_BETA_GRID) + 3
 
     def test_rejects_bad_grids(self, sym_model):
         with pytest.raises(bn.SolverError):
@@ -187,10 +250,7 @@ class TestCurve:
 
 class TestAsymmetricModels:
     def test_three_by_two_curve(self):
-        rng = np.random.default_rng(11)
-        probs = rng.dirichlet(np.ones(6)).reshape(3, 2)
-        probs = np.maximum(probs, 1e-3)
-        p = d.JointPmf.from_probs(probs / probs.sum())
+        p = three_by_two_model()
         mi = d.mutual_information(p)
         curve = d.build_curve(p, np.linspace(0.05, p.entropy_x, 6),
                               restarts=3, master_seed=4)

@@ -97,12 +97,16 @@ class TestExponentCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_sidecar_echoes_config(self, tmp_path):
+    def test_sidecar_echoes_config(self, tmp_path, capsys):
         model = make_model(tmp_path)
+        capsys.readouterr()
         assert run(["exponent", "--model", model, "--rates", "0.05,0.1,0.2",
                     "--out-dir", tmp_path, "--out", "c.csv", "--seed", 9]) == 0
         meta = json.loads((tmp_path / "c.meta.json").read_text())
         assert meta["seed"] == 9 and meta["units"] == "bits"
+        diag = meta["diagnostics"]
+        summary = capsys.readouterr().out.strip().split("\n")[-1]
+        assert summary.endswith(f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
 
 
 class TestBoundsCommand:
@@ -213,7 +217,8 @@ class TestCurveWorkflow:
 
         for stem in ("cns", "bounds"):
             meta = json.loads((tmp_path / f"{stem}.meta.json").read_text())
-            assert (meta["xi_nats"], meta["d_slope"], meta["c_nats"]) == (xi, slope, c)
+            assert (meta["xi"], meta["d_slope"], meta["c"]) == (xi, slope, c)
+            assert not {"xi_nats", "c_nats"} & meta.keys()  # no second copy of the point
 
 
 class TestRemovedFlags:

@@ -13,9 +13,15 @@ I(U;X) - beta*I(U;Y): a geometric sweep over beta with warm starts traces
 out the (rate, relevance) trade-off, a fixed number of random restarts
 guards against local optima, and the reported curve is the upper concave
 envelope of every solution found.  The restart chains run in lockstep as
-one stacked iterate, each with its own stopping rule.  Chord points on the
-envelope are achievable by time sharing between the two endpoint channels,
-so the envelope is a certified lower bound on xi.
+one stacked iterate, each with its own stopping rule.  The iteration is
+accelerated by SQUAREM (Varadhan & Roland 2008): every third step
+extrapolates the last three iterates in log space, and the result is kept
+only if one map step from it does not raise the objective, so the objective
+still falls monotonically.  The stopping rule (the objective changes by less
+than tol between consecutive iterates) and the 1000-evaluation cap are
+those of the plain iteration.  Chord points on the envelope are achievable
+by time sharing between the two endpoint channels, so the envelope is a
+certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -139,19 +145,36 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
 
 def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating minimization of a stack of chains run in lockstep.
+    """Alternating minimization of a stack of chains run in lockstep,
+    accelerated by SQUAREM extrapolation (Varadhan & Roland 2008).
 
     ``w`` has shape (chains, |X|, |U|).  Returns the final stack with each
     chain's iteration count and converged flag.  Every chain keeps its own
-    stopping rule |prev_obj - obj| < tol: a chain that meets it is written
-    back and dropped from the active stack, so its channel is frozen while
-    the others go on.  No operation mixes chains, so a chain's iterates are
-    the same whichever stack it runs in.
+    stopping rule |prev_obj - obj| < tol between consecutive iterates: a
+    chain that meets it is written back and dropped from the active stack,
+    so its channel is frozen while the others go on.  No operation mixes
+    chains (each norm and sum is one reduction per chain), so a chain's
+    iterates are the same whichever stack it runs in.
 
-    One pass per iteration: the marginals pu = w^T p(x) and p(u,y) = w^T P
-    of each new channel give both its objective and the next update, so no
-    channel is validated or re-measured inside the loop.  A non-finite
-    iterate makes its chain's objective non-finite, which raises SolverError.
+    Every third step is extrapolated.  From the chain's last three iterates
+    w0, w1, w2 it takes, in log space, r = log w1 - log w0 and
+    v = log w2 - 2 log w1 + log w0, and steps to
+    log w0 + 2 alpha r + alpha^2 v, renormalized per row, with
+    alpha = |r| / |v| clamped to [1, step_max]; alpha = 1 lands on w2.
+    One plain map step from there gives the candidate, which is kept only
+    if its objective is not above the current one; otherwise the chain
+    stays at w2 and its next step is the plain one, so the objective never
+    rises.  Each chain's step_max starts at 1, grows 4-fold when an
+    accepted step was clamped to it and shrinks 4-fold (not below 1) on a
+    rejection.  Entries that are zero (dead or padded clusters) stay
+    exactly zero.  ``iters`` and ``max_iters`` count map evaluations,
+    rejected candidates included.
+
+    One pass per map evaluation: the marginals pu = w^T p(x) and
+    p(u,y) = w^T P of each new channel give both its objective and the next
+    update, so no channel is validated or re-measured inside the loop.  A
+    non-finite plain iterate makes its chain's objective non-finite, which
+    raises SolverError; a non-finite extrapolated candidate is rejected.
     """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
@@ -163,39 +186,83 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
     iters = np.full(len(w), max_iters)
     converged = np.zeros(len(w), dtype=bool)
     active = np.arange(len(w))
+    step_max = np.ones(len(w))
+    history: list[np.ndarray] = []  # log-channels of this cycle's earlier iterates
     pu = w.transpose(0, 2, 1) @ px
     puy = w.transpose(0, 2, 1) @ p.probs
     prev_obj = [math.inf] * len(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing extrapolation yields a non-finite candidate, which is rejected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logw = np.log(w)
         log_pu = np.log(pu)
         for it in range(1, max_iters + 1):
+            extrapolate = len(history) == 2
+            if extrapolate:
+                l0, l1 = history
+                r = l1 - l0
+                v = logw - 2.0 * l1 + l0
+                # an entry that is -inf in any of the three iterates keeps
+                # the current value, so dead clusters stay exactly zero
+                live = np.isfinite(r) & np.isfinite(v)
+                r = np.where(live, r, 0.0)
+                v = np.where(live, v, 0.0)
+                alpha = np.clip(np.sqrt((r * r).reshape(len(r), -1).sum(axis=1))
+                                / np.sqrt((v * v).reshape(len(v), -1).sum(axis=1)),
+                                1.0, step_max)
+                step = alpha[:, None, None]
+                start = np.where(live, l0 + 2.0 * step * r + step * step * v, logw)
+                start = np.exp(start - start.max(axis=2, keepdims=True))
+                start /= start.sum(axis=2, keepdims=True)
+                src_pu = start.transpose(0, 2, 1) @ px
+                src_puy = start.transpose(0, 2, 1) @ p.probs
+                src_log_pu = np.log(src_pu)
+            else:
+                src_pu, src_puy, src_log_pu = pu, puy, log_pu
             # KL(p(y|x) || p(y|u)) with p(y|u) = p(u,y)/pu.  A dead cluster
             # (pu = 0) gets NaN here, and every non-finite divergence becomes
             # an infinite penalty, so dead clusters stay dead even at beta = 0
-            div = neg_hyx - pyx @ np.log(puy / pu[:, :, None]).transpose(0, 2, 1)
+            div = neg_hyx - pyx @ np.log(src_puy / src_pu[:, :, None]).transpose(0, 2, 1)
             penalty = np.where(np.isfinite(div), beta * div, np.inf)
-            logw = log_pu[:, None, :] - penalty
-            logw -= logw.max(axis=2, keepdims=True)
-            w = np.exp(logw)
-            z = w.sum(axis=2, keepdims=True)
-            w /= z
-            pu = w.transpose(0, 2, 1) @ px
-            puy = w.transpose(0, 2, 1) @ p.probs
-            log_pu = np.log(pu)
+            new_logw = src_log_pu[:, None, :] - penalty
+            new_logw -= new_logw.max(axis=2, keepdims=True)
+            new_w = np.exp(new_logw)
+            z = new_w.sum(axis=2, keepdims=True)
+            new_w /= z
+            new_logw -= np.log(z)
+            new_pu = new_w.transpose(0, 2, 1) @ px
+            new_puy = new_w.transpose(0, 2, 1) @ p.probs
+            new_log_pu = np.log(new_pu)
             # exact zeros contribute nothing; a NaN entry stays NaN
-            rate_terms = w * (logw - np.log(z) - log_pu[:, None, :])
-            rel_terms = puy * (np.log(puy) - log_pu[:, :, None] - log_py)
+            rate_terms = new_w * (new_logw - new_log_pu[:, None, :])
+            rel_terms = new_puy * (np.log(new_puy) - new_log_pu[:, :, None] - log_py)
             # one dot per chain: a single gemv over the stack may round a
             # chain differently depending on how many chains it holds
-            rate = (np.where(w == 0, 0.0, rate_terms).sum(axis=2)[:, None, :] @ px)[:, 0]
-            relevance = np.where(puy == 0, 0.0, rel_terms).reshape(len(w), -1).sum(axis=1)
+            rate = (np.where(new_w == 0, 0.0, rate_terms).sum(axis=2)[:, None, :] @ px)[:, 0]
+            relevance = np.where(new_puy == 0, 0.0, rel_terms).reshape(len(new_w), -1).sum(axis=1)
             # a handful of chains: the stopping rule is cheaper on floats
             obj = (rate - beta * relevance).tolist()
-            if not all(map(math.isfinite, obj)):
-                chain = active[list(map(math.isfinite, obj)).index(False)]
-                raise SolverError(f"iterate went non-finite at beta={beta!r}, "
-                                  f"iteration {it}, chain {chain}")
-            done = [abs(a - b) < tol for a, b in zip(prev_obj, obj)]
+            if extrapolate:
+                # NaN compares False, so a non-finite candidate is rejected
+                moved = [o <= q for o, q in zip(obj, prev_obj)]
+                keep = np.array(moved)
+                step_max = np.where(keep, np.where(alpha == step_max, 4.0 * step_max, step_max),
+                                    np.maximum(step_max / 4.0, 1.0))
+                sel = keep[:, None, None]
+                w, logw, puy = (np.where(sel, new_w, w), np.where(sel, new_logw, logw),
+                                np.where(sel, new_puy, puy))
+                pu, log_pu = (np.where(sel[:, 0], new_pu, pu),
+                              np.where(sel[:, 0], new_log_pu, log_pu))
+                obj = [o if m else q for o, q, m in zip(obj, prev_obj, moved)]
+                history = []
+            else:
+                if not all(map(math.isfinite, obj)):
+                    chain = active[list(map(math.isfinite, obj)).index(False)]
+                    raise SolverError(f"iterate went non-finite at beta={beta!r}, "
+                                      f"iteration {it}, chain {chain}")
+                moved = [True] * len(obj)
+                history.append(logw)
+                w, logw, pu, puy, log_pu = new_w, new_logw, new_pu, new_puy, new_log_pu
+            done = [m and abs(a - b) < tol for m, a, b in zip(moved, prev_obj, obj)]
             if any(done):
                 done = np.array(done)
                 stopped = active[done]
@@ -205,7 +272,10 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
                 if done.all():
                     return out, iters, converged
                 go = ~done
-                active, w, pu, puy, log_pu = active[go], w[go], pu[go], puy[go], log_pu[go]
+                active, w, logw, pu, puy, log_pu = (
+                    active[go], w[go], logw[go], pu[go], puy[go], log_pu[go])
+                step_max = step_max[go]
+                history = [h[go] for h in history]
                 obj = [o for o, stop in zip(obj, done) if not stop]
             prev_obj = obj
     out[active] = w
@@ -321,6 +391,16 @@ class EnvelopePool:
         if dr <= 0:
             return None
         return float((hv[j] - hv[j - 1]) / dr)
+
+    def solver_counters(self) -> dict:
+        """Beta-solves, their map evaluations and how many stopped at the cap.
+
+        The two anchors, which carry beta = inf, are not solves.
+        """
+        solves = [s for s in self.solutions if math.isfinite(s.beta)]
+        return {"beta_solves": len(solves),
+                "iterations": sum(s.iterations for s in solves),
+                "unconverged": sum(not s.converged for s in solves)}
 
     def witness_at(self, r: float) -> IbSolution:
         best = None
@@ -503,14 +583,11 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     d_slope[1:-1] = (d[2:] - d[:-2]) / (r[2:] - r[:-2])
     d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
-    solves = [s for s in pool.solutions if math.isfinite(s.beta)]  # anchors carry beta = inf
     diagnostics = {
         "concavity_residual": pool.concavity_residual,
         "restarts_used": pool.restarts_used,
         "solutions": len(pool.solutions),
         "master_seed": master_seed,
-        "beta_solves": len(solves),
-        "iterations": sum(s.iterations for s in solves),
-        "unconverged": sum(not s.converged for s in solves),
+        **pool.solver_counters(),
     }
     return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)

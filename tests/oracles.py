@@ -69,14 +69,78 @@ def channel_frontier_2rows(probs: np.ndarray, steps: int = 50,
     rels = np.concatenate(best_rel)
     order = np.argsort(rates, kind="stable")
     rates, rels = rates[order], rels[order]
-    keep_r, keep_v = [], []
+    # a point is kept when it beats the last kept one by more than 1e-15;
+    # every such point beats all earlier points, so the running maximum
+    # screens the 1.76M points down to the few thousand strict new maxima
+    earlier = np.maximum.accumulate(np.concatenate([[-np.inf], rels[:-1]]))
+    new_max = np.flatnonzero(rels > earlier)
+    keep = []
     running = -np.inf
-    for r, v in zip(rates, rels):
+    for i, v in zip(new_max.tolist(), rels[new_max].tolist()):
         if v > running + 1e-15:
-            keep_r.append(r)
-            keep_v.append(v)
+            keep.append(i)
             running = v
-    return np.array(keep_r), np.array(keep_v)
+    return rates[keep], rels[keep]
+
+
+def ib_objective(probs: np.ndarray, w: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """(I(U;X), I(U;Y), I(U;X) - beta I(U;Y)) of channel w, from entropies."""
+    px = probs.sum(axis=1)
+    hu = -xlogx_sum(px @ w)
+    rate = hu + float(px @ xlogx_sum(w, axis=1))
+    relevance = hu - xlogx_sum(probs.sum(axis=0)) + xlogx_sum(w.T @ probs)
+    return rate, relevance, rate - beta * relevance
+
+
+def plain_ib(probs: np.ndarray, beta: float, w: np.ndarray, iters: int,
+             tol: float | None = None) -> np.ndarray:
+    """The plain information-bottleneck map (Tishby, Pereira & Bialek 1999).
+
+    Repeats w(u|x) <- p(u) exp(-beta KL(p(y|x) || p(y|u))) / Z(x) from the
+    channel w, for ``iters`` steps, or until the objective changes by less
+    than ``tol`` between consecutive iterates.  A cluster with p(u) = 0
+    stays empty.  No extrapolation: this is what acceleration must match.
+    """
+    px = probs.sum(axis=1)
+    pyx = probs / px[:, None]
+    neg_hyx = xlogx_sum(pyx, axis=1)
+    prev = math.inf
+    for _ in range(iters):
+        pu = px @ w
+        live = pu > 0
+        pyu = (w[:, live].T @ probs) / pu[live][:, None]
+        kl = neg_hyx[:, None] - pyx @ np.log(pyu).T
+        logits = np.log(pu[live])[None, :] - beta * kl
+        logits -= logits.max(axis=1, keepdims=True)
+        new = np.zeros_like(w)
+        new[:, live] = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        if np.array_equal(new, w):  # an exact fixed point: every further step is the same
+            break
+        w = new
+        if tol is not None:
+            obj = ib_objective(probs, w, beta)[2]
+            if abs(prev - obj) < tol:
+                break
+            prev = obj
+    return w
+
+
+def plain_ib_points(probs: np.ndarray, starts, betas, iters: int,
+                    tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rate, relevance) of every plain-map solution of a descending sweep.
+
+    Each start is warm-started from beta to beta down the grid, as the
+    solver's chains are; the corners (0, 0) and (H(X), I(X;Y)) of the
+    constant and identity channels are included.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    points = [(0.0, 0.0), ib_objective(probs, np.eye(probs.shape[0]), 0.0)[:2]]
+    for w in starts:
+        for beta in sorted(betas, reverse=True):
+            w = plain_ib(probs, beta, w, iters, tol)
+            points.append(ib_objective(probs, w, beta)[:2])
+    rates, rels = np.array(points).T
+    return rates, rels
 
 
 def greedy_upper_hull(rates: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

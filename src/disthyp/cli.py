@@ -24,12 +24,6 @@ from . import __version__, bottleneck, bounds, dist, simulate
 
 LN2 = math.log(2.0)
 
-SIM_PRESETS = {
-    # full-scale profile: 2.5e6 evaluation and calibration trials
-    "full": {"trials": 2_500_000, "cal_trials": 2_500_000},
-    "smoke": {"trials": 20_000, "cal_trials": 20_000},
-}
-
 
 def _to_nats(rate: float, units: str) -> float:
     return rate * LN2 if units == "bits" else rate
@@ -132,16 +126,15 @@ def cmd_model(args) -> int:
 # --------------------------------------------------------------------------
 
 def _resolve_rate_grid(args) -> np.ndarray:
-    if args.rates is not None:
-        grid = np.array([_to_nats(r, args.units) for r in args.rates])
-    else:
-        if None in (args.rate_min, args.rate_max, args.rate_points):
-            raise bottleneck.SolverError(
-                "give either --rates or all of --rate-min/--rate-max/--rate-points")
-        grid = np.linspace(_to_nats(args.rate_min, args.units),
+    linear = (args.rate_min, args.rate_max, args.rate_points)
+    if args.rates is not None and linear == (None, None, None):
+        return np.array([_to_nats(r, args.units) for r in args.rates])
+    if args.rates is None and None not in linear:
+        return np.linspace(_to_nats(args.rate_min, args.units),
                            _to_nats(args.rate_max, args.units),
                            args.rate_points)
-    return grid
+    raise bottleneck.SolverError(
+        "give either --rates or all of --rate-min/--rate-max/--rate-points, not both")
 
 
 def cmd_exponent(args) -> int:
@@ -225,16 +218,11 @@ def cmd_cns(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _load_model(args.model)
-    preset = SIM_PRESETS[args.preset] if args.preset else {}
-    trials = args.trials if args.trials is not None else preset.get("trials", 100_000)
-    cal_trials = (args.cal_trials if args.cal_trials is not None
-                  else preset.get("cal_trials", trials))
+    cal_trials = args.cal_trials if args.cal_trials is not None else args.trials
 
     if args.identity_encoder:
         scalar = simulate.Encoder.identity(p.nx)
     else:
-        if args.levels is None:
-            raise simulate.SimulationError("give --levels or --identity-encoder")
         points = np.array([float(label) for label in p.x_labels])
         scalar = simulate.lloyd_max(points, p.x_marginal, args.levels)
     enc = scalar.blockwise(args.block_len)
@@ -242,10 +230,8 @@ def cmd_simulate(args) -> int:
 
     if args.eps is not None:
         eps = args.eps
-    elif args.regime is not None:
-        eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
     else:
-        raise simulate.SimulationError("give --eps or --regime")
+        eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
 
     saturated = False
     if args.force_threshold is not None:
@@ -254,14 +240,14 @@ def cmd_simulate(args) -> int:
         cal = simulate.calibrate_threshold(qm, args.n, eps, cal_trials,
                                            args.seed, workers=args.workers)
         t, saturated = cal.t, cal.saturated
-    result = simulate.estimate_errors(qm, args.n, t, trials, args.seed,
+    result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed,
                                       workers=args.workers).with_eps(eps)
 
     path = _out_path(args, args.out)
     _write_text(path, simulate.SimResult.CSV_HEADER + "\n" + result.csv_row() + "\n")
     _write_sidecar(path, _config_echo(
         args, eps_n=eps, threshold_t=t, saturated=saturated,
-        trials=trials, cal_trials=cal_trials,
+        cal_trials=cal_trials,
         codebook_size=enc.codebook_size, block_len=enc.block_len,
         levels_reduced=enc.levels_reduced, model_fingerprint=p.fingerprint()))
     exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf
@@ -296,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("model", parents=[common],
-                        help="build a discretized Gaussian model file")
-    pm.add_argument("--gaussian", action="store_true", required=True,
-                    help="discretized standard bivariate Gaussian (the only family)")
+                        help="build a discretized standard bivariate Gaussian model file")
     group = pm.add_mutually_exclusive_group(required=True)
     group.add_argument("--target-mi-nats", type=float,
                        help="calibrate the correlation to this mutual information (nats)")
@@ -356,21 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", parents=[common],
                         help="Monte Carlo run of a quantize-then-test scheme")
     ps.add_argument("--model", required=True, help="model JSON path")
-    ps.add_argument("--levels", type=_positive_int,
-                    help="scalar quantizer levels (Lloyd-Max on the X grid)")
-    ps.add_argument("--identity-encoder", action="store_true",
-                    help="no compression: the detector sees X exactly")
+    encoder = ps.add_mutually_exclusive_group(required=True)
+    encoder.add_argument("--levels", type=_positive_int,
+                         help="scalar quantizer levels (Lloyd-Max on the X grid)")
+    encoder.add_argument("--identity-encoder", action="store_true",
+                         help="no compression: the detector sees X exactly")
     ps.add_argument("--block-len", type=_positive_int, default=1,
                     help="encoder block length (default 1; exact tables need <= 3)")
     ps.add_argument("--n", type=_positive_int, required=True, help="samples per trial")
     budget = ps.add_mutually_exclusive_group(required=True)
     budget.add_argument("--eps", type=float, help="Type I budget")
     budget.add_argument("--regime", help="Type I regime spec; eps = eps_n(--n)")
-    ps.add_argument("--trials", type=_positive_int, help="evaluation trials (default 100000)")
+    ps.add_argument("--trials", type=_positive_int, default=100_000,
+                    help="evaluation trials (default 100000)")
     ps.add_argument("--cal-trials", type=_positive_int,
                     help="calibration trials (default: same as --trials)")
-    ps.add_argument("--preset", choices=sorted(SIM_PRESETS),
-                    help="named trial profile; explicit --trials overrides")
     ps.add_argument("--force-threshold", type=float,
                     help="skip calibration and use this threshold (inf/-inf allowed)")
     ps.add_argument("--workers", type=_positive_int, default=1,

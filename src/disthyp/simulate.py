@@ -33,7 +33,9 @@ from .dist import JointPmf, divergence_stats, product_model
 from . import rngstreams
 
 MAX_BLOCK_LEN = 3
-MAX_TABLE_CELLS = 50_000_000
+# One sampling chunk holds a CHUNK_TRIALS x cells int64 count matrix; cap
+# it at 2 GiB (16,384 cells).
+MAX_TABLE_CELLS = (2 << 30) // (8 * rngstreams.CHUNK_TRIALS)
 WILSON_Z95 = 1.959963984540054
 WILSON_Z99 = 2.5758293035489004
 
@@ -133,15 +135,15 @@ def _optimal_split_cells(pts: np.ndarray, wts: np.ndarray, levels: int) -> np.nd
     return cells
 
 
-def lloyd_max(points, weights, levels: int, tol: float = 1e-12,
-              max_iters: int = 500) -> Encoder:
+def lloyd_max(points, weights, levels: int) -> Encoder:
     """Scalar minimum-MSE quantizer on a weighted real grid.
 
-    The optimal contiguous split is found exactly by dynamic programming,
-    then polished with centroid/midpoint-boundary alternation (which leaves
-    a global optimum untouched but normalizes boundary ties).  Grid points
-    landing exactly on a boundary go to the left cell.  Requests for more
-    levels than grid points are reduced to one cell per point and flagged.
+    The globally optimal contiguous split is found exactly by dynamic
+    programming, with cells numbered 0..levels-1 from the left and none
+    empty.  A global optimum already meets the nearest-neighbour and
+    centroid conditions, so a Lloyd iteration after it would not move a
+    point.  Requests for more levels than grid points are reduced to one
+    cell per point and flagged.
     """
     pts = np.asarray(points, dtype=np.float64)
     wts = np.asarray(weights, dtype=np.float64)
@@ -156,25 +158,7 @@ def lloyd_max(points, weights, levels: int, tol: float = 1e-12,
     npts = len(pts)
     if levels >= npts:
         return Encoder(npts, 1, npts, np.arange(npts), levels_reduced=levels > npts)
-
-    cells = _optimal_split_cells(pts, wts, levels)
-    prev_mse = np.inf
-    for _ in range(max_iters):
-        ids = np.unique(cells)
-        centroids = np.array([np.average(pts[cells == j], weights=wts[cells == j])
-                              for j in ids])
-        boundaries = 0.5 * (centroids[:-1] + centroids[1:])
-        new_cells = np.searchsorted(boundaries, pts, side="left")
-        mse = float((wts * (pts - centroids[new_cells]) ** 2).sum())
-        moved = not np.array_equal(new_cells, cells)
-        cells = new_cells
-        if not moved or prev_mse - mse < tol:
-            break
-        prev_mse = mse
-    # relabel occupied cells consecutively
-    _, cells = np.unique(cells, return_inverse=True)
-    codebook = int(cells.max()) + 1
-    return Encoder(npts, 1, codebook, cells, levels_reduced=levels > npts)
+    return Encoder(npts, 1, levels, _optimal_split_cells(pts, wts, levels))
 
 
 @dataclass(frozen=True)
@@ -210,8 +194,11 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
             f"{MAX_BLOCK_LEN}")
     l = enc.block_len
     n_yblocks = p.ny ** l
-    if enc.codebook_size * n_yblocks > MAX_TABLE_CELLS or p.nx ** l > MAX_TABLE_CELLS:
-        raise SimulationError("quantized table would exceed the enumeration cap")
+    cells = enc.codebook_size * n_yblocks
+    if cells > MAX_TABLE_CELLS or p.nx ** l > MAX_TABLE_CELLS:
+        raise SimulationError(
+            f"quantized table of {cells} cells over {p.nx ** l} x-blocks exceeds "
+            f"the cap of {MAX_TABLE_CELLS}")
     q = product_model(p)
     h0 = np.zeros((enc.codebook_size, n_yblocks))
     h1 = np.zeros((enc.codebook_size, n_yblocks))
@@ -277,10 +264,13 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
                         seed: int, workers: int = 1) -> ThresholdCalibration:
     """Empirical eps-quantile from below of the statistic under the null.
 
-    The returned t makes the deterministic region {S > t} have empirical
-    Type I error at most eps on the calibration sample.  If even the
-    smallest sample value overshoots the budget, t is placed one ulp below
-    the minimum and flagged as saturated.
+    With m = cal_trials and a = floor(eps * m), the returned t is the
+    largest calibration sample value whose count of samples <= t is at
+    most a, found in one search of the sorted sample: the region {S > t}
+    then has empirical Type I error at most eps, and the next larger
+    sample value would exceed it.  If even the smallest sample value
+    overshoots the budget, t is placed one ulp below the minimum and
+    flagged as saturated.
     """
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
@@ -297,16 +287,13 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     stats = np.sort(_sample_stats(pmf, lr, n // qm.block_len, n, cal_trials,
                                   seed, rngstreams.PURPOSE_CALIBRATE, workers))
     allowed = int(math.floor(eps * cal_trials + 1e-9))
-    if allowed == 0:
+    # {S <= t} may hold at most `allowed` samples; stats[allowed] is the first
+    # that does not fit, so t is the largest sample below all of its copies
+    k = (cal_trials if allowed == cal_trials
+         else int(np.searchsorted(stats, stats[allowed], side="left")))
+    if k == 0:
         return ThresholdCalibration(float(np.nextafter(stats[0], -np.inf)), True, cal_trials)
-    t = float(stats[allowed - 1])
-    while int(np.searchsorted(stats, t, side="right")) > allowed:
-        below = int(np.searchsorted(stats, t, side="left"))
-        if below == 0:
-            return ThresholdCalibration(float(np.nextafter(stats[0], -np.inf)),
-                                        True, cal_trials)
-        t = float(stats[below - 1])
-    return ThresholdCalibration(t, False, cal_trials)
+    return ThresholdCalibration(float(stats[k - 1]), False, cal_trials)
 
 
 def wilson_interval(successes: int, trials: int,

@@ -221,7 +221,7 @@ def test_converse_consistency():
 
 def test_determinism(tmp_path):
     model = tmp_path / "model.json"
-    assert cli.main(["model", "--gaussian", "--rho", "0.6", "--grid", "8",
+    assert cli.main(["model", "--rho", "0.6", "--grid", "8",
                      "--out-dir", str(tmp_path), "--out", "model.json"]) == 0
 
     def render(tag: str, workers: int) -> dict[str, bytes]:

@@ -13,7 +13,7 @@ def run(args):
 
 
 def make_model(tmp_path, rho=0.6, grid=12, name="model.json"):
-    assert run(["model", "--gaussian", "--rho", rho, "--grid", grid,
+    assert run(["model", "--rho", rho, "--grid", grid,
                 "--out-dir", tmp_path, "--out", name]) == 0
     return tmp_path / name
 
@@ -27,9 +27,10 @@ class TestModelCommand:
         meta = json.loads((tmp_path / "model.meta.json").read_text())
         assert meta["rho"] == 0.6 and meta["grid"] == 12
         assert meta["seed"] == 0
+        assert "gaussian" not in meta
 
     def test_target_mi_calibration(self, tmp_path, capsys):
-        assert run(["model", "--gaussian", "--target-mi-nats", 0.08,
+        assert run(["model", "--target-mi-nats", 0.08,
                     "--grid", 24, "--out-dir", tmp_path]) == 0
         out = capsys.readouterr().out
         assert "mi=0.08" in out
@@ -41,13 +42,13 @@ class TestModelCommand:
 
     def test_grid_of_one_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["model", "--gaussian", "--rho", 0.5, "--grid", 1,
+            run(["model", "--rho", 0.5, "--grid", 1,
                  "--out-dir", tmp_path])
         assert exc.value.code == 2
 
     def test_rho_and_target_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["model", "--gaussian", "--rho", 0.5, "--target-mi-nats", 0.1,
+            run(["model", "--rho", 0.5, "--target-mi-nats", 0.1,
                  "--grid", 8, "--out-dir", tmp_path])
         assert exc.value.code == 2
 
@@ -90,6 +91,14 @@ class TestExponentCommand:
         assert run(["exponent", "--model", model, "--rates", "0.05,0.1",
                     "--out-dir", tmp_path]) == 1
         assert "3 points" in capsys.readouterr().err
+
+    def test_rates_and_linear_grid_conflict(self, tmp_path, capsys):
+        model = make_model(tmp_path)
+        assert run(["exponent", "--model", model, "--rates", "0.05,0.1,0.2",
+                    "--rate-min", 0.5, "--rate-max", 0.9, "--rate-points", 9,
+                    "--out-dir", tmp_path, "--out", "curve.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_model_fails_cleanly(self, tmp_path, capsys):
         code = run(["exponent", "--model", tmp_path / "nope.json",
@@ -225,7 +234,7 @@ class TestRemovedFlags:
     BASE = {
         "bounds": ["--xi", 0.7, "--c", 1.92, "--regime", "poly:1", "--n-grid", 50],
         "cns": ["--xi", 0.7, "--c", 1.92, "--regimes", "log"],
-        "model": ["--gaussian", "--rho", 0.5, "--grid", 8],
+        "model": ["--rho", 0.5, "--grid", 8],
         "exponent": ["--model", "model.json", "--rates", "0.05,0.1,0.2"],
         "simulate": ["--model", "model.json", "--identity-encoder", "--n", 8, "--eps", 0.2],
     }
@@ -233,11 +242,13 @@ class TestRemovedFlags:
     @pytest.mark.parametrize("command,flag,value", [
         ("bounds", "--model", "m.json"), ("cns", "--rate", 0.1), ("bounds", "--restarts", 2),
         ("cns", "--units", "nats"), ("model", "--workers", 2), ("exponent", "--workers", 2),
-        ("simulate", "--units", "bits"),
+        ("simulate", "--units", "bits"), ("model", "--gaussian", None),
+        ("simulate", "--preset", "smoke"),
     ])
     def test_rejected_and_not_echoed(self, tmp_path, capsys, command, flag, value):
+        extra = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as exc:
-            run([command, *self.BASE[command], flag, value, "--out-dir", tmp_path])
+            run([command, *self.BASE[command], *extra, "--out-dir", tmp_path])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert run(["cns", *self.BASE["cns"], "--out-dir", tmp_path]) == 0
@@ -259,6 +270,7 @@ class TestSimulateCommand:
         assert meta["trials"] == 4000
         assert meta["eps_n"] == 0.2
         assert "model_fingerprint" in meta
+        assert "preset" not in meta
 
     def test_levels_with_blocks_and_regime(self, tmp_path):
         model = make_model(tmp_path)
@@ -281,13 +293,22 @@ class TestSimulateCommand:
         assert cells[2] == "inf"
         assert float(cells[3]) == 1.0 and float(cells[4]) == 0.0
 
-    def test_smoke_preset_fills_trials(self, tmp_path):
+    def test_cal_trials_follow_trials(self, tmp_path):
         model = make_model(tmp_path, grid=8)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 4, "--eps", 0.2, "--preset", "smoke",
+                    "--n", 4, "--eps", 0.2, "--trials", 2000,
                     "--out-dir", tmp_path, "--out", "p.csv"]) == 0
         meta = json.loads((tmp_path / "p.meta.json").read_text())
-        assert meta["trials"] == 20_000 and meta["cal_trials"] == 20_000
+        assert meta["trials"] == 2000 and meta["cal_trials"] == 2000
+
+    def test_levels_and_identity_encoder_are_exclusive(self, tmp_path):
+        model = make_model(tmp_path, grid=8)
+        for encoder in (["--levels", 3, "--identity-encoder"], []):
+            with pytest.raises(SystemExit) as exc:
+                run(["simulate", "--model", model, *encoder,
+                     "--n", 4, "--eps", 0.2, "--out-dir", tmp_path])
+            assert exc.value.code == 2
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_eps_and_regime_are_exclusive(self, tmp_path):
         model = make_model(tmp_path, grid=8)

@@ -74,6 +74,7 @@ class TestLloydMax:
                 got = encoder_mse(enc, pts, wts)
                 want = oracles.best_contiguous_mse(pts, wts, levels)
                 assert got <= want + 1e-12
+                assert enc.codebook_size == levels
 
     def test_cells_are_contiguous(self):
         rng = np.random.default_rng(11)
@@ -166,6 +167,16 @@ class TestQuantizedModel:
         with pytest.raises(s.SimulationError, match="cap"):
             s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(4))
 
+    def test_table_cap_counts_sampler_cells(self, monkeypatch):
+        # README model, 4 levels at block length 3: 64 codes x 32^3 y-blocks
+        # would need a 275 GB count matrix per chunk; rejected before the
+        # table is built
+        p = d.discretized_gaussian(0.384727, 32, 32)
+        scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
+        monkeypatch.setattr(s, "product_model", None)
+        with pytest.raises(s.SimulationError, match="cap"):
+            s.quantized_model(p, scalar.blockwise(3))
+
     def test_alphabet_mismatch(self):
         with pytest.raises(s.SimulationError, match="expects"):
             s.quantized_model(sym_model(), s.Encoder.identity(3))
@@ -198,19 +209,30 @@ class TestCalibration:
         assert res.type1_hat == 0.0
         assert res.type2_hat == 1.0
 
-    def test_empirical_type1_within_budget_on_calibration_sample(self):
+    @pytest.mark.parametrize("eps", [0.13, 0.25, 0.5])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_threshold_is_largest_admissible_value(self, n, eps):
         # same seed and purpose reproduce the calibration sample exactly,
-        # so the empirical constraint can be checked directly
+        # so the empirical constraint can be checked directly; the DSBS
+        # statistic has n + 1 atoms, so the sample is full of ties
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
         from disthyp import rngstreams
-        m, eps, n = 30_000, 0.13, 6
+        m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
         pmf, _, lr = qm.flat()
         stats = np.concatenate([
             rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
                 n, pmf, size=cnt) @ lr / n
             for idx, cnt in rngstreams.chunk_spans(m)])
-        assert (stats <= cal.t).sum() <= math.floor(eps * m)
+        allowed = math.floor(eps * m)
+        assert (stats <= cal.t).sum() <= allowed
+        # t is the largest admissible value: the next one overshoots
+        if cal.saturated:
+            assert cal.t == np.nextafter(stats.min(), -np.inf)
+        else:
+            assert cal.t in stats
+        above = stats[stats > cal.t]
+        assert above.size and (stats <= above.min()).sum() > allowed
 
     def test_multiple_of_block_length_enforced(self):
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(2))

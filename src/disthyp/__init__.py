@@ -12,7 +12,6 @@ Library layout:
 
 from .dist import (
     DistributionError,
-    AlphabetMismatchError,
     UnreachableTargetError,
     DivergenceStats,
     JointPmf,
@@ -20,9 +19,7 @@ from .dist import (
     calibrate_correlation,
     discretized_gaussian,
     divergence_stats,
-    divergence_variance,
     entropy,
-    kl_divergence,
     log_ratio_matrix,
     mutual_information,
     product_model,

@@ -30,7 +30,6 @@ ends of the envelope without relying on solver convergence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ from .dist import INFO_ATOL, PROB_ATOL, JointPmf, entropy, mutual_information
 from . import rngstreams
 
 DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
-PRUNE_EPS = 1e-12
 
 
 class SolverError(ValueError):
@@ -120,7 +118,6 @@ class IbSolution:
     beta: float
     iterations: int
     converged: bool
-    pruned_clusters: int = 0
 
 
 def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float]:
@@ -286,9 +283,8 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
                    max_iters: int = 1000, tol: float = 1e-10) -> IbSolution:
     """Run the alternating minimization from one starting channel.
 
-    The starting channel must have |X|+1 clusters; clusters whose mass
-    collapses to zero during the iteration are pruned from the returned
-    channel and counted in ``pruned_clusters``.
+    The starting channel must have |X|+1 clusters, and so does the returned
+    one: a cluster whose mass collapses to zero keeps its all-zero column.
     """
     if beta < 0:
         raise SolverError(f"beta must be nonnegative, got {beta!r}")
@@ -304,15 +300,9 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
 
 def _wrap_solution(p: JointPmf, w: np.ndarray, beta: float,
                    iters: int, converged: bool) -> IbSolution:
-    pu = w.T @ p.x_marginal
-    keep = pu > PRUNE_EPS
-    pruned = int((~keep).sum())
-    if pruned and keep.any():
-        w = w[:, keep]
-        w = w / w.sum(axis=1, keepdims=True)
     channel = TestChannel(w)
     rate, relevance = channel_information(p, channel)
-    return IbSolution(channel, rate, relevance, beta, iters, converged, pruned)
+    return IbSolution(channel, rate, relevance, beta, iters, converged)
 
 
 def _anchor_solutions(p: JointPmf) -> list[IbSolution]:
@@ -321,76 +311,56 @@ def _anchor_solutions(p: JointPmf) -> list[IbSolution]:
     for maker in (TestChannel.constant, TestChannel.identity):
         ch = maker(p.nx, nu)
         rate, relevance = channel_information(p, ch)
-        out.append(IbSolution(ch, rate, relevance, math.inf, 0, True, 0))
+        out.append(IbSolution(ch, rate, relevance, math.inf, 0, True))
     return out
-
-
-def _pareto_frontier(solutions: list[IbSolution]) -> tuple[np.ndarray, np.ndarray]:
-    """Max relevance achieved at rate <= r, as step-function vertices."""
-    rates = np.array([s.rate for s in solutions])
-    rels = np.array([s.relevance for s in solutions])
-    order = np.lexsort((-rels, rates))
-    best_rates, best_rels = [], []
-    running = -np.inf
-    for idx in order:
-        if rels[idx] > running + 1e-15:
-            running = rels[idx]
-            best_rates.append(rates[idx])
-            best_rels.append(rels[idx])
-    return np.array(best_rates), np.array(best_rels)
-
-
-def _upper_hull(rates: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper concave majorant of an increasing point set (monotone chain)."""
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(rates, rels):
-        while len(hull) >= 2:
-            ox, oy = hull[-2]
-            ax, ay = hull[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append((float(x), float(y)))
-    arr = np.array(hull)
-    return arr[:, 0], arr[:, 1]
 
 
 @dataclass
 class EnvelopePool:
     """All solutions gathered for one model, with envelope evaluation.
 
-    ``concavity_residual`` is a diagnostic: the largest gap between the
-    concave hull and the Pareto frontier beneath it.  It measures dominated
-    fixed points lying under the hull, not solutions the sweep missed.
+    ``refresh`` builds the upper concave envelope of the solutions'
+    (rate, relevance) points in one pass.  ``hull`` holds the indices of the
+    solutions at its vertices and ``hull_rates``/``hull_rels`` their
+    coordinates: the first vertex is at rate 0 (the constant anchor), rates
+    strictly increase and chord slopes strictly decrease.  Every vertex is a
+    solution in the pool, so every envelope point is attained by one channel
+    or by time sharing between the two channels at the ends of its chord.
     """
 
     p: JointPmf
     solutions: list[IbSolution]
-    concavity_residual: float = 0.0
     restarts_used: int = 0
+    hull: list[int] = field(init=False, repr=False)
+    hull_rates: np.ndarray = field(init=False, repr=False)
+    hull_rels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.refresh()
 
     def refresh(self) -> None:
-        pr, pv = _pareto_frontier(self.solutions)
-        hr, hv = _upper_hull(pr, pv)
-        self._pareto = (pr, pv)
-        self._hull = (hr, hv)
-        self.concavity_residual = float(np.max(np.interp(pr, hr, hv) - pv, initial=0.0))
+        rates = [s.rate for s in self.solutions]
+        rels = [s.relevance for s in self.solutions]
+        hull: list[int] = []
+        # by rate, ties by relevance descending.  A point enters only above
+        # the last vertex, which always holds the running maximum, so no
+        # dominated point becomes a vertex
+        for i in np.lexsort((-np.array(rels), rates)).tolist():
+            x, y = rates[i], rels[i]
+            if hull and y <= rels[hull[-1]] + 1e-15:
+                continue
+            while len(hull) >= 2:
+                o, a = hull[-2], hull[-1]
+                if (rates[a] - rates[o]) * (y - rels[o]) - (rels[a] - rels[o]) * (x - rates[o]) < 0:
+                    break
+                hull.pop()
+            hull.append(i)
+        self.hull = hull
+        self.hull_rates = np.array([rates[i] for i in hull])
+        self.hull_rels = np.array([rels[i] for i in hull])
 
     def value_at(self, r: float) -> float:
-        hr, hv = self._hull
-        return float(np.interp(r, hr, hv))
-
-    def hull_slope_at(self, r: float) -> float | None:
-        hr, hv = self._hull
-        if r >= hr[-1] or len(hr) < 2:
-            return None
-        j = int(np.searchsorted(hr, r, side="right"))
-        j = min(max(j, 1), len(hr) - 1)
-        dr = hr[j] - hr[j - 1]
-        if dr <= 0:
-            return None
-        return float((hv[j] - hv[j - 1]) / dr)
+        return float(np.interp(r, self.hull_rates, self.hull_rels))
 
     def solver_counters(self) -> dict:
         """Beta-solves, their map evaluations and how many stopped at the cap.
@@ -411,19 +381,6 @@ class EnvelopePool:
             best = self.solutions[0]
         return best
 
-    def witness_above(self, r: float) -> IbSolution | None:
-        """Solution sitting at the right end of the hull chord containing r."""
-        hr, hv = self._hull
-        j = int(np.searchsorted(hr, r, side="right"))
-        if j >= len(hr):
-            return None
-        best = None
-        for sol in self.solutions:
-            if (abs(sol.rate - hr[j]) <= 1e-9 and sol.relevance >= hv[j] - 1e-9
-                    and (best is None or sol.relevance > best.relevance)):
-                best = sol
-        return best
-
 
 def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
                    beta_grid=None, max_iters: int = 1000,
@@ -439,10 +396,9 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
     trivial fixed point below the critical beta and cannot leave it
     afterwards, losing the whole small-rate part of the curve.
 
-    The pool holds the solutions chain by chain, each chain in sweep order.
-    The number of restarts is fixed: it never escalates.  The pool's
-    ``concavity_residual`` is reported, not acted on: it measures dominated
-    fixed points lying under the hull, which more restarts cannot remove.
+    The pool holds the two anchors, then the solutions chain by chain, each
+    chain in sweep order; every solution keeps its |X|+1 clusters.  The
+    number of restarts is fixed: it never escalates.
     """
     if restarts < 0:
         raise SolverError("restarts must be nonnegative")
@@ -457,41 +413,39 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
         w, iters, converged = _iterate(p, float(beta), w, max_iters, tol)
         for chain, wk, n, ok in zip(chains, w, iters, converged):
             chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
-    pool = EnvelopePool(p, _anchor_solutions(p), restarts_used=restarts)
+    solutions = _anchor_solutions(p)
     for chain in chains:
-        pool.solutions.extend(chain)
-    pool.refresh()
-    return pool
+        solutions.extend(chain)
+    return EnvelopePool(p, solutions, restarts_used=restarts)
 
 
 def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3,
                max_iters: int = 1000, tol: float = 1e-10) -> None:
     """Sharpen the envelope near one rate by solving at the supporting beta.
 
-    Each round solves at beta = 1/(chord slope) warm-started from the
-    nontrivial right end of the chord.  Starting from the left end would be
-    useless: below the query rate the best known channel is often the
-    trivial one, which is an exact fixed point of the iteration at every
-    beta.  A solution strictly inside the chord splits it; if the iterate
-    falls back onto an endpoint the chord is genuinely optimal
-    (time-sharing region) and refinement stops.
+    Each round takes the hull chord over r (r >= 0 and the first vertex is
+    at rate 0, so the chord has a left end) and runs ib_fixed_point at
+    beta = 1/(chord slope), warm-started from the solution at the chord's
+    right end.  Starting from the left end would be useless: below the
+    query rate the best known channel is often the trivial one, which is an
+    exact fixed point of the iteration at every beta.  A solution strictly
+    inside the chord splits it; if the iterate falls back onto an endpoint
+    the chord is genuinely optimal (time-sharing region) and refinement
+    stops.  It stops too when r is at or past the last vertex, or the chord
+    is flat.
     """
     for _ in range(rounds):
-        slope = pool.hull_slope_at(r)
-        if slope is None or slope <= 1e-9:
+        hr, hv = pool.hull_rates, pool.hull_rels
+        j = int(np.searchsorted(hr, r, side="right"))
+        if j == len(hr):
+            return
+        slope = float((hv[j] - hv[j - 1]) / (hr[j] - hr[j - 1]))
+        if slope <= 1e-9:
             return
         beta = min(max(1.0 / slope, 1e-3), 1e6)
-        seed = pool.witness_above(r)
-        if seed is None:
-            return
-        w = seed.channel.cond_probs
-        if w.shape[1] < pool.p.nx + 1:  # re-pad pruned channels for the iteration
-            pad = np.zeros((pool.p.nx, pool.p.nx + 1 - w.shape[1]))
-            w = np.hstack([w, pad])
-        w, iters, converged = _iterate(pool.p, beta, w[None], max_iters, tol)
-        sol = _wrap_solution(pool.p, w[0], beta, int(iters[0]), bool(converged[0]))
+        seed = pool.solutions[pool.hull[j]]
         before = pool.value_at(r)
-        pool.solutions.append(sol)
+        pool.solutions.append(ib_fixed_point(pool.p, beta, seed.channel, max_iters, tol))
         pool.refresh()
         if pool.value_at(r) <= before + 1e-12:
             return
@@ -549,18 +503,14 @@ class ExponentCurve:
                                   (self.r[i], self.xi[i], self.d[i], self.d_slope[i])))
         return "\n".join(lines) + "\n"
 
-    def sidecar_json(self) -> str:
-        return json.dumps({"fingerprint": self.fingerprint,
-                           "diagnostics": self.diagnostics}, indent=2)
-
 
 def build_curve(p: JointPmf, r_grid, restarts: int = 4,
                 master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
     One envelope solve is shared by all grid points; each point then gets a
-    local refinement at its supporting beta.  The upper hull of the Pareto
-    frontier is nondecreasing, so xi is too.  D is defined as H(Y) - xi, so
+    local refinement at its supporting beta.  The envelope's vertices rise
+    with rate, so xi is nondecreasing.  D is defined as H(Y) - xi, so
     the log-loss identity holds by construction, and dD/dR comes from
     central differences on the grid.
     """
@@ -584,7 +534,6 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
     diagnostics = {
-        "concavity_residual": pool.concavity_residual,
         "restarts_used": pool.restarts_used,
         "solutions": len(pool.solutions),
         "master_seed": master_seed,

@@ -145,15 +145,14 @@ def cmd_exponent(args) -> int:
     path = _out_path(args, args.out)
     _write_text(path, curve.to_csv())
     c = dist.c_constant(p)
-    sidecar = json.loads(curve.sidecar_json())
-    _write_sidecar(path, _config_echo(args, c_nats=c, **sidecar))
+    _write_sidecar(path, _config_echo(args, c_nats=c, fingerprint=curve.fingerprint,
+                                      diagnostics=curve.diagnostics))
     mi = dist.mutual_information(p)
     for i in range(len(curve.r)):
         print(f"R={_from_nats(float(curve.r[i]), args.units):.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
     diag = curve.diagnostics
     print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
-          f"concavity residual {diag['concavity_residual']:.2e}, "
           f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
     if np.any(curve.xi > np.minimum(curve.r, mi) + 1e-9):
         return _fail_invariant("xi <= min(R, I(X;Y))")
@@ -219,6 +218,13 @@ def cmd_cns(args) -> int:
 def cmd_simulate(args) -> int:
     p = _load_model(args.model)
     cal_trials = args.cal_trials if args.cal_trials is not None else args.trials
+    if args.eps is not None:
+        eps = args.eps
+    else:
+        eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
+    # calibration checks eps too, but --force-threshold skips it
+    if not (0.0 < eps < 1.0):
+        raise simulate.SimulationError(f"eps must lie in (0, 1), got {eps!r}")
 
     if args.identity_encoder:
         scalar = simulate.Encoder.identity(p.nx)
@@ -227,11 +233,6 @@ def cmd_simulate(args) -> int:
         scalar = simulate.lloyd_max(points, p.x_marginal, args.levels)
     enc = scalar.blockwise(args.block_len)
     qm = simulate.quantized_model(p, enc)
-
-    if args.eps is not None:
-        eps = args.eps
-    else:
-        eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
 
     saturated = False
     if args.force_threshold is not None:

@@ -36,10 +36,6 @@ class DistributionError(ValueError):
     """Invalid distribution input (bad shape, zero cell, bad normalization)."""
 
 
-class AlphabetMismatchError(DistributionError):
-    """Two distributions that must share an alphabet do not."""
-
-
 class UnreachableTargetError(DistributionError):
     """A calibration target cannot be met on the given grid."""
 
@@ -160,9 +156,12 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class DivergenceStats:
-    """Bundle of divergence quantities of a joint pmf against its product model."""
+    """Divergence quantities of a joint pmf against its product model.
 
-    kl: float
+    ``mi`` is D(P || Px*Py) = I(X;Y), ``var_div`` the variance under P of the
+    log ratio log(P/(Px*Py)) around it and ``c_const`` its largest magnitude.
+    """
+
     mi: float
     var_div: float
     c_const: float
@@ -194,41 +193,19 @@ def c_constant(p: JointPmf) -> float:
     return float(np.abs(log_ratio_matrix(p)).max())
 
 
-def _check_same_alphabet(p: JointPmf, q: JointPmf) -> None:
-    if p.probs.shape != q.probs.shape:
-        raise AlphabetMismatchError(
-            f"shapes differ: {p.probs.shape} vs {q.probs.shape}"
-        )
-    if p.x_labels != q.x_labels or p.y_labels != q.y_labels:
-        raise AlphabetMismatchError("labels differ between the two models")
-
-
-def kl_divergence(p: JointPmf, q: JointPmf) -> float:
-    """D(P||Q) in nats over a shared alphabet."""
-    _check_same_alphabet(p, q)
-    return float((p.probs * (np.log(p.probs) - np.log(q.probs))).sum())
-
-
-def divergence_variance(p: JointPmf, q: JointPmf) -> float:
-    """Variance under P of log(P/Q) around D(P||Q).
-
-    This is the dispersion entering the second-order normal approximation
-    of the optimal Type II exponent.
-    """
-    _check_same_alphabet(p, q)
-    log_ratio = np.log(p.probs) - np.log(q.probs)
-    d = float((p.probs * log_ratio).sum())
-    return float((p.probs * (log_ratio - d) ** 2).sum())
-
-
 def divergence_stats(p: JointPmf) -> DivergenceStats:
-    """All divergence quantities of p against its product-of-marginals model."""
-    q = product_model(p)
+    """All divergence quantities of p against its product-of-marginals model,
+    from one log-ratio matrix.
+
+    ``var_div`` is the dispersion entering the second-order normal
+    approximation of the optimal Type II exponent.
+    """
+    log_ratio = log_ratio_matrix(p)
+    mi = float((p.probs * log_ratio).sum())
     return DivergenceStats(
-        kl=kl_divergence(p, q),
-        mi=mutual_information(p),
-        var_div=divergence_variance(p, q),
-        c_const=c_constant(p),
+        mi=mi,
+        var_div=float((p.probs * (log_ratio - mi) ** 2).sum()),
+        c_const=float(np.abs(log_ratio).max()),
     )
 
 

@@ -429,4 +429,4 @@ def centralized_second_order(p: JointPmf, eps: float, n: int) -> float:
     if n < 1:
         raise SimulationError(f"n must be >= 1, got {n}")
     stats = divergence_stats(p)
-    return stats.kl + math.sqrt(stats.var_div / n) * norm_ppf(eps) + math.log(n) / (2.0 * n)
+    return stats.mi + math.sqrt(stats.var_div / n) * norm_ppf(eps) + math.log(n) / (2.0 * n)

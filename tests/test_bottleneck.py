@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -90,7 +89,7 @@ class TestFixedPoint:
 
     def test_witness_reproduction(self, sym_model):
         # recomputing the information pair from the returned channel must
-        # reproduce the reported values exactly (pruning happens first)
+        # reproduce the reported values exactly
         for beta in (0.5, 2.0, 5.0, 50.0):
             sol = bn.ib_fixed_point(sym_model, beta)
             rate, rel = bn.channel_information(sym_model, sol.channel)
@@ -208,8 +207,8 @@ class TestAcceleration:
         assert np.all(np.diff(objs) <= 1e-12)
 
     def test_dead_cluster_stays_empty(self):
-        # _refine_at pads a pruned channel with zero columns; the log of a
-        # zero is -inf, which the extrapolation must leave at exactly zero
+        # a cluster whose mass collapsed keeps an all-zero column; the log of
+        # a zero is -inf, which the extrapolation must leave at exactly zero
         # without disturbing the live columns, which step as they would alone
         # (up to rounding: the norms sum the extra zeros in another order)
         p = gauss8()
@@ -236,7 +235,26 @@ class TestEnvelope:
         assert np.all(np.diff(vals) >= -1e-12)
         chords = 0.5 * (vals[:-2] + vals[2:])
         assert np.all(vals[1:-1] >= chords - 1e-9)
-        assert pool.concavity_residual <= 1e-3
+        # every vertex is a pool solution, read off it exactly
+        assert [(pool.solutions[k].rate, pool.solutions[k].relevance) for k in pool.hull] \
+            == list(zip(pool.hull_rates, pool.hull_rels))
+        assert pool.hull_rates[0] == 0.0
+        assert np.all(np.diff(pool.hull_rates) > 0)
+        assert np.all(np.diff(np.diff(pool.hull_rels) / np.diff(pool.hull_rates)) < 0)
+        # and no solution lies above it: together, the least such majorant
+        assert all(s.relevance <= pool.value_at(s.rate) + 1e-12 for s in pool.solutions)
+
+    def test_every_solution_keeps_all_clusters(self, sym_model):
+        # no cluster is dropped, during the sweep or in refinement, even when
+        # its mass collapses; the reported pair is the channel's own
+        pool = bn.solve_envelope(sym_model)
+        for r in (0.05, 0.1, 0.2, 0.3, 0.4):
+            bn._refine_at(pool, r)
+        for sol in pool.solutions:
+            assert sol.channel.cond_probs.shape == (2, 3)
+            rate, rel = bn.channel_information(sym_model, sol.channel)
+            assert rate == pytest.approx(sol.rate, abs=1e-10)
+            assert rel == pytest.approx(sol.relevance, abs=1e-10)
 
     def test_exponent_at_rate_against_grid_oracle(self, sym_model):
         rates = [0.05, 0.15, 0.3, 0.5, 0.69]
@@ -293,11 +311,9 @@ class TestCurve:
     def test_sidecar_carries_diagnostics(self, sym_model):
         curve = d.build_curve(sym_model, np.linspace(0.1, 0.9, 5),
                               restarts=2, master_seed=3)
-        payload = json.loads(curve.sidecar_json())
-        assert payload["fingerprint"] == sym_model.fingerprint()
-        diag = payload["diagnostics"]
-        for key in ("concavity_residual", "restarts_used"):
-            assert key in diag
+        assert curve.fingerprint == sym_model.fingerprint()
+        diag = curve.diagnostics
+        assert diag["restarts_used"] == 2 and diag["master_seed"] == 3
         assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
         assert diag["beta_solves"] == diag["solutions"] - 2  # the two anchors
 

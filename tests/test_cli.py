@@ -1,11 +1,16 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from disthyp import bounds, cli
 
 import oracles
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -310,6 +315,16 @@ class TestSimulateCommand:
             assert exc.value.code == 2
         assert not (tmp_path / "sim.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["7", "nan", "0"])
+    def test_eps_outside_unit_interval_rejected(self, tmp_path, capsys, eps):
+        # --force-threshold skips calibration, which checks eps too
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, "--identity-encoder",
+                    "--n", 10, "--eps", eps, "--force-threshold", 0,
+                    "--trials", 100, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error: eps must lie in (0, 1)")
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_eps_and_regime_are_exclusive(self, tmp_path):
         model = make_model(tmp_path, grid=8)
         with pytest.raises(SystemExit) as exc:
@@ -345,6 +360,47 @@ class TestDeterminism:
                         "--out-dir", tmp_path / sub, "--out", "c.csv"]) == 0
         assert ((tmp_path / "a" / "c.csv").read_bytes()
                 == (tmp_path / "b" / "c.csv").read_bytes())
+
+
+class TestReadmeExamples:
+    @staticmethod
+    def transcripts():
+        """(argv, shown lines) for each `$ ` line of the README's sh blocks."""
+        out = []
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+            current = None
+            for line in block.splitlines():
+                if line.startswith("$ "):
+                    current = (shlex.split(line[2:]), [])
+                    out.append(current)
+                elif current is not None:
+                    current[1].append(line)
+        return out
+
+    def test_shown_output_is_printed(self, tmp_path, monkeypatch, capsys):
+        # each command runs in order in one directory; every line the README
+        # shows under it must be printed, in order ("..." stands for lines
+        # it leaves out)
+        monkeypatch.chdir(tmp_path)
+        transcripts = self.transcripts()
+        assert [argv[1] if argv[0] == "disthyp" else argv[0] for argv, _ in transcripts] == [
+            "model", "exponent", "head", "bounds", "cns", "tail", "grep", "cns", "simulate"]
+        for argv, shown in transcripts:
+            if argv[0] == "disthyp":
+                assert cli.main(argv[1:]) == 0
+                printed = capsys.readouterr().out.splitlines()
+            else:
+                tool, arg, name = argv  # head -k, tail -k or grep <word>
+                lines = Path(name).read_text(encoding="utf-8").splitlines()
+                if tool == "grep":
+                    printed = [line for line in lines if arg in line]
+                else:
+                    k = -int(arg)
+                    printed = lines[:k] if tool == "head" else lines[-k:]
+            rest = iter(printed)
+            for line in shown:
+                if line != "...":
+                    assert line in rest, f"$ {shlex.join(argv)}: README shows {line!r}"
 
 
 class TestTopLevel:

@@ -359,14 +359,14 @@ class TestCentralizedSecondOrder:
         p = sym_model()
         stats = d.divergence_stats(p)
         eps, n = 0.1, 400
-        want = (stats.kl + math.sqrt(stats.var_div / n) * s.norm_ppf(eps)
+        want = (stats.mi + math.sqrt(stats.var_div / n) * s.norm_ppf(eps)
                 + math.log(n) / (2 * n))
         assert s.centralized_second_order(p, eps, n) == pytest.approx(want, rel=1e-14)
 
     def test_approaches_first_order(self):
         p = sym_model()
-        kl = d.divergence_stats(p).kl
-        gaps = [abs(s.centralized_second_order(p, 0.2, n) - kl)
+        mi = d.divergence_stats(p).mi
+        gaps = [abs(s.centralized_second_order(p, 0.2, n) - mi)
                 for n in (100, 10_000, 1_000_000)]
         assert gaps[0] > gaps[1] > gaps[2]
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import INFO_ATOL, PROB_ATOL, JointPmf, entropy, mutual_information
+from .dist import PROB_ATOL, JointPmf, mutual_information
 from . import rngstreams
 
 DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))

@@ -17,7 +17,7 @@ The interval arithmetic is written once, on numpy arrays of sample sizes
 report and a scan see the same numbers.
 
 All asymptotically vanishing residual terms in the closed forms are set to
-zero; every report carries a dropped-residuals marker to make that visible.
+zero.
 All logarithms are natural; rates and exponents are in nats.
 """
 
@@ -273,8 +273,7 @@ class BoundReport:
     ``ub_exponent`` and ``lb_exponent`` are the per-sample exponents
     -(1/n) ln of each bound before clamping; they stay finite where the
     probabilities themselves underflow float64 (lb_exponent is +inf when
-    the converse degenerates).  ``residuals_dropped`` records that every
-    o(1) residual in the closed forms was evaluated as zero.
+    the converse degenerates).
     """
 
     n: int
@@ -291,7 +290,6 @@ class BoundReport:
     valid_lb: bool
     ub_exponent: float = math.nan
     lb_exponent: float = math.nan
-    residuals_dropped: bool = True
 
     CSV_HEADER = "n,eps_n,l,h_n,delta_tilde,lb_prob,nominal,ub_prob,gap_lower,gap_upper,valid_lb"
 

@@ -248,7 +248,8 @@ def cmd_simulate(args) -> int:
     _write_text(path, simulate.SimResult.CSV_HEADER + "\n" + result.csv_row() + "\n")
     _write_sidecar(path, _config_echo(
         args, eps_n=eps, threshold_t=t, saturated=saturated,
-        cal_trials=cal_trials,
+        cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
+        table_cells=qm.h0.size, sampled_classes=qm.class_lr.size,
         codebook_size=enc.codebook_size, block_len=enc.block_len,
         levels_reduced=enc.levels_reduced, model_fingerprint=p.fingerprint()))
     exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf

@@ -11,6 +11,13 @@ accepting the dependent hypothesis on {S > t}.  The quantized pair
 (P_quant, Q_quant) is computed exactly by pushing the true block laws
 through the encoder, so simulation error is purely statistical.
 
+S depends only on how many blocks fall in each log-ratio class, not on
+which cell holds them, so the sampler draws class counts: cells whose
+log-ratios tie (up to rounding) are merged once, when the model is built,
+into classes that carry the summed masses of both hypotheses.  One atom of
+S then comes out as one float.  A table without ties has one class per
+cell, in cell order, and samples exactly as a cell-level draw would.
+
 Trials are driven by fixed-size chunks of counter-based random streams
 (see rngstreams), making every estimate a pure function of (seed, config)
 regardless of worker count.  Calibration and evaluation use disjoint
@@ -33,9 +40,18 @@ from .dist import JointPmf, divergence_stats, product_model
 from . import rngstreams
 
 MAX_BLOCK_LEN = 3
-# One sampling chunk holds a CHUNK_TRIALS x cells int64 count matrix; cap
-# it at 2 GiB (16,384 cells).
+# One sampling chunk holds a CHUNK_TRIALS x classes int64 count matrix, and
+# a table has at most as many log-ratio classes as cells; capping the cells
+# keeps that matrix under 2 GiB (16,384 cells) and bounds the x-block
+# enumeration of the table build.
 MAX_TABLE_CELLS = (2 << 30) // (8 * rngstreams.CHUNK_TRIALS)
+# Relative gap between sorted log-ratios above which a new class starts.
+# Ties in the README tables differ by at most 4 ulp; distinct values by at
+# least 1.8e-6.
+CLASS_RTOL = 1e-12
+# Bumped whenever the same (seed, config) can draw different statistics;
+# version 2 samples log-ratio classes instead of table cells.
+SAMPLER_VERSION = 2
 WILSON_Z95 = 1.959963984540054
 WILSON_Z99 = 2.5758293035489004
 
@@ -163,12 +179,21 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
 
 @dataclass(frozen=True)
 class QuantizedModel:
-    """Exact block laws of (code, Y-block) under both hypotheses."""
+    """Exact block laws of (code, Y-block) under both hypotheses.
+
+    ``class_h0``, ``class_h1`` and ``class_lr`` are the same law merged over
+    cells with tied log-ratios: per class, the summed masses and the
+    log-ratio of its first cell, with classes in the order of their first
+    cell.  The sampler draws from them; ``flat()`` keeps the cell-level law.
+    """
 
     h0: np.ndarray
     h1: np.ndarray
     log_ratios: np.ndarray
     block_len: int
+    class_h0: np.ndarray
+    class_h1: np.ndarray
+    class_lr: np.ndarray
 
     @property
     def n_codes(self) -> int:
@@ -176,6 +201,28 @@ class QuantizedModel:
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.h0.ravel(), self.h1.ravel(), self.log_ratios.ravel()
+
+
+def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
+    """Class masses and log-ratios of flat cell arrays.
+
+    Sorted log-ratios start a new class wherever the gap exceeds
+    CLASS_RTOL * max|lr|.  Each class keeps its first cell's log-ratio, and
+    classes keep the order of their first cell, so a table without ties
+    returns its arrays unchanged, bit for bit.
+    """
+    order = np.argsort(lr, kind="stable")
+    gaps = np.diff(lr[order]) > CLASS_RTOL * np.abs(lr).max()
+    group = np.empty(lr.size, dtype=np.int64)
+    group[order] = np.concatenate(([0], np.cumsum(gaps)))
+    # renumber the groups (0..g-1 by value) in the order of their first cell
+    _, first = np.unique(group, return_index=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    cls = rank[group]
+    return (np.bincount(cls, weights=h0, minlength=first.size),
+            np.bincount(cls, weights=h1, minlength=first.size),
+            lr[np.sort(first)])
 
 
 def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
@@ -212,9 +259,10 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
         if abs(table.sum() - 1.0) > 1e-9:
             raise SimulationError(f"{name} quantized table sums to {table.sum()!r}")
     log_ratios = np.log(h0) - np.log(h1)
-    for arr in (h0, h1, log_ratios):
+    classes = _merge_tied_cells(h0.ravel(), h1.ravel(), log_ratios.ravel())
+    for arr in (h0, h1, log_ratios) + classes:
         arr.setflags(write=False)
-    return QuantizedModel(h0, h1, log_ratios, l)
+    return QuantizedModel(h0, h1, log_ratios, l, *classes)
 
 
 def table_mutual_information(table: np.ndarray) -> float:
@@ -232,6 +280,11 @@ def table_mutual_information(table: np.ndarray) -> float:
 
 def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                  seed: int, purpose: int, span: tuple[int, int]) -> np.ndarray:
+    """S for one chunk of trials: multinomial counts of k_blocks blocks over
+    the log-ratio classes (``pmf``, ``lr``), dotted with the class
+    log-ratios.  Drawing classes rather than cells moves no atom of S by
+    more than the merge tolerance, and gives each atom a single float.
+    """
     idx, count = span
     rng = rngstreams.stream(seed, purpose, idx)
     counts = rng.multinomial(k_blocks, pmf, size=count)
@@ -283,9 +336,9 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
             f"cal_trials = {cal_trials} is small for eps = {eps}; "
             f"recommend at least {math.ceil(100.0 / eps)}",
             stacklevel=2)
-    pmf, _, lr = qm.flat()
-    stats = np.sort(_sample_stats(pmf, lr, n // qm.block_len, n, cal_trials,
-                                  seed, rngstreams.PURPOSE_CALIBRATE, workers))
+    stats = np.sort(_sample_stats(qm.class_h0, qm.class_lr, n // qm.block_len, n,
+                                  cal_trials, seed, rngstreams.PURPOSE_CALIBRATE,
+                                  workers))
     allowed = int(math.floor(eps * cal_trials + 1e-9))
     # {S <= t} may hold at most `allowed` samples; stats[allowed] is the first
     # that does not fit, so t is the largest sample below all of its copies
@@ -365,10 +418,11 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     if n < 1 or n % qm.block_len:
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")
-    pmf0, pmf1, lr = qm.flat()
     k = n // qm.block_len
-    s0 = _sample_stats(pmf0, lr, k, n, trials, seed, rngstreams.PURPOSE_H0, workers)
-    s1 = _sample_stats(pmf1, lr, k, n, trials, seed, rngstreams.PURPOSE_H1, workers)
+    s0 = _sample_stats(qm.class_h0, qm.class_lr, k, n, trials, seed,
+                       rngstreams.PURPOSE_H0, workers)
+    s1 = _sample_stats(qm.class_h1, qm.class_lr, k, n, trials, seed,
+                       rngstreams.PURPOSE_H1, workers)
     k1 = int((s0 <= t).sum())
     k2 = int((s1 > t).sum())
     return SimResult(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from disthyp import bounds, cli
+from disthyp import bounds, cli, simulate
 
 import oracles
 
@@ -276,6 +276,11 @@ class TestSimulateCommand:
         assert meta["eps_n"] == 0.2
         assert "model_fingerprint" in meta
         assert "preset" not in meta
+        # the 12 x 12 Gaussian is symmetric under x <-> y and under negating
+        # both, so its 144 cells tie in orbits of up to four: 42 classes
+        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 2
+        assert meta["table_cells"] == 144
+        assert meta["sampled_classes"] == 42
 
     def test_levels_with_blocks_and_regime(self, tmp_path):
         model = make_model(tmp_path)

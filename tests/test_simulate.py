@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import disthyp as d
-from disthyp import simulate as s
+from disthyp import rngstreams, simulate as s
 
 import oracles
 
@@ -182,6 +182,77 @@ class TestQuantizedModel:
             s.quantized_model(sym_model(), s.Encoder.identity(3))
 
 
+def merged_atoms(values, masses, tol):
+    """Atom values and masses after merging values closer than tol."""
+    starts = np.concatenate(([True], np.diff(values) > tol))
+    return values[starts], np.add.reduceat(masses, np.flatnonzero(starts))
+
+
+class TestLogRatioClasses:
+    def test_tie_free_table_samples_cells_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
+        for enc in (s.Encoder.identity(3), s.Encoder(3, 1, 2, np.array([0, 1, 0]))):
+            qm = s.quantized_model(p, enc)
+            pmf0, pmf1, lr = qm.flat()
+            assert np.unique(lr).size == lr.size
+            for cls, cell in ((qm.class_h0, pmf0), (qm.class_h1, pmf1),
+                              (qm.class_lr, lr)):
+                assert cls.tobytes() == cell.tobytes()
+            n, trials = 5, rngstreams.CHUNK_TRIALS + 500
+            got = s._sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 3,
+                                  rngstreams.PURPOSE_H0)
+            want = np.concatenate([
+                rngstreams.stream(3, rngstreams.PURPOSE_H0, idx).multinomial(
+                    n, pmf0, size=cnt) @ lr / n
+                for idx, cnt in rngstreams.chunk_spans(trials)])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid, block_len, classes",
+                             [(32, 1, 64), (16, 2, 528)])
+    def test_readme_tables_merge_symmetric_ties(self, grid, block_len, classes):
+        # the README model (MI 0.08 nats) with the 4-level quantizer
+        _, p = d.calibrate_correlation(0.08, grid, grid)
+        scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
+        qm = s.quantized_model(p, scalar.blockwise(block_len))
+        pmf0, pmf1, lr = qm.flat()
+        assert qm.class_lr.size == classes < lr.size
+        # every cell lies within the tolerance of its class's log-ratio, and
+        # the class masses are the sums over those cells
+        tol = s.CLASS_RTOL * np.abs(lr).max()
+        nearest = np.abs(lr[:, None] - qm.class_lr[None, :]).argmin(axis=1)
+        assert np.all(np.abs(lr - qm.class_lr[nearest]) <= tol)
+        for cls, cell in ((qm.class_h0, pmf0), (qm.class_h1, pmf1)):
+            assert np.allclose(cls, np.bincount(nearest, weights=cell), rtol=0, atol=1e-12)
+            assert abs(cls.sum() - cell.sum()) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dsbs_class_law_equals_cell_law(self, n):
+        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        assert qm.class_lr.size == 2
+        self.assert_same_law(qm, n)
+
+    def test_tied_lloyd_table_class_law_equals_cell_law(self):
+        # symmetric Gaussian grid, 2 levels: cell (c, y) ties with (1-c, 7-y)
+        p = d.discretized_gaussian(0.5, 8, 8)
+        scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 2)
+        qm = s.quantized_model(p, scalar)
+        assert qm.class_lr.size == 8 < qm.h0.size
+        for n in (1, 2, 3):
+            self.assert_same_law(qm, n)
+
+    @staticmethod
+    def assert_same_law(qm, n):
+        cells = oracles.statistic_atoms(*qm.flat(), n, n)
+        classes = oracles.statistic_atoms(qm.class_h0, qm.class_h1, qm.class_lr, n, n)
+        tol = 1e-12 * max(1.0, np.abs(qm.class_lr).max())
+        for side in (1, 2):
+            want_v, want_m = merged_atoms(cells[0], cells[side], tol)
+            got_v, got_m = merged_atoms(classes[0], classes[side], tol)
+            assert np.allclose(got_v, want_v, rtol=0, atol=tol)
+            assert np.allclose(got_m, want_m, rtol=0, atol=1e-12)
+
+
 class TestCalibration:
     def test_two_atom_quantile_lands_on_lower_atom(self):
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
@@ -216,13 +287,11 @@ class TestCalibration:
         # so the empirical constraint can be checked directly; the DSBS
         # statistic has n + 1 atoms, so the sample is full of ties
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
-        from disthyp import rngstreams
         m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
-        pmf, _, lr = qm.flat()
         stats = np.concatenate([
             rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
-                n, pmf, size=cnt) @ lr / n
+                n, qm.class_h0, size=cnt) @ qm.class_lr / n
             for idx, cnt in rngstreams.chunk_spans(m)])
         allowed = math.floor(eps * m)
         assert (stats <= cal.t).sum() <= allowed
@@ -233,6 +302,14 @@ class TestCalibration:
             assert cal.t in stats
         above = stats[stats > cal.t]
         assert above.size and (stats <= above.min()).sum() > allowed
+
+    def test_one_float_per_statistic_atom(self):
+        # the DSBS statistic has n + 1 atoms; each must come out as one float
+        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        n = 6
+        stats = s._chunk_stats(qm.class_h0, qm.class_lr, n, n, 77,
+                               rngstreams.PURPOSE_CALIBRATE, (0, rngstreams.CHUNK_TRIALS))
+        assert np.unique(stats).size == n + 1
 
     def test_multiple_of_block_length_enforced(self):
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(2))

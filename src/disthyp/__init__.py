@@ -58,9 +58,7 @@ from .simulate import (
     centralized_second_order,
     estimate_errors,
     lloyd_max,
-    norm_ppf,
     quantized_model,
-    table_mutual_information,
     wilson_interval,
 )
 

@@ -18,7 +18,7 @@ accelerated by SQUAREM (Varadhan & Roland 2008): every third step
 extrapolates the last three iterates in log space, and the result is kept
 only if one map step from it does not raise the objective, so the objective
 still falls monotonically.  The stopping rule (the objective changes by less
-than tol between consecutive iterates) and the 1000-evaluation cap are
+than OBJ_TOL between consecutive iterates) and the 1000-evaluation cap are
 those of the plain iteration.  Chord points on the envelope are achievable
 by time sharing between the two endpoint channels, so the envelope is a
 certified lower bound on xi.
@@ -39,6 +39,9 @@ from .dist import PROB_ATOL, JointPmf, mutual_information
 from . import rngstreams
 
 DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
+# A chain stops once its objective changes by less than this between
+# consecutive iterates.
+OBJ_TOL = 1e-10
 
 
 class SolverError(ValueError):
@@ -80,8 +83,9 @@ class TestChannel:
         return self.cond_probs.shape[1]
 
     @classmethod
-    def identity_plus_noise(cls, nx: int, nu: int, diag: float = 0.9) -> "TestChannel":
-        """Rows concentrated on distinct clusters with the rest spread uniformly."""
+    def identity_plus_noise(cls, nx: int, nu: int) -> "TestChannel":
+        """Rows with mass 0.9 on distinct clusters and the rest spread uniformly."""
+        diag = 0.9
         mat = np.full((nx, nu), (1.0 - diag) / (nu - 1)) if nu > 1 else np.ones((nx, 1))
         if nu > 1:
             for x in range(nx):
@@ -280,7 +284,7 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
 
 
 def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
-                   max_iters: int = 1000, tol: float = 1e-10) -> IbSolution:
+                   max_iters: int = 1000) -> IbSolution:
     """Run the alternating minimization from one starting channel.
 
     The starting channel must have |X|+1 clusters, and so does the returned
@@ -294,7 +298,7 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
         raise SolverError(
             f"init must have shape ({p.nx}, {p.nx + 1}), got ({init.nx}, {init.nu})"
         )
-    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters, tol)
+    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters, OBJ_TOL)
     return _wrap_solution(p, w[0], float(beta), int(iters[0]), bool(converged[0]))
 
 
@@ -383,8 +387,7 @@ class EnvelopePool:
 
 
 def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
-                   beta_grid=None, max_iters: int = 1000,
-                   tol: float = 1e-10) -> EnvelopePool:
+                   max_iters: int = 1000) -> EnvelopePool:
     """Sweep the trade-off curve and return the solution pool.
 
     Chain 0 starts from a near-identity channel and chains 1..restarts from
@@ -402,15 +405,14 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
     """
     if restarts < 0:
         raise SolverError("restarts must be nonnegative")
-    beta_grid = tuple(DEFAULT_BETA_GRID if beta_grid is None else beta_grid)
     starts = [TestChannel.identity_plus_noise(p.nx, p.nx + 1)]
     for chain_id in range(1, restarts + 1):
         rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
         starts.append(TestChannel.random(p.nx, p.nx + 1, rng))
     w = np.stack([start.cond_probs for start in starts])
     chains: list[list[IbSolution]] = [[] for _ in starts]
-    for beta in sorted(beta_grid, reverse=True):
-        w, iters, converged = _iterate(p, float(beta), w, max_iters, tol)
+    for beta in sorted(DEFAULT_BETA_GRID, reverse=True):
+        w, iters, converged = _iterate(p, float(beta), w, max_iters, OBJ_TOL)
         for chain, wk, n, ok in zip(chains, w, iters, converged):
             chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
     solutions = _anchor_solutions(p)
@@ -419,8 +421,7 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
     return EnvelopePool(p, solutions, restarts_used=restarts)
 
 
-def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3,
-               max_iters: int = 1000, tol: float = 1e-10) -> None:
+def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3) -> None:
     """Sharpen the envelope near one rate by solving at the supporting beta.
 
     Each round takes the hull chord over r (r >= 0 and the first vertex is
@@ -445,7 +446,7 @@ def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3,
         beta = min(max(1.0 / slope, 1e-3), 1e6)
         seed = pool.solutions[pool.hull[j]]
         before = pool.value_at(r)
-        pool.solutions.append(ib_fixed_point(pool.p, beta, seed.channel, max_iters, tol))
+        pool.solutions.append(ib_fixed_point(pool.p, beta, seed.channel))
         pool.refresh()
         if pool.value_at(r) <= before + 1e-12:
             return
@@ -533,10 +534,5 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     d_slope[1:-1] = (d[2:] - d[:-2]) / (r[2:] - r[:-2])
     d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
-    diagnostics = {
-        "restarts_used": pool.restarts_used,
-        "solutions": len(pool.solutions),
-        "master_seed": master_seed,
-        **pool.solver_counters(),
-    }
+    diagnostics = {"solutions": len(pool.solutions), **pool.solver_counters()}
     return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)

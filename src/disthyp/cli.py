@@ -154,8 +154,6 @@ def cmd_exponent(args) -> int:
     diag = curve.diagnostics
     print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
           f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
-    if np.any(curve.xi > np.minimum(curve.r, mi) + 1e-9):
-        return _fail_invariant("xi <= min(R, I(X;Y))")
     return 0
 
 

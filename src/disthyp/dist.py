@@ -30,6 +30,8 @@ import numpy as np
 PROB_ATOL = 1e-12
 # Absolute tolerance for information quantities (nats).
 INFO_ATOL = 1e-9
+# calibrate_correlation stops once |I(X;Y) - target| is within this (nats).
+CALIBRATION_TOL = 1e-6
 
 
 class DistributionError(ValueError):
@@ -85,17 +87,14 @@ class JointPmf:
             )
 
     @classmethod
-    def from_probs(cls, probs, x_labels=None, y_labels=None, normalize: bool = False) -> "JointPmf":
+    def from_probs(cls, probs, normalize: bool = False) -> "JointPmf":
+        """Model with integer labels 0..nx-1 and 0..ny-1."""
         mat = np.asarray(probs, dtype=np.float64)
         if mat.ndim != 2:
             raise DistributionError(f"probs must be a 2-d matrix, got shape {mat.shape}")
         if normalize and mat.size and np.all(mat > 0):
             mat = mat / mat.sum()
-        if x_labels is None:
-            x_labels = tuple(range(mat.shape[0]))
-        if y_labels is None:
-            y_labels = tuple(range(mat.shape[1]))
-        return cls(mat, tuple(x_labels), tuple(y_labels))
+        return cls(mat, tuple(range(mat.shape[0])), tuple(range(mat.shape[1])))
 
     @property
     def nx(self) -> int:
@@ -263,10 +262,9 @@ def _max_valid_correlation(nx: int, ny: int, span_sigmas: float) -> float:
 
 
 def calibrate_correlation(target_mi: float, nx: int, ny: int,
-                          span_sigmas: float = 4.0,
-                          tol: float = 1e-6) -> tuple[float, JointPmf]:
+                          span_sigmas: float = 4.0) -> tuple[float, JointPmf]:
     """Bisect the correlation of a discretized Gaussian to hit a target
-    mutual information (nats) within tol.
+    mutual information (nats) within CALIBRATION_TOL.
 
     Relies on I(X;Y) being continuous and increasing in |correlation|; the
     returned correlation is the nonnegative root.
@@ -296,13 +294,13 @@ def calibrate_correlation(target_mi: float, nx: int, ny: int,
         mid = 0.5 * (lo + hi)
         model = discretized_gaussian(mid, nx, ny, span_sigmas)
         mid_mi = mutual_information(model)
-        if abs(mid_mi - target_mi) <= tol:
+        if abs(mid_mi - target_mi) <= CALIBRATION_TOL:
             return mid, model
         if mid_mi < target_mi:
             lo, lo_mi = mid, mid_mi
         else:
             hi, hi_mi = mid, mid_mi
     raise UnreachableTargetError(
-        f"bisection failed to reach target_mi {target_mi!r} within {tol!r} nats "
-        f"(bracket [{lo_mi!r}, {hi_mi!r}])"
+        f"bisection failed to reach target_mi {target_mi!r} within "
+        f"{CALIBRATION_TOL!r} nats (bracket [{lo_mi!r}, {hi_mi!r}])"
     )

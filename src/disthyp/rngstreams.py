@@ -30,13 +30,13 @@ def stream(master_seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def chunk_spans(total: int, chunk: int = CHUNK_TRIALS) -> list[tuple[int, int]]:
+def chunk_spans(total: int) -> list[tuple[int, int]]:
     """(chunk_index, chunk_size) pairs covering `total` trials."""
     spans = []
     idx = 0
     remaining = int(total)
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(CHUNK_TRIALS, remaining)
         spans.append((idx, take))
         idx += 1
         remaining -= take

@@ -27,12 +27,12 @@ streams.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
+from statistics import NormalDist
 
 import numpy as np
 
@@ -52,6 +52,8 @@ CLASS_RTOL = 1e-12
 # Bumped whenever the same (seed, config) can draw different statistics;
 # version 2 samples log-ratio classes instead of table cells.
 SAMPLER_VERSION = 2
+# Normal quantiles at 0.975 and 0.995, kept as literals: NormalDist().inv_cdf
+# gives Z95 one ulp away, which would move the Wilson interval bytes.
 WILSON_Z95 = 1.959963984540054
 WILSON_Z99 = 2.5758293035489004
 
@@ -92,12 +94,6 @@ class Encoder:
     @classmethod
     def identity(cls, nx: int) -> "Encoder":
         return cls(nx, 1, nx, np.arange(nx))
-
-    @classmethod
-    def random_map(cls, nx: int, block_len: int, codebook_size: int,
-                   rng: np.random.Generator) -> "Encoder":
-        table = rng.integers(0, codebook_size, size=nx ** block_len)
-        return cls(nx, block_len, codebook_size, table)
 
     def blockwise(self, block_len: int) -> "Encoder":
         """Apply this scalar encoder independently to each symbol of a block."""
@@ -195,10 +191,6 @@ class QuantizedModel:
     class_h1: np.ndarray
     class_lr: np.ndarray
 
-    @property
-    def n_codes(self) -> int:
-        return self.h0.shape[0]
-
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.h0.ravel(), self.h1.ravel(), self.log_ratios.ravel()
 
@@ -265,15 +257,6 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
     return QuantizedModel(h0, h1, log_ratios, l, *classes)
 
 
-def table_mutual_information(table: np.ndarray) -> float:
-    """I between the row and column variables of a 2-d joint table (nats)."""
-    rows = table.sum(axis=1, keepdims=True)
-    cols = table.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = table * (np.log(table) - np.log(rows) - np.log(cols))
-    return float(np.where(np.isfinite(term), term, 0.0).sum())
-
-
 # --------------------------------------------------------------------------
 # Sampling machinery
 # --------------------------------------------------------------------------
@@ -294,16 +277,11 @@ def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
 def _sample_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                   trials: int, seed: int, purpose: int,
                   workers: int = 1) -> np.ndarray:
-    spans = rngstreams.chunk_spans(trials)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda span: _chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span),
-                spans))
-    else:
-        parts = [_chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span)
-                 for span in spans]
-    return np.concatenate(parts) if parts else np.empty(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(
+            lambda span: _chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span),
+            rngstreams.chunk_spans(trials)))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -391,15 +369,6 @@ class SimResult:
                  str(self.seed)]
         return ",".join(cells)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "trials": self.trials, "threshold_t": self.threshold_t,
-            "type1_hat": self.type1_hat, "type2_hat": self.type2_hat,
-            "type1_ci": list(self.type1_ci), "type2_ci": list(self.type2_ci),
-            "seed": self.seed,
-            "eps_n": None if math.isnan(self.eps_n) else self.eps_n,
-        }, indent=2)
-
     def with_eps(self, eps_n: float) -> "SimResult":
         return replace(self, eps_n=float(eps_n))
 
@@ -437,50 +406,15 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
 # Second-order (centralized) reference
 # --------------------------------------------------------------------------
 
-# Rational approximation for the standard normal quantile (relative error
-# below 1.15e-9 everywhere), then one Halley step against erfc sharpens it
-# to machine precision.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not (0.0 < p < 1.0):
-        raise SimulationError(f"quantile level must lie in (0, 1), got {p!r}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= phigh:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
-
-
 def centralized_second_order(p: JointPmf, eps: float, n: int) -> float:
     """Normal approximation of the optimal per-sample Type II exponent when
-    the detector sees X losslessly: D + sqrt(V/n) * ppf(eps) + ln(n)/(2n).
+    the detector sees X losslessly: D + sqrt(V/n) * ppf(eps) + ln(n)/(2n),
+    with ppf the standard normal quantile.
     """
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
     if n < 1:
         raise SimulationError(f"n must be >= 1, got {n}")
     stats = divergence_stats(p)
-    return stats.mi + math.sqrt(stats.var_div / n) * norm_ppf(eps) + math.log(n) / (2.0 * n)
+    return (stats.mi + math.sqrt(stats.var_div / n) * NormalDist().inv_cdf(eps)
+            + math.log(n) / (2.0 * n))

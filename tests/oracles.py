@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from disthyp import bounds
+from disthyp import bounds, simulate
 
 
 def xlogx_sum(a: np.ndarray, axis=None) -> np.ndarray:
@@ -401,3 +401,23 @@ def best_contiguous_mse(points, weights, levels: int) -> float:
         cost = sum(cell_cost(i, j) for i, j in zip(edges, edges[1:]))
         best = min(best, cost)
     return best
+
+
+# --------------------------------------------------------------------------
+# Quantized tables
+# --------------------------------------------------------------------------
+
+def random_map(nx: int, block_len: int, codebook_size: int,
+               rng: np.random.Generator) -> simulate.Encoder:
+    """Encoder sending each x-block to a code drawn uniformly at random."""
+    table = rng.integers(0, codebook_size, size=nx ** block_len)
+    return simulate.Encoder(nx, block_len, codebook_size, table)
+
+
+def table_mutual_information(table: np.ndarray) -> float:
+    """I between the row and column variables of a 2-d joint table (nats)."""
+    rows = table.sum(axis=1, keepdims=True)
+    cols = table.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = table * (np.log(table) - np.log(rows) - np.log(cols))
+    return float(np.where(np.isfinite(term), term, 0.0).sum())

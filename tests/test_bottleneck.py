@@ -313,7 +313,8 @@ class TestCurve:
                               restarts=2, master_seed=3)
         assert curve.fingerprint == sym_model.fingerprint()
         diag = curve.diagnostics
-        assert diag["restarts_used"] == 2 and diag["master_seed"] == 3
+        # restarts and the seed are inputs, echoed by the CLI sidecar
+        assert set(diag) == {"solutions", "beta_solves", "iterations", "unconverged"}
         assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
         assert diag["beta_solves"] == diag["solutions"] - 2  # the two anchors
 

@@ -45,8 +45,6 @@ from .bounds import (
     eps_at,
     feasibility_interval,
     gap_bounds,
-    select_block_length,
-    select_h,
 )
 from .simulate import (
     SimulationError,

@@ -2,7 +2,7 @@
 
 Given a curve point (xi, d_slope) = (xi(R), dD/dR at R) and the model's
 concentration constant c, this module evaluates, for a Type I budget
-sequence eps_n:
+sequence eps_n in one of the regimes const, log, poly and superpoly:
 
 * the closed-form four-regime gap bounds on  -(1/n) log beta_n - xi(R),
 * an explicit probability interval [lb_prob, ub_prob] around the nominal
@@ -45,108 +45,74 @@ class RegimeSpecError(ValueError):
     """Malformed Type I regime specification."""
 
 
-_KINDS = ("constant", "logarithmic", "polynomial", "superpolynomial")
+# Per regime spelling: the open interval its parameter lies in (None: it
+# takes no parameter) and the first n at which eps_n is an error level.
+_REGIMES = {"const": ((0.0, 1.0), 1), "log": (None, 3),
+            "poly": ((0.0, math.inf), 1), "superpoly": ((0.0, 1.0), 1)}
 
 
 @dataclass(frozen=True)
 class TypeIRegime:
-    """Type I error budget sequence eps_n.
+    """Type I error budget sequence eps_n, spelled as on the command line.
 
-    constant:        eps_n = param, param in (0, 1)
-    logarithmic:     eps_n = 1 / ln(n)
-    polynomial:      eps_n = n ** -param, param > 0
-    superpolynomial: eps_n = exp(-n ** param), param in (0, 1)
+    const:     eps_n = param, param in (0, 1)
+    log:       eps_n = 1 / ln(n), defined from n = 3 on
+    poly:      eps_n = n ** -param, param > 0
+    superpoly: eps_n = exp(-n ** param), param in (0, 1)
     """
 
     kind: str
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise RegimeSpecError(f"unknown regime kind {self.kind!r}")
-        if self.kind == "constant":
-            if self.param is None or not (0.0 < self.param < 1.0):
-                raise RegimeSpecError(
-                    f"constant regime needs a level in (0, 1), got {self.param!r}")
-        elif self.kind == "logarithmic":
+        if self.kind not in _REGIMES:
+            raise RegimeSpecError(f"unknown regime {self.kind!r}; "
+                                  "expected const:<eps>|log|poly:<p>|superpoly:<p>")
+        interval = _REGIMES[self.kind][0]
+        if interval is None:
             if self.param is not None:
-                raise RegimeSpecError("logarithmic regime takes no parameter")
-        elif self.kind == "polynomial":
-            if self.param is None or not (0.0 < self.param < math.inf):
-                raise RegimeSpecError(
-                    f"polynomial regime needs a finite exponent > 0, got {self.param!r}")
-        else:
-            if self.param is None or not (0.0 < self.param < 1.0):
-                raise RegimeSpecError(
-                    f"superpolynomial regime needs exponent in (0, 1), got {self.param!r}")
-
-    @classmethod
-    def constant(cls, eps: float) -> "TypeIRegime":
-        return cls("constant", float(eps))
-
-    @classmethod
-    def logarithmic(cls) -> "TypeIRegime":
-        return cls("logarithmic", None)
-
-    @classmethod
-    def polynomial(cls, p: float) -> "TypeIRegime":
-        return cls("polynomial", float(p))
-
-    @classmethod
-    def superpolynomial(cls, p: float) -> "TypeIRegime":
-        return cls("superpolynomial", float(p))
+                raise RegimeSpecError(f"{self.kind} regime takes no parameter")
+            return
+        lo, hi = interval
+        if self.param is None or not (lo < self.param < hi):
+            raise RegimeSpecError(
+                f"{self.kind} regime needs a parameter in ({lo:g}, {hi:g}), got {self.param!r}")
+        object.__setattr__(self, "param", float(self.param))
 
     @classmethod
     def parse(cls, text: str) -> "TypeIRegime":
         """Parse 'const:0.1', 'log', 'poly:0.5', 'superpoly:0.5'."""
         head, sep, tail = text.strip().partition(":")
-        names = {"const": "constant", "log": "logarithmic",
-                 "poly": "polynomial", "superpoly": "superpolynomial"}
-        for alias, kind in list(names.items()):
-            names.setdefault(kind, kind)
-        if head not in names:
-            raise RegimeSpecError(f"unknown regime {head!r}; "
-                                  "expected const:<eps>|log|poly:<p>|superpoly:<p>")
-        kind = names[head]
-        if kind == "logarithmic":
-            if sep:
-                raise RegimeSpecError("logarithmic regime takes no parameter")
-            return cls(kind, None)
         if not sep:
-            raise RegimeSpecError(f"regime {head!r} needs a parameter, e.g. {head}:0.1")
+            return cls(head)
         try:
             value = float(tail)
         except ValueError as exc:
             raise RegimeSpecError(f"bad regime parameter {tail!r}") from exc
-        return cls(kind, value)
+        return cls(head, value)
 
     @property
     def label(self) -> str:
-        short = {"constant": "const", "logarithmic": "log",
-                 "polynomial": "poly", "superpolynomial": "superpoly"}[self.kind]
-        if self.kind == "logarithmic":
-            return short
-        return f"{short}:{self.param:g}"
+        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
 
     @property
     def gap_case(self) -> str | None:
         """Which closed-form gap case applies, if any."""
-        if self.kind == "logarithmic":
+        if self.kind == "log":
             return "i"
-        if self.kind == "polynomial":
+        if self.kind == "poly":
             return "ii" if self.param < 2.0 else "iii"
-        if self.kind == "superpolynomial":
+        if self.kind == "superpoly":
             return "iv"
         return None
 
 
 def _check_size(regime: TypeIRegime, n: int) -> None:
     """Raise RegimeDomainError where eps_n is undefined."""
-    if n < 1:
-        raise RegimeDomainError(f"sample size must be >= 1, got {n}")
-    if regime.kind == "logarithmic" and n <= _E:
+    first = _REGIMES[regime.kind][1]
+    if n < first:
         raise RegimeDomainError(
-            f"1/ln(n) is not a valid error level at n = {n} (needs n >= 3)")
+            f"eps_n of the {regime.kind} regime is undefined at n = {n} (needs n >= {first})")
 
 
 def _check_slope_and_c(d_slope: float, c: float) -> None:
@@ -170,60 +136,34 @@ def _budget(regime: TypeIRegime, n: np.ndarray) -> tuple[np.ndarray, ...]:
     """eps_n, ln(1/eps_n), block length l and slack mass h_n at the sizes n.
 
     n is a float64 array.  Callers hold np.errstate(all="ignore"): eps_n
-    underflows and 1/eps_n overflows at large n, and polynomial and
-    superpolynomial budgets then take the exact logarithms p ln(n) and n^p.
+    underflows and 1/eps_n overflows at large n, and poly and superpoly
+    budgets then take the exact logarithms p ln(n) and n^p.
     """
     kind, p = regime.kind, regime.param
-    if kind == "constant":
+    if kind == "const":
         eps = np.full_like(n, p)
-    elif kind == "logarithmic":
+    elif kind == "log":
         eps = 1.0 / np.log(n)
-    elif kind == "polynomial":
+    elif kind == "poly":
         eps = n ** -p
     else:
         eps = np.exp(-(n ** p))
     log_inv_eps = np.log(1.0 / eps)
-    if kind == "polynomial":
+    if kind == "poly":
         log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, p * np.log(n))
-    elif kind == "superpolynomial":
+    elif kind == "superpoly":
         log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, n ** p)
-    alpha = (1.0 - p) / 3.0 if kind == "superpolynomial" else 1.0 / 3.0
+    alpha = (1.0 - p) / 3.0 if kind == "superpoly" else 1.0 / 3.0
     block_l = np.maximum(1.0, np.ceil(n ** alpha - 1e-12))
     h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
     return eps, log_inv_eps, block_l, h
 
 
-def _budget_at(regime: TypeIRegime, n: int) -> tuple[float, float, float, float]:
-    """_budget at a single sample size, as Python floats."""
-    with np.errstate(all="ignore"):
-        return tuple(a.item() for a in _budget(regime, np.array([n], dtype=np.float64)))
-
-
 def eps_at(regime: TypeIRegime, n: int) -> float:
     """Type I budget at sample size n."""
     _check_size(regime, n)
-    return _budget_at(regime, n)[0]
-
-
-def select_block_length(regime: TypeIRegime, n: int) -> int:
-    """Quantizer block length for the achievability construction at size n.
-
-    ceil(n^(1/3)) except in the superpolynomial regime, where the budget
-    decays fast enough that the block must grow as n^((1-p)/3).
-    """
-    if n < 1:
-        raise RegimeDomainError(f"sample size must be >= 1, got {n}")
-    return int(_budget_at(regime, n)[2])
-
-
-def select_h(regime: TypeIRegime, n: int) -> float:
-    """Slack mass h_n splitting the Type I budget in the converse bound.
-
-    Regime 1 (sqrt(2 eps_n) >= K ln(1/eps_n)/n): take h = eps_n.
-    Otherwise (budgets decaying too fast): take h = n^-2.
-    """
-    _check_size(regime, n)
-    return _budget_at(regime, n)[3]
+    with np.errstate(all="ignore"):
+        return _budget(regime, np.array([n], dtype=np.float64))[0].item()
 
 
 def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[float, float]:
@@ -237,12 +177,12 @@ def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[f
     case = regime.gap_case
     if case is None:
         raise RegimeSpecError(
-            "gap bounds cover logarithmic/polynomial/superpolynomial budgets only; "
-            "use feasibility_interval for constant budgets")
+            "gap bounds cover log/poly/superpoly budgets only; "
+            "use feasibility_interval for const budgets")
     if case == "i":
         if n <= math.ceil(_E ** _E) - 1:
             raise RegimeDomainError(
-                f"logarithmic gap bounds need ln(ln(n)) > 0, i.e. n >= 16; got {n}")
+                f"log gap bounds need ln(ln(n)) > 0, i.e. n >= 16; got {n}")
         ln_n = math.log(n)
         lnln_n = math.log(ln_n)
         lower = (d_slope / 6.0 - math.sqrt(2.0 * lnln_n) * c / ln_n) * (ln_n / n ** (1.0 / 3.0))
@@ -285,11 +225,10 @@ class BoundReport:
     nominal: float
     block_l: int
     h_n: float
-    s_n: float
     delta_tilde: float
     valid_lb: bool
-    ub_exponent: float = math.nan
-    lb_exponent: float = math.nan
+    ub_exponent: float
+    lb_exponent: float
 
     CSV_HEADER = "n,eps_n,l,h_n,delta_tilde,lb_prob,nominal,ub_prob,gap_lower,gap_upper,valid_lb"
 
@@ -333,11 +272,10 @@ def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
         slack = 1.0 - eps - h
         valid_lb = slack > 0.0
         log_inv_slack = np.log(1.0 / slack)
-        s_n = np.where(valid_lb, 4.0 * math.sqrt(2.0) * c * np.sqrt(log_inv_slack), np.nan)
         lb_exponent = np.where(
             valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
         return {"eps_n": eps, "block_l": block_l, "h_n": h, "delta_tilde": delta_tilde,
-                "s_n": s_n, "valid_lb": valid_lb, "ub_exponent": ub_exponent,
+                "valid_lb": valid_lb, "ub_exponent": ub_exponent,
                 "lb_exponent": lb_exponent, "nominal": np.exp(-n * xi),
                 "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0)),
                 "lb_prob": np.exp(-n * lb_exponent)}
@@ -390,8 +328,8 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     """First n <= cap where the feasibility interval hugs the nominal value.
 
     The condition is max(ub_prob - nominal, nominal - lb_prob) <= delta.
-    Sample sizes where the regime is undefined (tiny n) simply fail the
-    condition.  Returns cns = None if no n <= cap qualifies.
+    The scan starts at the regime's first admissible n.  Returns
+    cns = None if no n <= cap qualifies.
 
     The scan evaluates the interval over chunks of n (64 sizes, doubling up
     to 2048) with the same arithmetic as feasibility_interval, so the
@@ -403,14 +341,7 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     if cap < 1:
         raise RegimeSpecError(f"cap must be >= 1, got {cap}")
     xi, d_slope = _check_point(curve_point, c)
-    lo = 1
-    while lo <= cap:
-        try:
-            _check_size(regime, lo)
-            break
-        except RegimeDomainError:
-            lo += 1
-    size = _CHUNK_MIN
+    lo, size = _REGIMES[regime.kind][1], _CHUNK_MIN
     while lo <= cap:
         hi = min(lo + size, cap + 1)
         f = _interval(xi, d_slope, c, regime, np.arange(lo, hi, dtype=np.float64))

@@ -28,8 +28,6 @@ import numpy as np
 
 # Absolute tolerance for "probabilities sum to one" style checks.
 PROB_ATOL = 1e-12
-# Absolute tolerance for information quantities (nats).
-INFO_ATOL = 1e-9
 # calibrate_correlation stops once |I(X;Y) - target| is within this (nats).
 CALIBRATION_TOL = 1e-6
 

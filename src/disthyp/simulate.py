@@ -288,7 +288,6 @@ def _sample_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
 class ThresholdCalibration:
     t: float
     saturated: bool
-    cal_trials: int
 
 
 def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
@@ -323,8 +322,8 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     k = (cal_trials if allowed == cal_trials
          else int(np.searchsorted(stats, stats[allowed], side="left")))
     if k == 0:
-        return ThresholdCalibration(float(np.nextafter(stats[0], -np.inf)), True, cal_trials)
-    return ThresholdCalibration(float(stats[k - 1]), False, cal_trials)
+        return ThresholdCalibration(float(np.nextafter(stats[0], -np.inf)), True)
+    return ThresholdCalibration(float(stats[k - 1]), False)
 
 
 def wilson_interval(successes: int, trials: int,

@@ -301,20 +301,20 @@ def gap_bounds_reference(kind: str, param, n: int, d_slope: float,
                          c: float) -> tuple[float, float]:
     """Second transcription of the closed-form gap bounds, math-module only."""
     L = math.log(n)
-    if kind == "logarithmic":
+    if kind == "log":
         LL = math.log(L)
         low = (d_slope / 6 - c * math.sqrt(2 * LL) / L) * L / pow(n, 1 / 3)
         up = (16 * c + LL * math.sqrt(L) / n) / math.sqrt(L)
         return low, up
-    if kind == "polynomial" and param < 2:
+    if kind == "poly" and param < 2:
         low = (d_slope / 6 - c * math.sqrt(2 * param * L) / L) * L / pow(n, 1 / 3)
         up = (16 * c + param * L / pow(n, 1 - param / 2)) / pow(n, param / 2)
         return low, up
-    if kind == "polynomial":
+    if kind == "poly":
         low = (d_slope / 6 - c * math.sqrt(2 * param * L) / L) * L / pow(n, 1 / 3)
         up = (8 * math.sqrt(2) * c * math.sqrt(pow(n, 2 - param) + 1) / L + 2) * L / n
         return low, up
-    if kind == "superpolynomial":
+    if kind == "superpoly":
         low = ((1 - param) * d_slope / 6 - c * math.sqrt(2) / L) * L / pow(n, (1 - param) / 3)
         up = (8 * math.sqrt(2) * c * math.sqrt(math.exp(-pow(n, param)) * n ** 2 + 1) / L
               + 2) * L / n

@@ -29,8 +29,8 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_cns_high_rate():
     t0 = time.perf_counter()
-    regimes = [d.TypeIRegime.polynomial(0.01), d.TypeIRegime.polynomial(0.1),
-               d.TypeIRegime.logarithmic(), d.TypeIRegime.constant(0.1)]
+    regimes = [d.TypeIRegime("poly", 0.01), d.TypeIRegime("poly", 0.1),
+               d.TypeIRegime("log"), d.TypeIRegime("const", 0.1)]
     point = (HIGH_RATE["xi"], 0.0)
     sizes = [d.critical_sample_size(point, HIGH_RATE["c"], reg, 1e-5).cns
              for reg in regimes]
@@ -42,8 +42,8 @@ def test_cns_high_rate():
 
 def test_cns_low_rate():
     t0 = time.perf_counter()
-    regimes = [d.TypeIRegime.polynomial(0.01), d.TypeIRegime.polynomial(0.1),
-               d.TypeIRegime.logarithmic(), d.TypeIRegime.constant(0.1)]
+    regimes = [d.TypeIRegime("poly", 0.01), d.TypeIRegime("poly", 0.1),
+               d.TypeIRegime("log"), d.TypeIRegime("const", 0.1)]
     point = (LOW_RATE["xi"], 0.0)
     sizes = [d.critical_sample_size(point, LOW_RATE["c"], reg, 1e-5).cns
              for reg in regimes]

@@ -143,9 +143,14 @@ class TestBoundsCommand:
         assert run(["bounds", "--xi", 0.7, "--c", 1.92, "--regime", "log",
                     "--n-grid", "1,2", "--out-dir", tmp_path]) == 1
 
-    def test_malformed_regime(self, tmp_path):
+    def test_malformed_regime(self, tmp_path, capsys):
         assert run(["bounds", "--xi", 0.7, "--c", 1.92, "--regime", "exp:1",
                     "--n-grid", "50", "--out-dir", tmp_path]) == 1
+        # only the short spellings of the command line are regimes
+        assert run(["bounds", "--xi", 0.7, "--c", 1.92, "--regime", "polynomial:2",
+                    "--n-grid", "50", "--out-dir", tmp_path]) == 1
+        assert "error: unknown regime 'polynomial'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_xi_requires_c(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -226,7 +231,7 @@ class TestCurveWorkflow:
                     "--n-grid", ",".join(map(str, sizes)),
                     "--out-dir", tmp_path, "--out", "bounds.csv"]) == 0
         want = bounds.bounds_csv([bounds.feasibility_interval(
-            (xi, slope), c, bounds.TypeIRegime.polynomial(1.0), n) for n in sizes])
+            (xi, slope), c, bounds.TypeIRegime("poly", 1.0), n) for n in sizes])
         assert (tmp_path / "bounds.csv").read_bytes() == want.encode()
 
         for stem in ("cns", "bounds"):

@@ -40,7 +40,6 @@ from .bounds import (
     RegimeSpecError,
     TypeIRegime,
     BoundReport,
-    CnsResult,
     critical_sample_size,
     eps_at,
     feasibility_interval,

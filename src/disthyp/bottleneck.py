@@ -144,14 +144,14 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
     return max(rate, 0.0), max(relevance, 0.0)
 
 
-def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
-             tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _iterate(p: JointPmf, beta: float, w: np.ndarray,
+             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating minimization of a stack of chains run in lockstep,
     accelerated by SQUAREM extrapolation (Varadhan & Roland 2008).
 
     ``w`` has shape (chains, |X|, |U|).  Returns the final stack with each
     chain's iteration count and converged flag.  Every chain keeps its own
-    stopping rule |prev_obj - obj| < tol between consecutive iterates: a
+    stopping rule |prev_obj - obj| < OBJ_TOL between consecutive iterates: a
     chain that meets it is written back and dropped from the active stack,
     so its channel is frozen while the others go on.  No operation mixes
     chains (each norm and sum is one reduction per chain), so a chain's
@@ -263,7 +263,7 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray, max_iters: int,
                 moved = [True] * len(obj)
                 history.append(logw)
                 w, logw, pu, puy, log_pu = new_w, new_logw, new_pu, new_puy, new_log_pu
-            done = [m and abs(a - b) < tol for m, a, b in zip(moved, prev_obj, obj)]
+            done = [m and abs(a - b) < OBJ_TOL for m, a, b in zip(moved, prev_obj, obj)]
             if any(done):
                 done = np.array(done)
                 stopped = active[done]
@@ -298,7 +298,7 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
         raise SolverError(
             f"init must have shape ({p.nx}, {p.nx + 1}), got ({init.nx}, {init.nu})"
         )
-    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters, OBJ_TOL)
+    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters)
     return _wrap_solution(p, w[0], float(beta), int(iters[0]), bool(converged[0]))
 
 
@@ -412,7 +412,7 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
     w = np.stack([start.cond_probs for start in starts])
     chains: list[list[IbSolution]] = [[] for _ in starts]
     for beta in sorted(DEFAULT_BETA_GRID, reverse=True):
-        w, iters, converged = _iterate(p, float(beta), w, max_iters, OBJ_TOL)
+        w, iters, converged = _iterate(p, float(beta), w, max_iters)
         for chain, wk, n, ok in zip(chains, w, iters, converged):
             chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
     solutions = _anchor_solutions(p)
@@ -463,8 +463,8 @@ def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
     rate <= r; its (rate, relevance) can be reproduced exactly via
     channel_information.
     """
-    if r < 0:
-        raise SolverError(f"rate budget must be nonnegative, got {r!r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
     pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
     _refine_at(pool, r)
     return pool.value_at(r), pool.witness_at(r)
@@ -497,13 +497,6 @@ class ExponentCurve:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_csv(self) -> str:
-        lines = ["R_nats,xi_nats,D_nats,dD_dR"]
-        for i in range(len(self.r)):
-            lines.append(",".join(repr(float(v)) for v in
-                                  (self.r[i], self.xi[i], self.d[i], self.d_slope[i])))
-        return "\n".join(lines) + "\n"
-
 
 def build_curve(p: JointPmf, r_grid, restarts: int = 4,
                 master_seed: int = 0) -> ExponentCurve:
@@ -519,8 +512,8 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     if r.ndim != 1 or len(r) < 3:
         raise SolverError("rate grid must be 1-d with at least 3 points "
                           "(slope estimation needs them)")
-    if r[0] < 0 or np.any(np.diff(r) <= 0):
-        raise SolverError("rate grid must be nonnegative and strictly increasing")
+    if not (np.all(np.isfinite(r)) and r[0] >= 0 and np.all(np.diff(r) > 0)):
+        raise SolverError("rate grid must be finite, nonnegative and strictly increasing")
     pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
     for point in r:
         _refine_at(pool, float(point), rounds=1)

@@ -230,8 +230,6 @@ class BoundReport:
     ub_exponent: float
     lb_exponent: float
 
-    CSV_HEADER = "n,eps_n,l,h_n,delta_tilde,lb_prob,nominal,ub_prob,gap_lower,gap_upper,valid_lb"
-
     @property
     def log_gap_per_sample(self) -> float:
         """(1/n) ln(ub_prob - lb_prob), evaluated in log space.
@@ -246,14 +244,6 @@ class BoundReport:
         if log_lb >= log_ub:
             return -math.inf
         return (log_ub + math.log1p(-math.exp(log_lb - log_ub))) / self.n
-
-    def csv_row(self) -> str:
-        cells = [str(self.n), repr(float(self.eps_n)), str(self.block_l),
-                 repr(float(self.h_n)), repr(float(self.delta_tilde)),
-                 repr(float(self.lb_prob)), repr(float(self.nominal)),
-                 repr(float(self.ub_prob)), repr(float(self.gap_lower)),
-                 repr(float(self.gap_upper)), str(int(self.valid_lb))]
-        return ",".join(cells)
 
 
 def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
@@ -306,30 +296,14 @@ def feasibility_interval(curve_point: tuple[float, float], c: float,
     return BoundReport(n=n, gap_lower=gap_lower, gap_upper=gap_upper, **fields)
 
 
-@dataclass(frozen=True)
-class CnsResult:
-    """Critical number of samples for one (regime, delta)."""
-
-    regime: TypeIRegime
-    delta: float
-    cns: int | None
-    cap: int
-
-    CSV_HEADER = "regime,delta,cns"
-
-    def csv_row(self) -> str:
-        cns = "none" if self.cns is None else str(self.cns)
-        return f"{self.regime.label},{repr(float(self.delta))},{cns}"
-
-
 def critical_sample_size(curve_point: tuple[float, float], c: float,
                          regime: TypeIRegime, delta: float,
-                         cap: int = 100_000) -> CnsResult:
+                         cap: int = 100_000) -> int | None:
     """First n <= cap where the feasibility interval hugs the nominal value.
 
     The condition is max(ub_prob - nominal, nominal - lb_prob) <= delta.
-    The scan starts at the regime's first admissible n.  Returns
-    cns = None if no n <= cap qualifies.
+    The scan starts at the regime's first admissible n.  Returns that n,
+    the critical sample size, or None if no n <= cap qualifies.
 
     The scan evaluates the interval over chunks of n (64 sizes, doubling up
     to 2048) with the same arithmetic as feasibility_interval, so the
@@ -348,18 +322,6 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
         gap = np.maximum(f["ub_prob"] - f["nominal"], f["nominal"] - f["lb_prob"])
         hits = np.flatnonzero(gap <= delta)
         if hits.size:
-            return CnsResult(regime, delta, lo + int(hits[0]), cap)
+            return lo + int(hits[0])
         lo, size = hi, min(2 * size, _CHUNK_MAX)
-    return CnsResult(regime, delta, None, cap)
-
-
-def bounds_csv(reports: list[BoundReport]) -> str:
-    lines = [BoundReport.CSV_HEADER]
-    lines.extend(report.csv_row() for report in reports)
-    return "\n".join(lines) + "\n"
-
-
-def cns_csv(results: list[CnsResult]) -> str:
-    lines = [CnsResult.CSV_HEADER]
-    lines.extend(result.csv_row() for result in results)
-    return "\n".join(lines) + "\n"
+    return None

@@ -3,7 +3,9 @@
 Subcommands build a model, trace its exponent curve, evaluate the
 finite-length feasibility bounds and critical sample sizes, and run the
 Monte Carlo validation, writing UTF-8 CSV tables plus JSON sidecars that
-echo the full configuration (seed included).  `exponent` reads its rate
+echo the full configuration (seed included).  This module alone formats
+the CSVs: each subcommand names its columns next to their values, and
+_cell spells every cell.  `exponent` reads its rate
 grid in bits per sample unless --units nats is given; the curve point that
 `bounds` and `cns` take (--xi, --d-slope, --c) and all CSV columns are
 always in nats.  Every command is deterministic given its arguments, and
@@ -71,6 +73,25 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _cell(value) -> str:
+    """One CSV cell: none, 0/1 for flags, ints and labels as they are,
+    and the shortest round-tripping repr of every other number."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):  # before int: a bool is an int
+        return str(int(value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """A CSV table whose header is the first row's keys."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(_cell(value) for value in row.values()) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _write_sidecar(out_path: Path, payload: dict) -> Path:
     sidecar = out_path.parent / (out_path.stem + ".meta.json")
     _write_text(sidecar, json.dumps(payload, indent=2) + "\n")
@@ -99,12 +120,10 @@ def _fail_invariant(name: str) -> int:
 
 def cmd_model(args) -> int:
     if args.target_mi_nats is not None:
-        rho, p = dist.calibrate_correlation(args.target_mi_nats, args.grid, args.grid,
-                                            span_sigmas=args.span_sigmas)
+        rho, p = dist.calibrate_correlation(args.target_mi_nats, args.grid, args.grid)
     else:
         rho = args.rho
-        p = dist.discretized_gaussian(rho, args.grid, args.grid,
-                                      span_sigmas=args.span_sigmas)
+        p = dist.discretized_gaussian(rho, args.grid, args.grid)
     stats = dist.divergence_stats(p)
     path = _out_path(args, args.out)
     _write_text(path, p.to_json() + "\n")
@@ -143,7 +162,8 @@ def cmd_exponent(args) -> int:
     curve = bottleneck.build_curve(p, grid, restarts=args.restarts,
                                    master_seed=args.seed)
     path = _out_path(args, args.out)
-    _write_text(path, curve.to_csv())
+    _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
+                      for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
     c = dist.c_constant(p)
     _write_sidecar(path, _config_echo(args, c_nats=c, fingerprint=curve.fingerprint,
                                       diagnostics=curve.diagnostics))
@@ -173,7 +193,11 @@ def cmd_bounds(args) -> int:
     if not reports:
         raise bounds.RegimeDomainError("no sample size in --n-grid is admissible")
     path = _out_path(args, args.out)
-    _write_text(path, bounds.bounds_csv(reports))
+    _write_csv(path, [{"n": rep.n, "eps_n": rep.eps_n, "l": rep.block_l, "h_n": rep.h_n,
+                       "delta_tilde": rep.delta_tilde, "lb_prob": rep.lb_prob,
+                       "nominal": rep.nominal, "ub_prob": rep.ub_prob,
+                       "gap_lower": rep.gap_lower, "gap_upper": rep.gap_upper,
+                       "valid_lb": rep.valid_lb} for rep in reports])
     _write_sidecar(path, _config_echo(args, regime=regime.label))
     for rep in reports:
         print(f"n={rep.n}: lb={rep.lb_prob:.3e} nominal={rep.nominal:.3e} "
@@ -190,19 +214,19 @@ def cmd_bounds(args) -> int:
 def cmd_cns(args) -> int:
     xi, d_slope, c = args.xi, args.d_slope, args.c
     regimes = [bounds.TypeIRegime.parse(token) for token in args.regimes.split(",")]
-    results = [bounds.critical_sample_size((xi, d_slope), c, regime, args.delta,
-                                           cap=args.cap)
-               for regime in regimes]
+    sizes = [bounds.critical_sample_size((xi, d_slope), c, regime, args.delta, cap=args.cap)
+             for regime in regimes]
     path = _out_path(args, args.out)
-    _write_text(path, bounds.cns_csv(results))
+    _write_csv(path, [{"regime": regime.label, "delta": args.delta, "cns": cns}
+                      for regime, cns in zip(regimes, sizes)])
     _write_sidecar(path, _config_echo(args))
-    for res in results:
-        shown = res.cns if res.cns is not None else f"not found below {res.cap}"
-        print(f"{res.regime.label}: cns={shown}")
-    print(f"cns {path}: {len(results)} rows")
-    for res in results:
-        if res.cns is not None:
-            report = bounds.feasibility_interval((xi, d_slope), c, res.regime, res.cns)
+    for regime, cns in zip(regimes, sizes):
+        shown = cns if cns is not None else f"not found below {args.cap}"
+        print(f"{regime.label}: cns={shown}")
+    print(f"cns {path}: {len(sizes)} rows")
+    for regime, cns in zip(regimes, sizes):
+        if cns is not None:
+            report = bounds.feasibility_interval((xi, d_slope), c, regime, cns)
             gap = max(report.ub_prob - report.nominal, report.nominal - report.lb_prob)
             if gap > args.delta:
                 return _fail_invariant("feasibility condition holds at the reported cns")
@@ -240,10 +264,12 @@ def cmd_simulate(args) -> int:
                                            args.seed, workers=args.workers)
         t, saturated = cal.t, cal.saturated
     result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed,
-                                      workers=args.workers).with_eps(eps)
+                                      workers=args.workers)
 
     path = _out_path(args, args.out)
-    _write_text(path, simulate.SimResult.CSV_HEADER + "\n" + result.csv_row() + "\n")
+    _write_csv(path, [{"n": args.n, "eps_n": eps, "t": t, "type1_hat": result.type1_hat,
+                       "type2_hat": result.type2_hat, "ci_lo": result.type2_ci[0],
+                       "ci_hi": result.type2_ci[1], "seed": args.seed}])
     _write_sidecar(path, _config_echo(
         args, eps_n=eps, threshold_t=t, saturated=saturated,
         cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
@@ -289,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rho", type=float, help="use this correlation directly")
     pm.add_argument("--grid", type=_grid_size, required=True,
                     help="points per axis (>= 2)")
-    pm.add_argument("--span-sigmas", type=float, default=4.0,
-                    help="half-width of the grid in standard deviations (default 4)")
     pm.add_argument("--out", default="model.json", help="model filename (default model.json)")
     pm.set_defaults(func=cmd_model)
 

@@ -243,13 +243,13 @@ def discretized_gaussian(correlation: float, nx: int, ny: int,
     return JointPmf(probs, tuple(float(v) for v in xs), tuple(float(v) for v in ys))
 
 
-def _max_valid_correlation(nx: int, ny: int, span_sigmas: float) -> float:
+def _max_valid_correlation(nx: int, ny: int) -> float:
     """Largest correlation on this grid that keeps every cell strictly positive."""
     lo, hi = 0.0, 1.0 - 1e-12
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         try:
-            discretized_gaussian(mid, nx, ny, span_sigmas)
+            discretized_gaussian(mid, nx, ny)
         except DistributionError:
             hi = mid
         else:
@@ -259,8 +259,7 @@ def _max_valid_correlation(nx: int, ny: int, span_sigmas: float) -> float:
     return lo
 
 
-def calibrate_correlation(target_mi: float, nx: int, ny: int,
-                          span_sigmas: float = 4.0) -> tuple[float, JointPmf]:
+def calibrate_correlation(target_mi: float, nx: int, ny: int) -> tuple[float, JointPmf]:
     """Bisect the correlation of a discretized Gaussian to hit a target
     mutual information (nats) within CALIBRATION_TOL.
 
@@ -276,21 +275,21 @@ def calibrate_correlation(target_mi: float, nx: int, ny: int,
             f"log(min(nx, ny)) = {cap!r} nats"
         )
     if target_mi == 0.0:
-        return 0.0, discretized_gaussian(0.0, nx, ny, span_sigmas)
-    hi = _max_valid_correlation(nx, ny, span_sigmas)
-    hi_model = discretized_gaussian(hi, nx, ny, span_sigmas)
+        return 0.0, discretized_gaussian(0.0, nx, ny)
+    hi = _max_valid_correlation(nx, ny)
+    hi_model = discretized_gaussian(hi, nx, ny)
     hi_mi = mutual_information(hi_model)
     if hi_mi < target_mi:
         raise UnreachableTargetError(
             f"target_mi {target_mi!r} nats is unreachable on this grid: the "
             f"largest full-support correlation {hi!r} yields {hi_mi!r} nats "
-            f"(grid entropy cap is {cap!r} nats); enlarge the grid or reduce span_sigmas"
+            f"(grid entropy cap is {cap!r} nats); enlarge the grid"
         )
     lo, lo_mi = 0.0, 0.0
     model = hi_model
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        model = discretized_gaussian(mid, nx, ny, span_sigmas)
+        model = discretized_gaussian(mid, nx, ny)
         mid_mi = mutual_information(model)
         if abs(mid_mi - target_mi) <= CALIBRATION_TOL:
             return mid, model

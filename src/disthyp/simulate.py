@@ -30,7 +30,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from statistics import NormalDist
 
@@ -347,29 +347,12 @@ def wilson_interval(successes: int, trials: int,
 
 @dataclass(frozen=True)
 class SimResult:
-    """Estimated operating point of one simulated test."""
+    """Estimated error rates of one simulated test, with Wilson intervals."""
 
-    n: int
-    trials: int
-    threshold_t: float
     type1_hat: float
     type2_hat: float
     type1_ci: tuple[float, float]
     type2_ci: tuple[float, float]
-    seed: int
-    eps_n: float = math.nan
-
-    CSV_HEADER = "n,eps_n,t,type1_hat,type2_hat,ci_lo,ci_hi,seed"
-
-    def csv_row(self) -> str:
-        cells = [str(self.n), repr(float(self.eps_n)), repr(float(self.threshold_t)),
-                 repr(float(self.type1_hat)), repr(float(self.type2_hat)),
-                 repr(float(self.type2_ci[0])), repr(float(self.type2_ci[1])),
-                 str(self.seed)]
-        return ",".join(cells)
-
-    def with_eps(self, eps_n: float) -> "SimResult":
-        return replace(self, eps_n=float(eps_n))
 
 
 def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
@@ -379,8 +362,11 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     Type I counts null trials with S <= t; Type II counts alternative
     trials with S > t.  Both get Wilson 95% intervals.  Degenerate
     thresholds behave as expected: t = -inf accepts always (type2 = 1,
-    type1 = 0), t = +inf never.
+    type1 = 0), t = +inf never.  A NaN t is rejected: every comparison
+    with it is false, so both error counts would read 0.
     """
+    if math.isnan(t):
+        raise SimulationError("threshold t must not be NaN")
     if trials < 1:
         raise SimulationError("trials must be >= 1")
     if n < 1 or n % qm.block_len:
@@ -393,12 +379,8 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
                        rngstreams.PURPOSE_H1, workers)
     k1 = int((s0 <= t).sum())
     k2 = int((s1 > t).sum())
-    return SimResult(
-        n=n, trials=trials, threshold_t=float(t),
-        type1_hat=k1 / trials, type2_hat=k2 / trials,
-        type1_ci=wilson_interval(k1, trials),
-        type2_ci=wilson_interval(k2, trials),
-        seed=seed)
+    return SimResult(k1 / trials, k2 / trials,
+                     wilson_interval(k1, trials), wilson_interval(k2, trials))
 
 
 # --------------------------------------------------------------------------

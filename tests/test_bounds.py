@@ -204,10 +204,14 @@ class TestFeasibilityInterval:
             math.exp(-(0.7 + -0.1 * math.log(1) / 2.0)), rel=1e-12)
 
     def test_log_gap_matches_direct_computation_without_underflow(self):
-        rep = b.feasibility_interval((0.05, 0.0), 0.5, b.TypeIRegime("const", 0.2), 50)
-        assert rep.valid_lb and rep.lb_prob > 0
-        direct = math.log(rep.ub_prob - rep.lb_prob) / rep.n
-        assert rep.log_gap_per_sample == pytest.approx(direct, rel=1e-12)
+        # at const:0.9 the slack mass is eps itself, so 1 - eps - h < 0, the
+        # converse degenerates and the gap is the upper end alone
+        for c, eps, n, valid in ((0.5, 0.2, 50, True), (1.0, 0.9, 100, False)):
+            rep = b.feasibility_interval((0.05, 0.0), c, b.TypeIRegime("const", eps), n)
+            assert rep.valid_lb == valid and (rep.lb_prob > 0) == valid
+            direct = math.log(rep.ub_prob - rep.lb_prob) / rep.n
+            assert rep.log_gap_per_sample == pytest.approx(direct, rel=1e-12)
+        assert rep.log_gap_per_sample == pytest.approx(-0.0294709, abs=1e-7)
 
     def test_log_gap_survives_underflow(self):
         rep = b.feasibility_interval((3.0, 0.0), 2.47, b.TypeIRegime("poly", 1.0), 800)
@@ -222,14 +226,6 @@ class TestFeasibilityInterval:
         for a, bb in zip(reps, reps[1:]):
             assert bb.ub_prob <= a.ub_prob
             assert bb.lb_prob <= a.lb_prob
-
-    def test_csv_header_and_row(self):
-        rep = b.feasibility_interval((0.7, 0.0), 1.92, b.TypeIRegime("const", 0.1), 100)
-        header = b.BoundReport.CSV_HEADER.split(",")
-        row = rep.csv_row().split(",")
-        assert len(header) == len(row)
-        assert header[0] == "n" and row[0] == "100"
-        assert row[-1] == "1"  # valid_lb flag
 
     def test_negative_upper_exponent_clamps_without_overflow(self):
         # -n * ub_exponent is past 709 here, so exp() of it overflows float64
@@ -274,11 +270,11 @@ class TestCriticalSampleSize:
                 with pytest.raises(b.RegimeDomainError, match=f"n >= {first}"):
                     at(first - 1)
                 at(first)
-            assert b.critical_sample_size(point, c, reg, 1.0).cns == first
+            assert b.critical_sample_size(point, c, reg, 1.0) == first
 
     def test_monotone_in_delta(self):
         reg = b.TypeIRegime("log")
-        sizes = [b.critical_sample_size((0.7, 0.0), 1.92, reg, delta).cns
+        sizes = [b.critical_sample_size((0.7, 0.0), 1.92, reg, delta)
                  for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
         assert all(s is not None for s in sizes)
         assert all(x <= y for x, y in zip(sizes, sizes[1:]))
@@ -286,17 +282,16 @@ class TestCriticalSampleSize:
     def test_condition_holds_at_cns_not_before(self):
         reg = b.TypeIRegime("const", 0.1)
         point, c, delta = (0.7, 0.0), 1.92, 1e-5
-        res = b.critical_sample_size(point, c, reg, delta)
-        at = b.feasibility_interval(point, c, reg, res.cns)
+        cns = b.critical_sample_size(point, c, reg, delta)
+        at = b.feasibility_interval(point, c, reg, cns)
         assert max(at.ub_prob - at.nominal, at.nominal - at.lb_prob) <= delta
-        if res.cns > 1:
-            prev = b.feasibility_interval(point, c, reg, res.cns - 1)
+        if cns > 1:
+            prev = b.feasibility_interval(point, c, reg, cns - 1)
             assert max(prev.ub_prob - prev.nominal, prev.nominal - prev.lb_prob) > delta
 
     def test_cap_not_found(self):
-        res = b.critical_sample_size((3.0, 0.0), 2.47, b.TypeIRegime("poly", 0.1),
-                                     1e-300, cap=10)
-        assert res.cns is None and res.cap == 10
+        assert b.critical_sample_size((3.0, 0.0), 2.47, b.TypeIRegime("poly", 0.1),
+                                      1e-300, cap=10) is None
 
     def test_rejects_bad_delta(self):
         for delta in (0.0, -1e-5, math.nan):
@@ -310,13 +305,6 @@ class TestCriticalSampleSize:
             with pytest.raises(b.RegimeSpecError):
                 b.critical_sample_size(point, c, reg, 1e-5, cap=2)
 
-    def test_csv_shape(self):
-        res = b.critical_sample_size((0.7, 0.0), 1.92, b.TypeIRegime("const", 0.1), 1e-5)
-        text = b.cns_csv([res])
-        lines = text.strip().split("\n")
-        assert lines[0] == "regime,delta,cns"
-        assert lines[1].startswith("const:0.1,")
-
 
 class TestCnsScanAgainstReference:
     """critical_sample_size against oracles.cns_reference, the per-n scalar loop."""
@@ -325,21 +313,21 @@ class TestCnsScanAgainstReference:
     def test_readme_curve(self, spec):
         reg = b.TypeIRegime.parse(spec)
         for point in oracles.README_CURVE:
-            got = b.critical_sample_size(point, oracles.README_C, reg, 1e-5, cap=3000).cns
+            got = b.critical_sample_size(point, oracles.README_C, reg, 1e-5, cap=3000)
             assert got == oracles.cns_reference(point, oracles.README_C, reg, 1e-5, cap=3000)
 
     @pytest.mark.parametrize("spec,cns", [("const:0.1", 46657), ("log", 47446),
                                           ("poly:0.5", 85185)])
     def test_late_readme_cells(self, spec, cns):
         point, reg = oracles.README_CURVE[-1], b.TypeIRegime.parse(spec)
-        assert b.critical_sample_size(point, oracles.README_C, reg, 1e-5).cns == cns
+        assert b.critical_sample_size(point, oracles.README_C, reg, 1e-5) == cns
         assert oracles.cns_reference(point, oracles.README_C, reg, 1e-5) == cns
 
     def test_tiny_delta(self):
         # the gap reaches 0 only once all three probabilities underflow
         for spec in ("const:0.1", "log", "poly:0.1", "superpoly:0.5"):
             reg = b.TypeIRegime.parse(spec)
-            got = b.critical_sample_size((3.0, 0.0), 2.47, reg, 1e-300, cap=3000).cns
+            got = b.critical_sample_size((3.0, 0.0), 2.47, reg, 1e-300, cap=3000)
             assert got is not None
             assert got == oracles.cns_reference((3.0, 0.0), 2.47, reg, 1e-300, cap=3000)
 
@@ -355,7 +343,7 @@ class TestCnsScanAgainstReference:
             delta = oracles.cns_gap(point, c, reg, m)
             assert oracles.cns_reference(point, c, reg, delta, cap=edge + 1) == m
             for cap in (edge - 1, edge, edge + 1):
-                got = b.critical_sample_size(point, c, reg, delta, cap=cap).cns
+                got = b.critical_sample_size(point, c, reg, delta, cap=cap)
                 assert got == (m if m <= cap else None)
 
     def test_lower_side_binds(self):
@@ -365,38 +353,28 @@ class TestCnsScanAgainstReference:
             at = b.feasibility_interval(point, c, reg, m)
             assert at.nominal - at.lb_prob > at.ub_prob - at.nominal
             delta = oracles.cns_gap(point, c, reg, m)
-            got = b.critical_sample_size(point, c, reg, delta, cap=500).cns
+            got = b.critical_sample_size(point, c, reg, delta, cap=500)
             assert got == oracles.cns_reference(point, c, reg, delta, cap=500) == m
 
     def test_log_below_its_domain(self):
         reg = b.TypeIRegime("log")
         for cap in (1, 2, 3, 4):
             for delta in (1.0, 1e-5):
-                got = b.critical_sample_size((0.7, 0.0), 1.92, reg, delta, cap=cap).cns
+                got = b.critical_sample_size((0.7, 0.0), 1.92, reg, delta, cap=cap)
                 assert got == oracles.cns_reference((0.7, 0.0), 1.92, reg, delta, cap=cap)
 
     def test_unit_budget_at_n_one(self):
         # poly:1 has eps_1 = 1: ln(1/eps) = 0 and the converse degenerates
         reg, point, c = b.TypeIRegime("poly", 1.0), (0.7, -0.1), 1.92
         for delta in (1.0, oracles.cns_gap(point, c, reg, 1), 1e-5):
-            got = b.critical_sample_size(point, c, reg, delta, cap=200).cns
+            got = b.critical_sample_size(point, c, reg, delta, cap=200)
             assert got == oracles.cns_reference(point, c, reg, delta, cap=200)
 
     def test_superpolynomial_scan_past_budget_underflow(self):
         # eps_n underflows to 0 from n = 1554 on
         reg = b.TypeIRegime("superpoly", 0.9)
-        got = b.critical_sample_size((0.5, 0.0), 1.0, reg, 1e-5, cap=5000).cns
+        got = b.critical_sample_size((0.5, 0.0), 1.0, reg, 1e-5, cap=5000)
         assert got == oracles.cns_reference((0.5, 0.0), 1.0, reg, 1e-5, cap=5000)
-
-
-class TestBoundsCsv:
-    def test_multi_row_table(self):
-        reg = b.TypeIRegime("poly", 1.0)
-        reps = [b.feasibility_interval((0.7, 0.0), 1.92, reg, n) for n in (50, 100)]
-        text = b.bounds_csv(reps)
-        lines = text.strip().split("\n")
-        assert lines[0] == b.BoundReport.CSV_HEADER
-        assert len(lines) == 3
 
 
 class TestDsbsOptimum:

@@ -105,6 +105,14 @@ class TestExponentCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_nan_rate_rejected(self, tmp_path, capsys):
+        model = make_model(tmp_path, grid=8)
+        capsys.readouterr()
+        assert run(["exponent", "--model", model, "--rates", "0.1,nan,0.3",
+                    "--out-dir", tmp_path, "--out", "curve.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_missing_model_fails_cleanly(self, tmp_path, capsys):
         code = run(["exponent", "--model", tmp_path / "nope.json",
                     "--rates", "0.05,0.1,0.2", "--out-dir", tmp_path])
@@ -221,8 +229,10 @@ class TestCurveWorkflow:
         specs = ["const:0.1", "log", "poly:1"]
         assert run(["cns", *point, "--regimes", ",".join(specs),
                     "--out-dir", tmp_path, "--out", "cns.csv"]) == 0
-        want = bounds.cns_csv([bounds.critical_sample_size(
-            (xi, slope), c, bounds.TypeIRegime.parse(spec), 1e-5) for spec in specs])
+        want = "regime,delta,cns\n"
+        for spec in specs:
+            cns = bounds.critical_sample_size((xi, slope), c, bounds.TypeIRegime.parse(spec), 1e-5)
+            want += f"{spec},{1e-5!r},{'none' if cns is None else cns}\n"
         assert (tmp_path / "cns.csv").read_bytes() == want.encode()
         assert not want.split("\n")[1].endswith(",none")  # const:0.1 finds a size
 
@@ -230,8 +240,13 @@ class TestCurveWorkflow:
         assert run(["bounds", *point, "--regime", "poly:1",
                     "--n-grid", ",".join(map(str, sizes)),
                     "--out-dir", tmp_path, "--out", "bounds.csv"]) == 0
-        want = bounds.bounds_csv([bounds.feasibility_interval(
-            (xi, slope), c, bounds.TypeIRegime("poly", 1.0), n) for n in sizes])
+        want = "n,eps_n,l,h_n,delta_tilde,lb_prob,nominal,ub_prob,gap_lower,gap_upper,valid_lb\n"
+        for n in sizes:
+            rep = bounds.feasibility_interval((xi, slope), c, bounds.TypeIRegime("poly", 1.0), n)
+            want += ",".join([str(n), repr(rep.eps_n), str(rep.block_l), repr(rep.h_n),
+                              repr(rep.delta_tilde), repr(rep.lb_prob), repr(rep.nominal),
+                              repr(rep.ub_prob), repr(rep.gap_lower), repr(rep.gap_upper),
+                              str(int(rep.valid_lb))]) + "\n"
         assert (tmp_path / "bounds.csv").read_bytes() == want.encode()
 
         for stem in ("cns", "bounds"):
@@ -335,6 +350,15 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: eps must lie in (0, 1)")
         assert not (tmp_path / "sim.csv").exists()
 
+    def test_nan_threshold_rejected(self, tmp_path, capsys):
+        # every comparison with NaN is false, so it would report no errors
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, "--identity-encoder",
+                    "--n", 4, "--eps", 0.1, "--force-threshold", "nan",
+                    "--trials", 100, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "sim.csv").exists()
+
     def test_eps_and_regime_are_exclusive(self, tmp_path):
         model = make_model(tmp_path, grid=8)
         with pytest.raises(SystemExit) as exc:
@@ -346,6 +370,38 @@ class TestSimulateCommand:
             run(["simulate", "--model", model, "--identity-encoder",
                  "--n", 4, "--out-dir", tmp_path])
         assert exc.value.code == 2
+
+
+class TestArtifactFormat:
+    """Each subcommand's CSV: its exact header, as many cells in every row
+    as the header names, and the spelling of one telling column."""
+
+    CASES = {
+        "exponent": (["--rates", "0.05,0.1,0.2", "--units", "nats"],
+                     "R_nats,xi_nats,D_nats,dD_dR", "R_nats", ["0.05", "0.1", "0.2"]),
+        # the converse degenerates at n = 1 and holds at n = 2
+        "bounds": (["--xi", 0.05, "--c", 1.3, "--regime", "const:0.1", "--n-grid", "1,2"],
+                   "n,eps_n,l,h_n,delta_tilde,lb_prob,nominal,ub_prob,gap_lower,gap_upper,"
+                   "valid_lb", "valid_lb", ["0", "1"]),
+        "cns": (["--xi", 0.7, "--c", 1.92, "--regimes", "log,poly:1", "--cap", 30],
+                "regime,delta,cns", "cns", ["28", "none"]),
+        "simulate": (["--identity-encoder", "--n", 4, "--eps", 0.1, "--trials", 200,
+                      "--force-threshold", "inf"],
+                     "n,eps_n,t,type1_hat,type2_hat,ci_lo,ci_hi,seed", "t", ["inf"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_header_and_cells(self, tmp_path, command):
+        args, header, column, want = self.CASES[command]
+        if command in ("exponent", "simulate"):
+            args = ["--model", make_model(tmp_path, grid=8), *args]
+        assert run([command, *args, "--out-dir", tmp_path, "--out", "a.csv"]) == 0
+        lines = (tmp_path / "a.csv").read_text(encoding="utf-8").split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        names = header.split(",")
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert all(len(row) == len(names) for row in rows)
+        assert [row[names.index(column)] for row in rows] == want
 
 
 class TestDeterminism:

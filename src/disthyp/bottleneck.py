@@ -470,6 +470,19 @@ def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
     return pool.value_at(r), pool.witness_at(r)
 
 
+def _check_rate_grid(r_grid) -> np.ndarray:
+    """The rate grid as a float array, if it is 1-d with at least 3 points
+    (slope estimation needs them), finite, nonnegative and strictly
+    increasing."""
+    r = np.asarray(r_grid, dtype=np.float64)
+    if r.ndim != 1 or len(r) < 3:
+        raise SolverError("rate grid must be 1-d with at least 3 points "
+                          "(slope estimation needs them)")
+    if not (np.all(np.isfinite(r)) and r[0] >= 0 and np.all(np.diff(r) > 0)):
+        raise SolverError("rate grid must be finite, nonnegative and strictly increasing")
+    return r
+
+
 @dataclass(frozen=True)
 class ExponentCurve:
     """Rate grid with exponent, distortion, and distortion slope columns."""
@@ -482,11 +495,7 @@ class ExponentCurve:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        if r.ndim != 1 or len(r) < 3:
-            raise SolverError("curve needs a 1-d rate grid with at least 3 points")
-        if r[0] < 0 or np.any(np.diff(r) <= 0):
-            raise SolverError("rate grid must be nonnegative and strictly increasing")
+        _check_rate_grid(self.r)
         xi = np.asarray(self.xi, dtype=np.float64)
         if np.any(np.diff(xi) < -1e-12):
             raise SolverError("xi must be nondecreasing along the grid")
@@ -508,12 +517,7 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     the log-loss identity holds by construction, and dD/dR comes from
     central differences on the grid.
     """
-    r = np.asarray(r_grid, dtype=np.float64)
-    if r.ndim != 1 or len(r) < 3:
-        raise SolverError("rate grid must be 1-d with at least 3 points "
-                          "(slope estimation needs them)")
-    if not (np.all(np.isfinite(r)) and r[0] >= 0 and np.all(np.diff(r) > 0)):
-        raise SolverError("rate grid must be finite, nonnegative and strictly increasing")
+    r = _check_rate_grid(r_grid)
     pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
     for point in r:
         _refine_at(pool, float(point), rounds=1)

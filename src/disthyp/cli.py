@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bottleneck, bounds, dist, simulate
+from . import __version__, bottleneck, bounds, dist, rngstreams, simulate
 
 LN2 = math.log(2.0)
 
@@ -92,9 +92,21 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _strict_json(value):
+    """A sidecar value with every non-finite float spelled as its CSV cell
+    (inf, -inf, nan), which strict JSON has no number for."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    return value
+
+
 def _write_sidecar(out_path: Path, payload: dict) -> Path:
     sidecar = out_path.parent / (out_path.stem + ".meta.json")
-    _write_text(sidecar, json.dumps(payload, indent=2) + "\n")
+    _write_text(sidecar, json.dumps(_strict_json(payload), indent=2, allow_nan=False) + "\n")
     return sidecar
 
 
@@ -257,15 +269,18 @@ def cmd_simulate(args) -> int:
     qm = simulate.quantized_model(p, enc)
 
     saturated = False
+    chunks = 2 * len(rngstreams.chunk_spans(args.trials))
     if args.force_threshold is not None:
         t = args.force_threshold
     else:
         cal = simulate.calibrate_threshold(qm, args.n, eps, cal_trials,
                                            args.seed, workers=args.workers)
         t, saturated = cal.t, cal.saturated
+        chunks += len(rngstreams.chunk_spans(cal_trials))
     result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed,
                                       workers=args.workers)
 
+    block_rows, block_bytes = simulate.count_block(qm.class_lr.size)
     path = _out_path(args, args.out)
     _write_csv(path, [{"n": args.n, "eps_n": eps, "t": t, "type1_hat": result.type1_hat,
                        "type2_hat": result.type2_hat, "ci_lo": result.type2_ci[0],
@@ -273,7 +288,8 @@ def cmd_simulate(args) -> int:
     _write_sidecar(path, _config_echo(
         args, eps_n=eps, threshold_t=t, saturated=saturated,
         cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
-        table_cells=qm.h0.size, sampled_classes=qm.class_lr.size,
+        table_cells=qm.h0.size, sampled_classes=qm.class_lr.size, chunks=chunks,
+        count_block_rows=block_rows, count_block_bytes=block_bytes,
         codebook_size=enc.codebook_size, block_len=enc.block_len,
         levels_reduced=enc.levels_reduced, model_fingerprint=p.fingerprint()))
     exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf

@@ -267,8 +267,8 @@ def calibrate_correlation(target_mi: float, nx: int, ny: int) -> tuple[float, Jo
     returned correlation is the nonnegative root.
     """
     cap = math.log(min(nx, ny))
-    if target_mi < 0:
-        raise DistributionError(f"target_mi must be nonnegative, got {target_mi!r}")
+    if not (math.isfinite(target_mi) and target_mi >= 0):
+        raise DistributionError(f"target_mi must be finite and nonnegative, got {target_mi!r}")
     if target_mi >= cap:
         raise UnreachableTargetError(
             f"target_mi {target_mi!r} is at or above the grid entropy cap "

@@ -21,7 +21,12 @@ cell, in cell order, and samples exactly as a cell-level draw would.
 Trials are driven by fixed-size chunks of counter-based random streams
 (see rngstreams), making every estimate a pure function of (seed, config)
 regardless of worker count.  Calibration and evaluation use disjoint
-streams.
+streams.  Each chunk draws its class counts in row blocks of about
+COUNT_BLOCK_BYTES (see count_block), in trial order from the chunk's one
+stream, so a sampling worker holds one block, not a chunk's count matrix,
+and S is the same as from one draw of the whole chunk.  Evaluation keeps
+one error count per chunk; only calibration holds its whole sample, which
+it sorts in place.
 """
 
 from __future__ import annotations
@@ -40,11 +45,12 @@ from .dist import JointPmf, divergence_stats, product_model
 from . import rngstreams
 
 MAX_BLOCK_LEN = 3
-# One sampling chunk holds a CHUNK_TRIALS x classes int64 count matrix, and
-# a table has at most as many log-ratio classes as cells; capping the cells
-# keeps that matrix under 2 GiB (16,384 cells) and bounds the x-block
-# enumeration of the table build.
-MAX_TABLE_CELLS = (2 << 30) // (8 * rngstreams.CHUNK_TRIALS)
+# Bounds the Python enumeration of x-blocks in the table build and the
+# per-trial cost of sampling, which grows with the number of classes (at
+# most one per cell).  Sampling memory is bounded by COUNT_BLOCK_BYTES.
+MAX_TABLE_CELLS = 16_384
+# Bytes of int64 class counts one sampling worker draws at a time.
+COUNT_BLOCK_BYTES = 1 << 19
 # Relative gap between sorted log-ratios above which a new class starts.
 # Ties in the README tables differ by at most 4 ulp; distinct values by at
 # least 1.8e-6.
@@ -261,27 +267,61 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
 # Sampling machinery
 # --------------------------------------------------------------------------
 
+def count_block(classes: int) -> tuple[int, int]:
+    """Rows (trials) per multinomial draw over ``classes`` classes, and the
+    bytes of that int64 count block: as many rows as fit in
+    COUNT_BLOCK_BYTES, rounded down to a multiple of 4, but at least one.
+
+    OpenBLAS's matrix-vector product sums the rows of a matrix in groups of
+    4, so blocks that start on a multiple of 4 rows give every trial the
+    same S, to the bit, as one product over the whole chunk.  Every table
+    under the cell cap gets a multiple of 4 rows.
+    """
+    rows = max(1, COUNT_BLOCK_BYTES // (8 * classes) // 4 * 4)
+    return rows, rows * classes * 8
+
+
 def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                  seed: int, purpose: int, span: tuple[int, int]) -> np.ndarray:
     """S for one chunk of trials: multinomial counts of k_blocks blocks over
     the log-ratio classes (``pmf``, ``lr``), dotted with the class
     log-ratios.  Drawing classes rather than cells moves no atom of S by
     more than the merge tolerance, and gives each atom a single float.
+
+    The counts are drawn in blocks of ``count_block`` rows, one after the
+    other from the chunk's stream, so S is the same as from one draw of
+    the whole chunk.  numpy takes a one-row product as a dot product, which
+    sums in another order, so a lone last row joins the block before it.
     """
     idx, count = span
     rng = rngstreams.stream(seed, purpose, idx)
-    counts = rng.multinomial(k_blocks, pmf, size=count)
-    return counts @ lr / n
+    rows, _ = count_block(lr.size)
+    stats = np.empty(count)
+    start = 0
+    while start < count:
+        size = min(rows, count - start)
+        if rows > 1 and count - start == rows + 1:
+            size += 1  # the lone last row
+        stats[start:start + size] = rng.multinomial(k_blocks, pmf, size=size) @ lr / n
+        start += size
+    return stats
+
+
+def _map_chunks(summary, pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
+                trials: int, seed: int, purpose: int, workers: int = 1) -> list:
+    """summary(S) of each chunk of trials, in chunk order.  A chunk's
+    statistics are dropped once summarized."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(
+            lambda span: summary(_chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span)),
+            rngstreams.chunk_spans(trials)))
 
 
 def _sample_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                   trials: int, seed: int, purpose: int,
                   workers: int = 1) -> np.ndarray:
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda span: _chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span),
-            rngstreams.chunk_spans(trials)))
-    return np.concatenate(parts)
+    return np.concatenate(_map_chunks(lambda stats: stats, pmf, lr, k_blocks, n,
+                                      trials, seed, purpose, workers))
 
 
 @dataclass(frozen=True)
@@ -313,9 +353,9 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
             f"cal_trials = {cal_trials} is small for eps = {eps}; "
             f"recommend at least {math.ceil(100.0 / eps)}",
             stacklevel=2)
-    stats = np.sort(_sample_stats(qm.class_h0, qm.class_lr, n // qm.block_len, n,
-                                  cal_trials, seed, rngstreams.PURPOSE_CALIBRATE,
-                                  workers))
+    stats = _sample_stats(qm.class_h0, qm.class_lr, n // qm.block_len, n,
+                          cal_trials, seed, rngstreams.PURPOSE_CALIBRATE, workers)
+    stats.sort()
     allowed = int(math.floor(eps * cal_trials + 1e-9))
     # {S <= t} may hold at most `allowed` samples; stats[allowed] is the first
     # that does not fit, so t is the largest sample below all of its copies
@@ -373,12 +413,10 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")
     k = n // qm.block_len
-    s0 = _sample_stats(qm.class_h0, qm.class_lr, k, n, trials, seed,
-                       rngstreams.PURPOSE_H0, workers)
-    s1 = _sample_stats(qm.class_h1, qm.class_lr, k, n, trials, seed,
-                       rngstreams.PURPOSE_H1, workers)
-    k1 = int((s0 <= t).sum())
-    k2 = int((s1 > t).sum())
+    k1 = sum(_map_chunks(lambda s0: int((s0 <= t).sum()), qm.class_h0, qm.class_lr,
+                         k, n, trials, seed, rngstreams.PURPOSE_H0, workers))
+    k2 = sum(_map_chunks(lambda s1: int((s1 > t).sum()), qm.class_h1, qm.class_lr,
+                         k, n, trials, seed, rngstreams.PURPOSE_H1, workers))
     return SimResult(k1 / trials, k2 / trials,
                      wilson_interval(k1, trials), wilson_interval(k2, trials))
 

@@ -338,6 +338,13 @@ class TestCurve:
             with pytest.raises(bn.SolverError):
                 d.build_curve(sym_model, [0.1, bad, 0.4])  # not a number
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_curve_rejects_bad_rates_directly(self, bad):
+        cols = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(bn.SolverError, match="finite, nonnegative"):
+            bn.ExponentCurve(np.array([0.1, bad, 0.4]), cols, cols, -cols, "fp")
+        bn.ExponentCurve(np.array([0.1, 0.2, 0.4]), cols, cols, -cols, "fp")
+
     def test_boundary_identities(self, sym_model):
         mi = d.mutual_information(sym_model)
         hx = sym_model.entropy_x

@@ -40,6 +40,13 @@ class TestModelCommand:
         out = capsys.readouterr().out
         assert "mi=0.08" in out
 
+    def test_nan_target_is_an_error(self, tmp_path, capsys):
+        assert run(["model", "--target-mi-nats", "nan", "--grid", 8,
+                    "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target_mi must be finite") and "nan" in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_zero_rho_is_independent(self, tmp_path, capsys):
         make_model(tmp_path, rho=0.0)
         out = capsys.readouterr().out
@@ -301,6 +308,10 @@ class TestSimulateCommand:
         assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 2
         assert meta["table_cells"] == 144
         assert meta["sampled_classes"] == 42
+        # one chunk each for calibration and both hypotheses
+        assert meta["chunks"] == 3
+        assert ((meta["count_block_rows"], meta["count_block_bytes"])
+                == simulate.count_block(42) == (1560, 1560 * 42 * 8))
 
     def test_levels_with_blocks_and_regime(self, tmp_path):
         model = make_model(tmp_path)
@@ -322,6 +333,13 @@ class TestSimulateCommand:
         cells = row.split(",")
         assert cells[2] == "inf"
         assert float(cells[3]) == 1.0 and float(cells[4]) == 0.0
+        # strict JSON: the infinite threshold is spelled as in the CSV
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        meta = json.loads((tmp_path / "f.meta.json").read_text(), parse_constant=refuse)
+        assert meta["force_threshold"] == meta["threshold_t"] == "inf"
+        assert meta["chunks"] == 2
 
     def test_cal_trials_follow_trials(self, tmp_path):
         model = make_model(tmp_path, grid=8)

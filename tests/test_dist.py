@@ -208,3 +208,10 @@ class TestCalibration:
         # below the entropy cap but above what positive-support grids reach
         with pytest.raises(d.UnreachableTargetError):
             d.calibrate_correlation(math.log(8) * 0.999, 8, 8)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -0.1])
+    def test_rejects_non_finite_or_negative_target(self, target, monkeypatch):
+        # rejected before any model is built
+        monkeypatch.setattr(d.dist, "discretized_gaussian", None)
+        with pytest.raises(d.DistributionError, match="finite and nonnegative"):
+            d.calibrate_correlation(target, 8, 8)

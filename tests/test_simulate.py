@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -169,9 +173,8 @@ class TestQuantizedModel:
             s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(4))
 
     def test_table_cap_counts_sampler_cells(self, monkeypatch):
-        # README model, 4 levels at block length 3: 64 codes x 32^3 y-blocks
-        # would need a 275 GB count matrix per chunk; rejected before the
-        # table is built
+        # README model, 4 levels at block length 3: 64 codes x 32^3 y-blocks,
+        # over 2 million cells; rejected before the table is built
         p = d.discretized_gaussian(0.384727, 32, 32)
         scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
         monkeypatch.setattr(s, "product_model", None)
@@ -252,6 +255,115 @@ class TestLogRatioClasses:
             got_v, got_m = merged_atoms(classes[0], classes[side], tol)
             assert np.allclose(got_v, want_v, rtol=0, atol=tol)
             assert np.allclose(got_m, want_m, rtol=0, atol=1e-12)
+
+
+def readme_table(grid, block_len):
+    """The README model (MI 0.08 nats) with the 4-level quantizer."""
+    _, p = d.calibrate_correlation(0.08, grid, grid)
+    scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
+    return s.quantized_model(p, scalar.blockwise(block_len))
+
+
+def synthetic_classes(classes):
+    rng = np.random.default_rng(classes)
+    return rng.dirichlet(np.ones(classes)), rng.normal(size=classes)
+
+
+class TestBlockedSampling:
+    @pytest.fixture
+    def draw_sizes(self, monkeypatch):
+        """The size of every multinomial draw from a stream, in order."""
+        sizes = []
+        real_stream = rngstreams.stream
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, k, pmf, size):
+                sizes.append(size)
+                return self.rng.multinomial(k, pmf, size=size)
+
+        monkeypatch.setattr(rngstreams, "stream", lambda *ids: Recording(real_stream(*ids)))
+        return sizes
+
+    @staticmethod
+    def one_shot(pmf, lr, k, n, seed, purpose, span):
+        idx, count = span
+        return rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=count) @ lr / n
+
+    @pytest.mark.parametrize("case, span, blocks", [
+        ("readme_64", (0, 3000), [1024, 1024, 952]),
+        ("readme_528", (1, rngstreams.CHUNK_TRIALS), [124] * 132 + [16]),
+        ("synthetic_16384", (2, 64), [4] * 16),
+        # rows round down to a multiple of 4: 65536 // 100 = 655
+        ("synthetic_100", (3, 3001), [652] * 4 + [393]),
+        # a lone last row joins the block before it
+        ("readme_64", (4, 2049), [1024, 1025]),
+        ("synthetic_2080", (5, 57), [28, 29]),
+        ("synthetic_16384", (6, 9), [4, 5]),
+        ("synthetic_16384", (7, 1), [1]),
+    ])
+    def test_blocks_match_one_shot_draw(self, case, span, blocks, draw_sizes):
+        kind, classes = case.split("_")
+        if kind == "readme":
+            qm = readme_table(32, 1) if classes == "64" else readme_table(16, 2)
+            pmf, lr = qm.class_h0, qm.class_lr
+        else:
+            pmf, lr = synthetic_classes(int(classes))
+        assert lr.size == int(classes)
+        k, n = 50, 100
+        want = self.one_shot(pmf, lr, k, n, 11, rngstreams.PURPOSE_H0, span)
+        draw_sizes.clear()
+        got = s._chunk_stats(pmf, lr, k, n, 11, rngstreams.PURPOSE_H0, span)
+        assert got.tobytes() == want.tobytes()
+        assert draw_sizes == blocks
+        rows, nbytes = s.count_block(lr.size)
+        assert rows % 4 == 0 and nbytes == rows * lr.size * 8 <= s.COUNT_BLOCK_BYTES
+        assert max(blocks[:-1], default=0) <= rows and blocks[-1] <= rows + 1
+
+    def test_one_row_per_draw_when_four_do_not_fit(self, draw_sizes):
+        pmf, lr = synthetic_classes(s.COUNT_BLOCK_BYTES // 32 + 1)
+        assert s.count_block(lr.size) == (1, lr.size * 8)
+        s._chunk_stats(pmf, lr, 5, 5, 0, rngstreams.PURPOSE_H0, (0, 3))
+        assert draw_sizes == [1, 1, 1]
+
+    def test_every_draw_fits_the_block_budget(self, draw_sizes):
+        qm = readme_table(16, 2)
+        rows, nbytes = s.count_block(qm.class_lr.size)
+        s.calibrate_threshold(qm, 50, 0.1, rngstreams.CHUNK_TRIALS + 300, seed=4, workers=2)
+        s.estimate_errors(qm, 50, 0.0, 2000, seed=4)
+        assert sum(draw_sizes) == rngstreams.CHUNK_TRIALS + 300 + 2 * 2000
+        assert max(draw_sizes) == rows and nbytes <= s.COUNT_BLOCK_BYTES
+
+    def test_blas_thread_count_moves_no_bit(self):
+        # a 2-thread product over a whole 8,230-row chunk splits the rows
+        # off the 4-row groups and moves bits; blocks stay below that split
+        script = ("import hashlib, numpy as np; from disthyp import simulate as s; "
+                  "rng = np.random.default_rng(3); pmf = rng.dirichlet(np.ones(64)); "
+                  "lr = rng.normal(size=64); "
+                  "print(hashlib.sha256(s._chunk_stats(pmf, lr, 30, 60, 5, 2, (0, 8230))"
+                  ".tobytes()).hexdigest())")
+        src_dir = str(Path(s.__file__).resolve().parents[1])
+        digests = {subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                  capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": src_dir,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")}
+        assert len(digests) == 1
+
+    def test_estimate_counts_errors_chunk_by_chunk(self):
+        qm = readme_table(32, 1)
+        n, t, trials = 100, 0.04, 2 * rngstreams.CHUNK_TRIALS + 500
+        got = s.estimate_errors(qm, n, t, trials, seed=21, workers=2)
+        s0 = s._sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 21,
+                             rngstreams.PURPOSE_H0)
+        s1 = s._sample_stats(qm.class_h1, qm.class_lr, n, n, trials, 21,
+                             rngstreams.PURPOSE_H1)
+        k1, k2 = int((s0 <= t).sum()), int((s1 > t).sum())
+        assert 0 < k1 < trials and 0 < k2 < trials
+        assert got == s.SimResult(k1 / trials, k2 / trials, s.wilson_interval(k1, trials),
+                                  s.wilson_interval(k2, trials))
 
 
 class TestCalibration:

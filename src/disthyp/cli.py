@@ -263,7 +263,13 @@ def cmd_simulate(args) -> int:
     if args.identity_encoder:
         scalar = simulate.Encoder.identity(p.nx)
     else:
-        points = np.array([float(label) for label in p.x_labels])
+        points = []
+        for label in p.x_labels:
+            try:
+                points.append(float(label))
+            except (TypeError, ValueError):
+                raise simulate.SimulationError(
+                    f"--levels needs numeric x labels, got {label!r}") from None
         scalar = simulate.lloyd_max(points, p.x_marginal, args.levels)
     enc = scalar.blockwise(args.block_len)
     qm = simulate.quantized_model(p, enc)

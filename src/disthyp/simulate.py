@@ -1,15 +1,15 @@
 """Monte Carlo validation of quantize-then-test schemes.
 
 The simulated scheme mirrors the achievability construction: the X side is
-compressed blockwise by a deterministic encoder (scalar Lloyd-Max applied
-per sample, or any explicit block map), the detector sees (code, Y-block)
-pairs, and decides via the per-sample log-likelihood ratio statistic
+compressed by a deterministic per-letter encoder (a scalar code map, such
+as Lloyd-Max, applied to each symbol of a block), the detector sees (code,
+Y-block) pairs, and decides via the per-sample log-likelihood ratio statistic
 
     S = (1/n) * sum_blocks log( P_quant(u, y-block) / Q_quant(u, y-block) ),
 
 accepting the dependent hypothesis on {S > t}.  The quantized pair
-(P_quant, Q_quant) is computed exactly by pushing the true block laws
-through the encoder, so simulation error is purely statistical.
+(P_quant, Q_quant) is the Kronecker power of the exact scalar laws pushed
+through the code map, so simulation error is purely statistical.
 
 S depends only on how many blocks fall in each log-ratio class, not on
 which cell holds them, so the sampler draws class counts: cells whose
@@ -23,20 +23,19 @@ Trials are driven by fixed-size chunks of counter-based random streams
 regardless of worker count.  Calibration and evaluation use disjoint
 streams.  Each chunk draws its class counts in row blocks of about
 COUNT_BLOCK_BYTES (see count_block), in trial order from the chunk's one
-stream, so a sampling worker holds one block, not a chunk's count matrix,
-and S is the same as from one draw of the whole chunk.  Evaluation keeps
-one error count per chunk; only calibration holds its whole sample, which
-it sorts in place.
+stream, so a sampling worker holds one block, not a chunk's count matrix.
+Each trial's S is a row sum over its own counts, so its bits depend on
+neither the block split nor the BLAS thread count.  Evaluation keeps one
+error count per chunk; only calibration holds its whole sample, in one
+array that it sorts in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -44,10 +43,11 @@ import numpy as np
 from .dist import JointPmf, divergence_stats, product_model
 from . import rngstreams
 
+# The cell cap alone would not bound the Kronecker power of a one-cell table.
 MAX_BLOCK_LEN = 3
-# Bounds the Python enumeration of x-blocks in the table build and the
-# per-trial cost of sampling, which grows with the number of classes (at
-# most one per cell).  Sampling memory is bounded by COUNT_BLOCK_BYTES.
+# Bounds the table build and the per-trial cost of sampling, which grows
+# with the number of classes (at most one per cell).  Sampling memory is
+# bounded by COUNT_BLOCK_BYTES.
 MAX_TABLE_CELLS = 16_384
 # Bytes of int64 class counts one sampling worker draws at a time.
 COUNT_BLOCK_BYTES = 1 << 19
@@ -56,8 +56,9 @@ COUNT_BLOCK_BYTES = 1 << 19
 # least 1.8e-6.
 CLASS_RTOL = 1e-12
 # Bumped whenever the same (seed, config) can draw different statistics;
-# version 2 samples log-ratio classes instead of table cells.
-SAMPLER_VERSION = 2
+# version 2 samples log-ratio classes instead of table cells, version 3
+# sums S per row and builds block tables as Kronecker powers.
+SAMPLER_VERSION = 3
 # Normal quantiles at 0.975 and 0.995, kept as literals: NormalDist().inv_cdf
 # gives Z95 one ulp away, which would move the Wilson interval bytes.
 WILSON_Z95 = 1.959963984540054
@@ -70,49 +71,43 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class Encoder:
-    """Deterministic block map from X^block_len to a finite code alphabet.
-
-    ``table`` is flat over mixed-radix block indices (first symbol is the
-    most significant digit).  ``levels_reduced`` flags a quantizer request
-    that asked for more levels than there are source points.
+    """Per-letter block map: the scalar code map ``table`` (one code in
+    [0, |X|) per x) applied to each of the ``block_len`` symbols of a block.
+    ``levels_reduced`` flags a quantizer request that asked for more levels
+    than there are source points.
     """
 
-    nx: int
-    block_len: int
-    codebook_size: int
     table: np.ndarray
+    block_len: int = 1
     levels_reduced: bool = False
 
     def __post_init__(self):
-        if self.nx < 1 or self.block_len < 1 or self.codebook_size < 1:
-            raise SimulationError("encoder dimensions must be positive")
-        table = np.asarray(self.table, dtype=np.int64)
-        if table.shape != (self.nx ** self.block_len,):
-            raise SimulationError(
-                f"table must be flat with {self.nx ** self.block_len} entries, "
-                f"got shape {table.shape}")
-        if np.any(table < 0) or np.any(table >= self.codebook_size):
-            raise SimulationError("table entries must lie in [0, codebook_size)")
-        table = table.copy()
+        table = np.array(self.table, dtype=np.int64)
+        if table.ndim != 1 or table.size < 1 or self.block_len < 1:
+            raise SimulationError("an encoder needs a non-empty 1-d table and block_len >= 1")
+        if np.any(table < 0) or np.any(table >= table.size):
+            raise SimulationError(f"table entries must lie in [0, {table.size})")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
+    @property
+    def nx(self) -> int:
+        return self.table.size
+
+    @property
+    def codebook_size(self) -> int:
+        """Number of code blocks: the scalar codes used, to the block length."""
+        return int(np.count_nonzero(np.bincount(self.table))) ** self.block_len
+
     @classmethod
     def identity(cls, nx: int) -> "Encoder":
-        return cls(nx, 1, nx, np.arange(nx))
+        return cls(np.arange(nx))
 
     def blockwise(self, block_len: int) -> "Encoder":
         """Apply this scalar encoder independently to each symbol of a block."""
         if self.block_len != 1:
             raise SimulationError("blockwise composition needs a scalar encoder")
-        if block_len == 1:
-            return self
-        codes = self.table
-        out = codes
-        for _ in range(block_len - 1):
-            out = (out[:, None] * self.codebook_size + codes[None, :]).ravel()
-        return Encoder(self.nx, block_len, self.codebook_size ** block_len, out,
-                       self.levels_reduced)
+        return replace(self, block_len=block_len)
 
 
 def _optimal_split_cells(pts: np.ndarray, wts: np.ndarray, levels: int) -> np.ndarray:
@@ -167,6 +162,8 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
     wts = np.asarray(weights, dtype=np.float64)
     if pts.ndim != 1 or pts.shape != wts.shape or len(pts) < 1:
         raise SimulationError("points and weights must be matching 1-d arrays")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+        raise SimulationError("points and weights must be finite")
     if np.any(np.diff(pts) <= 0):
         raise SimulationError("points must be strictly increasing")
     if np.any(wts <= 0) or abs(wts.sum() - 1.0) > 1e-9:
@@ -175,8 +172,8 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
         raise SimulationError("levels must be >= 1")
     npts = len(pts)
     if levels >= npts:
-        return Encoder(npts, 1, npts, np.arange(npts), levels_reduced=levels > npts)
-    return Encoder(npts, 1, levels, _optimal_split_cells(pts, wts, levels))
+        return Encoder(np.arange(npts), levels_reduced=levels > npts)
+    return Encoder(_optimal_split_cells(pts, wts, levels))
 
 
 @dataclass(frozen=True)
@@ -224,35 +221,34 @@ def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
 
 
 def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
-    """Push the exact block laws P^l and Q^l through the encoder.
+    """Push the exact laws P and Q through the scalar code map, then take
+    the ``block_len``-th Kronecker power of both tables (first symbol most
+    significant).
 
-    The alternative table is built by pushing the product model's block law
-    through the same map (not by re-multiplying quantized marginals, though
-    the two agree for deterministic encoders; tests assert that identity).
-    Codes never produced by the encoder are dropped from both tables.
+    The alternative table pushes the product model through the same map
+    (not re-multiplied quantized marginals, though the two agree for
+    deterministic encoders; tests assert that identity).  Codes never
+    produced by the encoder are dropped from both tables.
     """
     if enc.nx != p.nx:
         raise SimulationError(f"encoder expects |X| = {enc.nx}, model has {p.nx}")
     if enc.block_len > MAX_BLOCK_LEN:
         raise SimulationError(
-            f"block length {enc.block_len} exceeds the exact-enumeration cap "
-            f"{MAX_BLOCK_LEN}")
+            f"block length {enc.block_len} exceeds the cap {MAX_BLOCK_LEN}")
     l = enc.block_len
-    n_yblocks = p.ny ** l
-    cells = enc.codebook_size * n_yblocks
-    if cells > MAX_TABLE_CELLS or p.nx ** l > MAX_TABLE_CELLS:
+    cells = enc.codebook_size * p.ny ** l
+    if cells > MAX_TABLE_CELLS:
         raise SimulationError(
-            f"quantized table of {cells} cells over {p.nx ** l} x-blocks exceeds "
-            f"the cap of {MAX_TABLE_CELLS}")
-    q = product_model(p)
-    h0 = np.zeros((enc.codebook_size, n_yblocks))
-    h1 = np.zeros((enc.codebook_size, n_yblocks))
-    for flat_idx, xblock in enumerate(itertools.product(range(p.nx), repeat=l)):
-        code = enc.table[flat_idx]
-        h0[code] += reduce(np.kron, (p.probs[x] for x in xblock))
-        h1[code] += reduce(np.kron, (q.probs[x] for x in xblock))
-    used = h0.sum(axis=1) > 0
-    h0, h1 = h0[used], h1[used]
+            f"quantized table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS}")
+    s0 = np.zeros((enc.nx, p.ny))
+    s1 = np.zeros((enc.nx, p.ny))
+    np.add.at(s0, enc.table, p.probs)  # rows summed per code, in x order
+    np.add.at(s1, enc.table, product_model(p).probs)
+    used = s0.sum(axis=1) > 0
+    s0, s1 = s0[used], s1[used]
+    h0, h1 = s0, s1
+    for _ in range(l - 1):
+        h0, h1 = np.kron(h0, s0), np.kron(h1, s1)
     for name, table in (("H0", h0), ("H1", h1)):
         if abs(table.sum() - 1.0) > 1e-9:
             raise SimulationError(f"{name} quantized table sums to {table.sum()!r}")
@@ -270,58 +266,43 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
 def count_block(classes: int) -> tuple[int, int]:
     """Rows (trials) per multinomial draw over ``classes`` classes, and the
     bytes of that int64 count block: as many rows as fit in
-    COUNT_BLOCK_BYTES, rounded down to a multiple of 4, but at least one.
-
-    OpenBLAS's matrix-vector product sums the rows of a matrix in groups of
-    4, so blocks that start on a multiple of 4 rows give every trial the
-    same S, to the bit, as one product over the whole chunk.  Every table
-    under the cell cap gets a multiple of 4 rows.
-    """
-    rows = max(1, COUNT_BLOCK_BYTES // (8 * classes) // 4 * 4)
+    COUNT_BLOCK_BYTES, but at least one."""
+    rows = max(1, COUNT_BLOCK_BYTES // (8 * classes))
     return rows, rows * classes * 8
 
 
 def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                  seed: int, purpose: int, span: tuple[int, int]) -> np.ndarray:
     """S for one chunk of trials: multinomial counts of k_blocks blocks over
-    the log-ratio classes (``pmf``, ``lr``), dotted with the class
-    log-ratios.  Drawing classes rather than cells moves no atom of S by
-    more than the merge tolerance, and gives each atom a single float.
+    the log-ratio classes (``pmf``, ``lr``), weighted by the class
+    log-ratios and summed per row.  Drawing classes rather than cells moves
+    no atom of S by more than the merge tolerance, and gives each atom a
+    single float.
 
     The counts are drawn in blocks of ``count_block`` rows, one after the
-    other from the chunk's stream, so S is the same as from one draw of
-    the whole chunk.  numpy takes a one-row product as a dot product, which
-    sums in another order, so a lone last row joins the block before it.
+    other from the chunk's stream.  Each row reduces on its own, so S is
+    the same as from one draw of the whole chunk.
     """
     idx, count = span
     rng = rngstreams.stream(seed, purpose, idx)
     rows, _ = count_block(lr.size)
     stats = np.empty(count)
-    start = 0
-    while start < count:
+    for start in range(0, count, rows):
         size = min(rows, count - start)
-        if rows > 1 and count - start == rows + 1:
-            size += 1  # the lone last row
-        stats[start:start + size] = rng.multinomial(k_blocks, pmf, size=size) @ lr / n
-        start += size
+        counts = rng.multinomial(k_blocks, pmf, size=size)
+        stats[start:start + size] = (counts * lr).sum(axis=1) / n
     return stats
 
 
 def _map_chunks(summary, pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                 trials: int, seed: int, purpose: int, workers: int = 1) -> list:
-    """summary(S) of each chunk of trials, in chunk order.  A chunk's
+    """summary(span, S) of each chunk of trials, in chunk order.  A chunk's
     statistics are dropped once summarized."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(
-            lambda span: summary(_chunk_stats(pmf, lr, k_blocks, n, seed, purpose, span)),
+            lambda span: summary(span, _chunk_stats(pmf, lr, k_blocks, n, seed,
+                                                    purpose, span)),
             rngstreams.chunk_spans(trials)))
-
-
-def _sample_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
-                  trials: int, seed: int, purpose: int,
-                  workers: int = 1) -> np.ndarray:
-    return np.concatenate(_map_chunks(lambda stats: stats, pmf, lr, k_blocks, n,
-                                      trials, seed, purpose, workers))
 
 
 @dataclass(frozen=True)
@@ -346,15 +327,22 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
     if cal_trials < 1:
         raise SimulationError("cal_trials must be >= 1")
-    if n % qm.block_len:
-        raise SimulationError(f"n = {n} is not a multiple of block length {qm.block_len}")
+    if n < 1 or n % qm.block_len:
+        raise SimulationError(f"n = {n} must be a positive multiple of block "
+                              f"length {qm.block_len}")
     if cal_trials < 100.0 / eps:
         warnings.warn(
             f"cal_trials = {cal_trials} is small for eps = {eps}; "
             f"recommend at least {math.ceil(100.0 / eps)}",
             stacklevel=2)
-    stats = _sample_stats(qm.class_h0, qm.class_lr, n // qm.block_len, n,
-                          cal_trials, seed, rngstreams.PURPOSE_CALIBRATE, workers)
+    stats = np.empty(cal_trials)
+
+    def keep(span, chunk):  # each chunk fills its slice of the one sample
+        start = span[0] * rngstreams.CHUNK_TRIALS
+        stats[start:start + span[1]] = chunk
+
+    _map_chunks(keep, qm.class_h0, qm.class_lr, n // qm.block_len, n, cal_trials,
+                seed, rngstreams.PURPOSE_CALIBRATE, workers)
     stats.sort()
     allowed = int(math.floor(eps * cal_trials + 1e-9))
     # {S <= t} may hold at most `allowed` samples; stats[allowed] is the first
@@ -413,9 +401,9 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")
     k = n // qm.block_len
-    k1 = sum(_map_chunks(lambda s0: int((s0 <= t).sum()), qm.class_h0, qm.class_lr,
+    k1 = sum(_map_chunks(lambda _, s0: int((s0 <= t).sum()), qm.class_h0, qm.class_lr,
                          k, n, trials, seed, rngstreams.PURPOSE_H0, workers))
-    k2 = sum(_map_chunks(lambda s1: int((s1 > t).sum()), qm.class_h1, qm.class_lr,
+    k2 = sum(_map_chunks(lambda _, s1: int((s1 > t).sum()), qm.class_h1, qm.class_lr,
                          k, n, trials, seed, rngstreams.PURPOSE_H1, workers))
     return SimResult(k1 / trials, k2 / trials,
                      wilson_interval(k1, trials), wilson_interval(k2, trials))

@@ -9,12 +9,13 @@ is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from disthyp import bounds, simulate
+from disthyp import bounds, dist, simulate
 
 
 def xlogx_sum(a: np.ndarray, axis=None) -> np.ndarray:
@@ -407,11 +408,30 @@ def best_contiguous_mse(points, weights, levels: int) -> float:
 # Quantized tables
 # --------------------------------------------------------------------------
 
-def random_map(nx: int, block_len: int, codebook_size: int,
+def random_map(nx: int, block_len: int, codes: int,
                rng: np.random.Generator) -> simulate.Encoder:
-    """Encoder sending each x-block to a code drawn uniformly at random."""
-    table = rng.integers(0, codebook_size, size=nx ** block_len)
-    return simulate.Encoder(nx, block_len, codebook_size, table)
+    """Per-letter encoder sending each x to one of ``codes`` codes drawn
+    uniformly at random."""
+    return simulate.Encoder(rng.integers(0, codes, size=nx)).blockwise(block_len)
+
+
+def block_tables(p, enc: simulate.Encoder) -> tuple[np.ndarray, np.ndarray]:
+    """(code-block, Y-block) tables under P^l and Q^l by enumerating every
+    x-block: its Kronecker product of rows is added to its code block, the
+    mixed-radix number of its scalar codes (first symbol most significant).
+    Code blocks that no x-block reaches are dropped."""
+    l, radix = enc.block_len, int(enc.table.max()) + 1
+    q = dist.product_model(p)
+    h0 = np.zeros((radix ** l, p.ny ** l))
+    h1 = np.zeros((radix ** l, p.ny ** l))
+    for xblock in itertools.product(range(p.nx), repeat=l):
+        code = 0
+        for x in xblock:
+            code = code * radix + enc.table[x]
+        h0[code] += functools.reduce(np.kron, (p.probs[x] for x in xblock))
+        h1[code] += functools.reduce(np.kron, (q.probs[x] for x in xblock))
+    used = h0.sum(axis=1) > 0
+    return h0[used], h1[used]
 
 
 def table_mutual_information(table: np.ndarray) -> float:

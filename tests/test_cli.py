@@ -305,7 +305,7 @@ class TestSimulateCommand:
         assert "preset" not in meta
         # the 12 x 12 Gaussian is symmetric under x <-> y and under negating
         # both, so its 144 cells tie in orbits of up to four: 42 classes
-        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 2
+        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 3
         assert meta["table_cells"] == 144
         assert meta["sampled_classes"] == 42
         # one chunk each for calibration and both hypotheses
@@ -322,6 +322,20 @@ class TestSimulateCommand:
         row = (tmp_path / "s.csv").read_text().strip().split("\n")[1]
         eps = float(row.split(",")[1])
         assert eps == pytest.approx(32 ** -0.5)
+
+    @pytest.mark.parametrize("labels, named", [
+        (["a", "b", "c"], "got 'a'"), ([0, None, 1], "got None"), ([0, math.nan, 1], "finite")])
+    def test_levels_need_finite_numeric_labels(self, tmp_path, capsys, labels, named):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"x_labels": labels, "y_labels": [0, 1],
+                                     "probs": [[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]]}))
+        args = ["simulate", "--model", model, "--n", 4, "--eps", 0.2, "--trials", 200,
+                "--cal-trials", 2000, "--out-dir", tmp_path]
+        assert run([*args, "--levels", 2]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "sim.csv").exists()
+        assert run([*args, "--identity-encoder"]) == 0
 
     def test_force_threshold_skips_calibration(self, tmp_path):
         model = make_model(tmp_path)

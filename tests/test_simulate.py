@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
 
@@ -35,23 +36,24 @@ class TestEncoder:
         assert enc.block_len == 1 and enc.codebook_size == 3
         assert np.array_equal(enc.table, [0, 1, 2])
 
-    def test_table_length_must_match_block(self):
-        with pytest.raises(s.SimulationError):
-            s.Encoder(2, 2, 2, np.array([0, 1, 0]))
-
     def test_codes_must_fit_codebook(self):
+        # one code per x, each in [0, |X|)
         with pytest.raises(s.SimulationError):
-            s.Encoder(2, 1, 2, np.array([0, 2]))
+            s.Encoder(np.array([0, 2]))
         with pytest.raises(s.SimulationError):
-            s.Encoder(2, 1, 2, np.array([0, -1]))
+            s.Encoder(np.array([0, -1]))
+        with pytest.raises(s.SimulationError):
+            s.Encoder(np.zeros((2, 2), dtype=int))
+        with pytest.raises(s.SimulationError):
+            s.Encoder(np.array([0, 1]), block_len=0)
 
-    def test_blockwise_mixed_radix_order(self):
-        scalar = s.Encoder(3, 1, 2, np.array([0, 1, 1]))
+    def test_blockwise_keeps_the_scalar_map(self):
+        scalar = s.Encoder(np.array([0, 2, 2]))
         blk = scalar.blockwise(2)
-        assert blk.block_len == 2 and blk.codebook_size == 4
-        # block (x0, x1) is flattened row-major, code = 2*f(x0) + f(x1)
-        for flat, (x0, x1) in enumerate((a, b) for a in range(3) for b in range(3)):
-            assert blk.table[flat] == 2 * scalar.table[x0] + scalar.table[x1]
+        assert np.array_equal(blk.table, scalar.table) and blk.nx == 3
+        # two codes are used, so four code blocks
+        assert (blk.block_len, blk.codebook_size) == (2, 4)
+        assert (scalar.block_len, scalar.codebook_size) == (1, 2)
 
     def test_blockwise_needs_scalar_base(self):
         blk = s.Encoder.identity(2).blockwise(2)
@@ -59,10 +61,10 @@ class TestEncoder:
             blk.blockwise(2)
 
     def test_random_map_reproducible(self):
-        a = oracles.random_map(3, 2, 4, np.random.default_rng(5))
-        bb = oracles.random_map(3, 2, 4, np.random.default_rng(5))
-        assert np.array_equal(a.table, bb.table)
-        assert a.table.min() >= 0 and a.table.max() < 4
+        a = oracles.random_map(4, 2, 3, np.random.default_rng(5))
+        bb = oracles.random_map(4, 2, 3, np.random.default_rng(5))
+        assert np.array_equal(a.table, bb.table) and a.block_len == 2
+        assert a.table.min() >= 0 and a.table.max() < 3
 
 
 class TestLloydMax:
@@ -118,6 +120,14 @@ class TestLloydMax:
             s.lloyd_max(np.array([0.0, 1.0]), w2, 0)
         with pytest.raises(s.SimulationError, match="1-d"):
             s.lloyd_max(np.eye(2), np.eye(2), 1)
+        # NaN compares false, so without a finite check these pass the
+        # ordering and weight checks
+        w3 = np.full(3, 1 / 3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(s.SimulationError, match="finite"):
+                s.lloyd_max(np.array([0.0, bad, 1.0]), w3, 2)
+            with pytest.raises(s.SimulationError, match="finite"):
+                s.lloyd_max(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5, bad]), 2)
 
 
 class TestQuantizedModel:
@@ -158,15 +168,49 @@ class TestQuantizedModel:
 
     def test_constant_encoder_kills_information(self):
         p = sym_model()
-        enc = s.Encoder(2, 1, 1, np.array([0, 0]))
+        enc = s.Encoder(np.array([0, 0]))
         qm = s.quantized_model(p, enc)
         assert qm.h0.shape[0] == 1
         assert oracles.table_mutual_information(qm.h0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unused_codes_dropped(self):
-        enc = s.Encoder(2, 1, 5, np.array([0, 3]))
-        qm = s.quantized_model(sym_model(), enc)
+        p = d.JointPmf.from_probs([[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]])
+        qm = s.quantized_model(p, s.Encoder(np.array([0, 2, 2])))
         assert qm.h0.shape[0] == 2
+        qm = s.quantized_model(p, s.Encoder(np.array([0, 2, 2])).blockwise(2))
+        assert qm.h0.shape == (4, 4)
+
+    @pytest.mark.parametrize("block_len", [1, 2, 3])
+    def test_matches_x_block_enumeration(self, block_len):
+        rng = np.random.default_rng(block_len)
+        p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
+        # code 1 of the last map is never used
+        for table in ([0, 1, 2], [0, 1, 0], [2, 0, 2]):
+            self.assert_matches_enumeration(p, s.Encoder(np.array(table)).blockwise(block_len))
+
+    @pytest.mark.parametrize("grid, block_len, classes",
+                             [(32, 1, 64), (16, 1, 32), (16, 2, 528)])
+    def test_readme_tables_match_x_block_enumeration(self, grid, block_len, classes):
+        qm = self.assert_matches_enumeration(*readme_model(grid, block_len))
+        assert qm.class_lr.size == classes
+
+    @staticmethod
+    def assert_matches_enumeration(p, enc):
+        """Same cells as summing every x-block: bit for bit at block
+        length 1, within 1e-15 above it, and the same log-ratio classes."""
+        qm = s.quantized_model(p, enc)
+        want0, want1 = oracles.block_tables(p, enc)
+        if enc.block_len == 1:
+            assert qm.h0.tobytes() == want0.tobytes()
+            assert qm.h1.tobytes() == want1.tobytes()
+        assert qm.h0.shape == want0.shape
+        assert np.allclose(qm.h0, want0, rtol=0, atol=1e-15)
+        assert np.allclose(qm.h1, want1, rtol=0, atol=1e-15)
+        want_lr = np.log(want0) - np.log(want1)
+        want = s._merge_tied_cells(want0.ravel(), want1.ravel(), want_lr.ravel())
+        assert qm.class_lr.size == want[2].size
+        assert np.allclose(qm.class_lr, want[2], rtol=0, atol=1e-13)
+        return qm
 
     def test_block_length_cap(self):
         with pytest.raises(s.SimulationError, match="cap"):
@@ -186,6 +230,24 @@ class TestQuantizedModel:
             s.quantized_model(sym_model(), s.Encoder.identity(3))
 
 
+def readme_model(grid, block_len):
+    """The README model (MI 0.08 nats) and the 4-level quantizer."""
+    _, p = d.calibrate_correlation(0.08, grid, grid)
+    scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
+    return p, scalar.blockwise(block_len)
+
+
+def row_sums(counts, lr, n):
+    """S of each row of a count matrix."""
+    return (counts * lr).sum(axis=1) / n
+
+
+def sample_stats(pmf, lr, k, n, trials, seed, purpose):
+    """S of every trial, chunk by chunk, in trial order."""
+    return np.concatenate([s._chunk_stats(pmf, lr, k, n, seed, purpose, span)
+                           for span in rngstreams.chunk_spans(trials)])
+
+
 def merged_atoms(values, masses, tol):
     """Atom values and masses after merging values closer than tol."""
     starts = np.concatenate(([True], np.diff(values) > tol))
@@ -196,7 +258,7 @@ class TestLogRatioClasses:
     def test_tie_free_table_samples_cells_bit_for_bit(self):
         rng = np.random.default_rng(12)
         p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
-        for enc in (s.Encoder.identity(3), s.Encoder(3, 1, 2, np.array([0, 1, 0]))):
+        for enc in (s.Encoder.identity(3), s.Encoder(np.array([0, 1, 0]))):
             qm = s.quantized_model(p, enc)
             pmf0, pmf1, lr = qm.flat()
             assert np.unique(lr).size == lr.size
@@ -204,21 +266,18 @@ class TestLogRatioClasses:
                               (qm.class_lr, lr)):
                 assert cls.tobytes() == cell.tobytes()
             n, trials = 5, rngstreams.CHUNK_TRIALS + 500
-            got = s._sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 3,
-                                  rngstreams.PURPOSE_H0)
+            got = sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 3,
+                               rngstreams.PURPOSE_H0)
             want = np.concatenate([
-                rngstreams.stream(3, rngstreams.PURPOSE_H0, idx).multinomial(
-                    n, pmf0, size=cnt) @ lr / n
+                row_sums(rngstreams.stream(3, rngstreams.PURPOSE_H0, idx).multinomial(
+                    n, pmf0, size=cnt), lr, n)
                 for idx, cnt in rngstreams.chunk_spans(trials)])
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid, block_len, classes",
                              [(32, 1, 64), (16, 2, 528)])
     def test_readme_tables_merge_symmetric_ties(self, grid, block_len, classes):
-        # the README model (MI 0.08 nats) with the 4-level quantizer
-        _, p = d.calibrate_correlation(0.08, grid, grid)
-        scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
-        qm = s.quantized_model(p, scalar.blockwise(block_len))
+        qm = readme_table(grid, block_len)
         pmf0, pmf1, lr = qm.flat()
         assert qm.class_lr.size == classes < lr.size
         # every cell lies within the tolerance of its class's log-ratio, and
@@ -258,10 +317,7 @@ class TestLogRatioClasses:
 
 
 def readme_table(grid, block_len):
-    """The README model (MI 0.08 nats) with the 4-level quantizer."""
-    _, p = d.calibrate_correlation(0.08, grid, grid)
-    scalar = s.lloyd_max(np.array([float(v) for v in p.x_labels]), p.x_marginal, 4)
-    return s.quantized_model(p, scalar.blockwise(block_len))
+    return s.quantized_model(*readme_model(grid, block_len))
 
 
 def synthetic_classes(classes):
@@ -290,18 +346,17 @@ class TestBlockedSampling:
     @staticmethod
     def one_shot(pmf, lr, k, n, seed, purpose, span):
         idx, count = span
-        return rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=count) @ lr / n
+        return row_sums(rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=count),
+                        lr, n)
 
     @pytest.mark.parametrize("case, span, blocks", [
         ("readme_64", (0, 3000), [1024, 1024, 952]),
         ("readme_528", (1, rngstreams.CHUNK_TRIALS), [124] * 132 + [16]),
         ("synthetic_16384", (2, 64), [4] * 16),
-        # rows round down to a multiple of 4: 65536 // 100 = 655
-        ("synthetic_100", (3, 3001), [652] * 4 + [393]),
-        # a lone last row joins the block before it
-        ("readme_64", (4, 2049), [1024, 1025]),
-        ("synthetic_2080", (5, 57), [28, 29]),
-        ("synthetic_16384", (6, 9), [4, 5]),
+        ("synthetic_100", (3, 3001), [655] * 4 + [381]),
+        ("readme_64", (4, 2049), [1024, 1024, 1]),
+        ("synthetic_2080", (5, 57), [31, 26]),
+        ("synthetic_16384", (6, 9), [4, 4, 1]),
         ("synthetic_16384", (7, 1), [1]),
     ])
     def test_blocks_match_one_shot_draw(self, case, span, blocks, draw_sizes):
@@ -319,11 +374,12 @@ class TestBlockedSampling:
         assert got.tobytes() == want.tobytes()
         assert draw_sizes == blocks
         rows, nbytes = s.count_block(lr.size)
-        assert rows % 4 == 0 and nbytes == rows * lr.size * 8 <= s.COUNT_BLOCK_BYTES
-        assert max(blocks[:-1], default=0) <= rows and blocks[-1] <= rows + 1
+        assert rows == s.COUNT_BLOCK_BYTES // (8 * lr.size) >= blocks[-1]
+        assert blocks[:-1] == [rows] * (len(blocks) - 1)
+        assert nbytes == rows * lr.size * 8 <= s.COUNT_BLOCK_BYTES
 
-    def test_one_row_per_draw_when_four_do_not_fit(self, draw_sizes):
-        pmf, lr = synthetic_classes(s.COUNT_BLOCK_BYTES // 32 + 1)
+    def test_one_row_per_draw_when_one_does_not_fit(self, draw_sizes):
+        pmf, lr = synthetic_classes(s.COUNT_BLOCK_BYTES // 8 + 1)
         assert s.count_block(lr.size) == (1, lr.size * 8)
         s._chunk_stats(pmf, lr, 5, 5, 0, rngstreams.PURPOSE_H0, (0, 3))
         assert draw_sizes == [1, 1, 1]
@@ -337,8 +393,8 @@ class TestBlockedSampling:
         assert max(draw_sizes) == rows and nbytes <= s.COUNT_BLOCK_BYTES
 
     def test_blas_thread_count_moves_no_bit(self):
-        # a 2-thread product over a whole 8,230-row chunk splits the rows
-        # off the 4-row groups and moves bits; blocks stay below that split
+        # a 2-thread matrix-vector product over a whole 8,230-row chunk
+        # moved bits; a row sum reduces each row on its own
         script = ("import hashlib, numpy as np; from disthyp import simulate as s; "
                   "rng = np.random.default_rng(3); pmf = rng.dirichlet(np.ones(64)); "
                   "lr = rng.normal(size=64); "
@@ -356,10 +412,8 @@ class TestBlockedSampling:
         qm = readme_table(32, 1)
         n, t, trials = 100, 0.04, 2 * rngstreams.CHUNK_TRIALS + 500
         got = s.estimate_errors(qm, n, t, trials, seed=21, workers=2)
-        s0 = s._sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 21,
-                             rngstreams.PURPOSE_H0)
-        s1 = s._sample_stats(qm.class_h1, qm.class_lr, n, n, trials, 21,
-                             rngstreams.PURPOSE_H1)
+        s0 = sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 21, rngstreams.PURPOSE_H0)
+        s1 = sample_stats(qm.class_h1, qm.class_lr, n, n, trials, 21, rngstreams.PURPOSE_H1)
         k1, k2 = int((s0 <= t).sum()), int((s1 > t).sum())
         assert 0 < k1 < trials and 0 < k2 < trials
         assert got == s.SimResult(k1 / trials, k2 / trials, s.wilson_interval(k1, trials),
@@ -403,8 +457,8 @@ class TestCalibration:
         m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
         stats = np.concatenate([
-            rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
-                n, qm.class_h0, size=cnt) @ qm.class_lr / n
+            row_sums(rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
+                n, qm.class_h0, size=cnt), qm.class_lr, n)
             for idx, cnt in rngstreams.chunk_spans(m)])
         allowed = math.floor(eps * m)
         assert (stats <= cal.t).sum() <= allowed
@@ -424,6 +478,21 @@ class TestCalibration:
                                rngstreams.PURPOSE_CALIBRATE, (0, rngstreams.CHUNK_TRIALS))
         assert np.unique(stats).size == n + 1
 
+    def test_sample_is_held_once(self):
+        # 30 chunks of the 2-class DSBS statistic at 2 workers: 8 bytes per
+        # trial, plus per worker one count block, its weighted copy and a
+        # chunk of S.  Concatenating per-chunk arrays would hold it twice.
+        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        trials, workers = 30 * rngstreams.CHUNK_TRIALS, 2
+        block = rngstreams.CHUNK_TRIALS * qm.class_lr.size * 8
+        tracemalloc.start()
+        try:
+            s.calibrate_threshold(qm, 8, 0.1, trials, seed=3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * trials + workers * (2 * block + 8 * rngstreams.CHUNK_TRIALS)
+
     def test_multiple_of_block_length_enforced(self):
         qm = s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(2))
         with pytest.raises(s.SimulationError, match="multiple"):
@@ -439,6 +508,9 @@ class TestCalibration:
             s.calibrate_threshold(qm, 4, 1.0, 100, seed=0)
         with pytest.raises(s.SimulationError):
             s.calibrate_threshold(qm, 4, 0.1, 0, seed=0)
+        for n in (0, -2):
+            with pytest.raises(s.SimulationError, match="positive"):
+                s.calibrate_threshold(qm, n, 0.1, 1000, seed=0)
         with pytest.raises(s.SimulationError):
             s.estimate_errors(qm, 4, 0.0, 0, seed=0)
         with pytest.raises(s.SimulationError, match="NaN"):

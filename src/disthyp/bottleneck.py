@@ -19,7 +19,10 @@ extrapolates the last three iterates in log space, and the result is kept
 only if one map step from it does not raise the objective, so the objective
 still falls monotonically.  The stopping rule (the objective changes by less
 than OBJ_TOL between consecutive iterates) and the 1000-evaluation cap are
-those of the plain iteration.  Chord points on the envelope are achievable
+those of the plain iteration.  Each map evaluation works from the logs of
+p(u) and p(u,y) that the previous one kept, and takes the objective from
+entropies (see _iterate).  A stack larger than MAX_STACK_ENTRIES is refused
+before it is built.  Chord points on the envelope are achievable
 by time sharing between the two endpoint channels, so the envelope is a
 certified lower bound on xi.
 
@@ -42,6 +45,9 @@ DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
 # A chain stops once its objective changes by less than this between
 # consecutive iterates.
 OBJ_TOL = 1e-10
+# The largest solver stack, in float64 entries: chains x max(|X|, |Y|) x
+# (|X|+1), the size of every whole-stack temporary (32 MiB each).
+MAX_STACK_ENTRIES = 1 << 22
 
 
 class SolverError(ValueError):
@@ -144,6 +150,23 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
     return max(rate, 0.0), max(relevance, 0.0)
 
 
+def _chain_sumsq(a: np.ndarray) -> np.ndarray:
+    """Sum of squares of each chain of a stack, one dot per chain: a single
+    product over the stack may round a chain differently depending on how
+    many chains it holds."""
+    flat = a.reshape(len(a), 1, -1)
+    return (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _xlogx(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """x log x from x and its log: 0 where x = 0 (log x = -inf is clipped
+    to the most negative float, whose product with 0 is 0), NaN where
+    either is NaN."""
+    out = np.maximum(log_x, np.finfo(np.float64).min)
+    out *= x
+    return out
+
+
 def _iterate(p: JointPmf, beta: float, w: np.ndarray,
              max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating minimization of a stack of chains run in lockstep,
@@ -160,100 +183,119 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     Every third step is extrapolated.  From the chain's last three iterates
     w0, w1, w2 it takes, in log space, r = log w1 - log w0 and
     v = log w2 - 2 log w1 + log w0, and steps to
-    log w0 + 2 alpha r + alpha^2 v, renormalized per row, with
-    alpha = |r| / |v| clamped to [1, step_max]; alpha = 1 lands on w2.
-    One plain map step from there gives the candidate, which is kept only
-    if its objective is not above the current one; otherwise the chain
-    stays at w2 and its next step is the plain one, so the objective never
-    rises.  Each chain's step_max starts at 1, grows 4-fold when an
-    accepted step was clamped to it and shrinks 4-fold (not below 1) on a
-    rejection.  Entries that are zero (dead or padded clusters) stay
-    exactly zero.  ``iters`` and ``max_iters`` count map evaluations,
-    rejected candidates included.
+    log w0 + 2 alpha r + alpha^2 v = log w2 + (alpha - 1)(2 r + (alpha + 1) v),
+    renormalized per row, with alpha = |r| / |v| clamped to [1, step_max];
+    alpha = 1 lands on w2.  An entry that is zero in any of the three
+    iterates takes no part and stays at log w2.  One plain map step from
+    there gives the candidate, which is kept only if its objective is not
+    above the current one; otherwise the chain stays at w2 and its next
+    step is the plain one, so the objective never rises.  Each chain's
+    step_max starts at 1, grows 4-fold when an accepted step was clamped to
+    it and shrinks 4-fold (not below 1) on a rejection.  ``iters`` and
+    ``max_iters`` count map evaluations, rejected candidates included.
 
-    One pass per map evaluation: the marginals pu = w^T p(x) and
-    p(u,y) = w^T P of each new channel give both its objective and the next
-    update, so no channel is validated or re-measured inside the loop.  A
-    non-finite plain iterate makes its chain's objective non-finite, which
-    raises SolverError; a non-finite extrapolated candidate is rejected.
+    One map evaluation reads only the logs of the marginals p(u) and
+    p(u,y) = sum_x P(x,y) w(u|x) of its source channel.  Since
+    sum_y p(y|x) = 1, the update w'(u|x) ~ p(u) exp(-beta KL(p(y|x)||p(y|u)))
+    is
+
+        log w'(u|x) = (1 - beta) log p(u) + beta sum_y p(y|x) log p(u,y) - log Z(x):
+
+    the row constant -beta H(Y|X=x) and the log p(u) inside the KL cancel in
+    the per-row normalization.  With p(u,y) held as (chains, |Y|, |U|) the
+    sum over y is one batched matrix product.  A NaN or -inf entry of the
+    sum (0 * -inf, inf - inf) becomes -inf, so a dead cluster (p(u) = 0)
+    stays exactly zero at every beta, 0 and 1 included.
+
+    The objective I(U;X) - beta I(U;Y) comes from the same logs, as
+    entropies: I(U;X) = sum_x p(x) sum_u w log w - sum_u p(u) log p(u) and
+    I(U;Y) = sum p(u,y) log p(u,y) - sum_u p(u) log p(u) + H(Y), with exact
+    zeros contributing nothing and a NaN staying NaN.  The cancellation
+    between the entropies grows with beta: on the README model at beta = 100
+    it moves the objective by about 1e-13 (2e-13 at most), some 500 times
+    below OBJ_TOL.  The new iterate's logs are carried into its
+    own update, so no channel is validated or re-measured inside the loop.
+    A non-finite plain iterate makes its chain's objective non-finite,
+    which raises SolverError; a non-finite extrapolated candidate is
+    rejected.
     """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
     px = p.x_marginal
-    pyx = p.probs / px[:, None]
-    neg_hyx = (pyx * np.log(pyx)).sum(axis=1)[:, None]  # row-wise -H(Y|X=x)
-    log_py = np.log(p.y_marginal)
+    beta_pyx = beta * (p.probs / px[:, None])
+    pyx_t = np.ascontiguousarray(p.probs.T)
+    hy = p.entropy_y
     out = np.empty_like(w)
     iters = np.full(len(w), max_iters)
     converged = np.zeros(len(w), dtype=bool)
     active = np.arange(len(w))
     step_max = np.ones(len(w))
     history: list[np.ndarray] = []  # log-channels of this cycle's earlier iterates
-    pu = w.transpose(0, 2, 1) @ px
-    puy = w.transpose(0, 2, 1) @ p.probs
     prev_obj = [math.inf] * len(w)
     # an overflowing extrapolation yields a non-finite candidate, which is rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logw = np.log(w)
-        log_pu = np.log(pu)
+        log_pu = np.log(px @ w)
+        log_puy = np.log(pyx_t @ w)
         for it in range(1, max_iters + 1):
             extrapolate = len(history) == 2
             if extrapolate:
                 l0, l1 = history
                 r = l1 - l0
-                v = logw - 2.0 * l1 + l0
-                # an entry that is -inf in any of the three iterates keeps
-                # the current value, so dead clusters stay exactly zero
-                live = np.isfinite(r) & np.isfinite(v)
-                r = np.where(live, r, 0.0)
-                v = np.where(live, v, 0.0)
-                alpha = np.clip(np.sqrt((r * r).reshape(len(r), -1).sum(axis=1))
-                                / np.sqrt((v * v).reshape(len(v), -1).sum(axis=1)),
+                v = logw - l1
+                v -= r
+                # v is finite only where all three iterates are
+                dead = ~np.isfinite(v)
+                r[dead] = 0.0
+                v[dead] = 0.0
+                alpha = np.clip(np.sqrt(_chain_sumsq(r)) / np.sqrt(_chain_sumsq(v)),
                                 1.0, step_max)
-                step = alpha[:, None, None]
-                start = np.where(live, l0 + 2.0 * step * r + step * step * v, logw)
-                start = np.exp(start - start.max(axis=2, keepdims=True))
+                # log w2 + (alpha - 1)(2 r + (alpha + 1) v), built in place in
+                # v: exactly log w2 where r = v = 0
+                v *= (alpha + 1.0)[:, None, None]
+                v += r
+                v += r
+                v *= (alpha - 1.0)[:, None, None]
+                v += logw
+                start = v
+                start -= start.max(axis=2, keepdims=True)
+                np.exp(start, out=start)
                 start /= start.sum(axis=2, keepdims=True)
-                src_pu = start.transpose(0, 2, 1) @ px
-                src_puy = start.transpose(0, 2, 1) @ p.probs
-                src_log_pu = np.log(src_pu)
+                src_log_pu = np.log(px @ start)
+                src_log_puy = np.log(pyx_t @ start)
             else:
-                src_pu, src_puy, src_log_pu = pu, puy, log_pu
-            # KL(p(y|x) || p(y|u)) with p(y|u) = p(u,y)/pu.  A dead cluster
-            # (pu = 0) gets NaN here, and every non-finite divergence becomes
-            # an infinite penalty, so dead clusters stay dead even at beta = 0
-            div = neg_hyx - pyx @ np.log(src_puy / src_pu[:, :, None]).transpose(0, 2, 1)
-            penalty = np.where(np.isfinite(div), beta * div, np.inf)
-            new_logw = src_log_pu[:, None, :] - penalty
+                src_log_pu, src_log_puy = log_pu, log_puy
+            new_logw = beta_pyx @ src_log_puy
+            new_logw += ((1.0 - beta) * src_log_pu)[:, None, :]
+            # a dead cluster's 0 * -inf or inf - inf is NaN: make it -inf
+            np.fmax(new_logw, -np.inf, out=new_logw)
             new_logw -= new_logw.max(axis=2, keepdims=True)
             new_w = np.exp(new_logw)
             z = new_w.sum(axis=2, keepdims=True)
             new_w /= z
             new_logw -= np.log(z)
-            new_pu = new_w.transpose(0, 2, 1) @ px
-            new_puy = new_w.transpose(0, 2, 1) @ p.probs
+            new_pu = px @ new_w
+            new_puy = pyx_t @ new_w
             new_log_pu = np.log(new_pu)
-            # exact zeros contribute nothing; a NaN entry stays NaN
-            rate_terms = new_w * (new_logw - new_log_pu[:, None, :])
-            rel_terms = new_puy * (np.log(new_puy) - new_log_pu[:, :, None] - log_py)
-            # one dot per chain: a single gemv over the stack may round a
-            # chain differently depending on how many chains it holds
-            rate = (np.where(new_w == 0, 0.0, rate_terms).sum(axis=2)[:, None, :] @ px)[:, 0]
-            relevance = np.where(new_puy == 0, 0.0, rel_terms).reshape(len(new_w), -1).sum(axis=1)
-            # a handful of chains: the stopping rule is cheaper on floats
-            obj = (rate - beta * relevance).tolist()
+            new_log_puy = np.log(new_puy)
+            neg_hux = (px @ _xlogx(new_w, new_logw)).sum(axis=1)
+            neg_hu = _xlogx(new_pu, new_log_pu).sum(axis=1)
+            neg_huy = _xlogx(new_puy, new_log_puy).reshape(len(new_puy), -1).sum(axis=1)
+            # I(U;X) - beta I(U;Y); a handful of chains: the stopping rule
+            # is cheaper on floats
+            obj = (neg_hux - beta * (neg_huy + hy) + (beta - 1.0) * neg_hu).tolist()
             if extrapolate:
                 # NaN compares False, so a non-finite candidate is rejected
                 moved = [o <= q for o, q in zip(obj, prev_obj)]
                 keep = np.array(moved)
                 step_max = np.where(keep, np.where(alpha == step_max, 4.0 * step_max, step_max),
                                     np.maximum(step_max / 4.0, 1.0))
-                sel = keep[:, None, None]
-                w, logw, puy = (np.where(sel, new_w, w), np.where(sel, new_logw, logw),
-                                np.where(sel, new_puy, puy))
-                pu, log_pu = (np.where(sel[:, 0], new_pu, pu),
-                              np.where(sel[:, 0], new_log_pu, log_pu))
-                obj = [o if m else q for o, q, m in zip(obj, prev_obj, moved)]
+                if not all(moved):
+                    back = ~keep
+                    for new, old in ((new_w, w), (new_logw, logw),
+                                     (new_log_pu, log_pu), (new_log_puy, log_puy)):
+                        new[back] = old[back]
+                    obj = [o if m else q for o, q, m in zip(obj, prev_obj, moved)]
                 history = []
             else:
                 if not all(map(math.isfinite, obj)):
@@ -262,7 +304,7 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
                                       f"iteration {it}, chain {chain}")
                 moved = [True] * len(obj)
                 history.append(logw)
-                w, logw, pu, puy, log_pu = new_w, new_logw, new_pu, new_puy, new_log_pu
+            w, logw, log_pu, log_puy = new_w, new_logw, new_log_pu, new_log_puy
             done = [m and abs(a - b) < OBJ_TOL for m, a, b in zip(moved, prev_obj, obj)]
             if any(done):
                 done = np.array(done)
@@ -273,8 +315,8 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
                 if done.all():
                     return out, iters, converged
                 go = ~done
-                active, w, logw, pu, puy, log_pu = (
-                    active[go], w[go], logw[go], pu[go], puy[go], log_pu[go])
+                active, w, logw, log_pu, log_puy = (
+                    active[go], w[go], logw[go], log_pu[go], log_puy[go])
                 step_max = step_max[go]
                 history = [h[go] for h in history]
                 obj = [o for o, stop in zip(obj, done) if not stop]
@@ -283,15 +325,27 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     return out, iters, converged
 
 
+def _check_stack_size(p: JointPmf, chains: int) -> None:
+    """Refuse a solve whose stack would exceed MAX_STACK_ENTRIES."""
+    entries = chains * max(p.nx, p.ny) * (p.nx + 1)
+    if entries > MAX_STACK_ENTRIES:
+        raise SolverError(
+            f"{chains} chain(s) on a {p.nx}x{p.ny} model need {entries} entries per "
+            f"solver array, more than the cap of {MAX_STACK_ENTRIES}")
+
+
 def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
                    max_iters: int = 1000) -> IbSolution:
     """Run the alternating minimization from one starting channel.
 
     The starting channel must have |X|+1 clusters, and so does the returned
     one: a cluster whose mass collapses to zero keeps its all-zero column.
+    A model too large for MAX_STACK_ENTRIES is refused before any channel
+    is built.
     """
     if beta < 0:
         raise SolverError(f"beta must be nonnegative, got {beta!r}")
+    _check_stack_size(p, 1)
     if init is None:
         init = TestChannel.identity_plus_noise(p.nx, p.nx + 1)
     if init.nx != p.nx or init.nu != p.nx + 1:
@@ -401,10 +455,13 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
 
     The pool holds the two anchors, then the solutions chain by chain, each
     chain in sweep order; every solution keeps its |X|+1 clusters.  The
-    number of restarts is fixed: it never escalates.
+    number of restarts is fixed: it never escalates.  A stack of
+    restarts + 1 chains larger than MAX_STACK_ENTRIES is refused before any
+    start channel is built.
     """
     if restarts < 0:
         raise SolverError("restarts must be nonnegative")
+    _check_stack_size(p, restarts + 1)
     starts = [TestChannel.identity_plus_noise(p.nx, p.nx + 1)]
     for chain_id in range(1, restarts + 1):
         rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)

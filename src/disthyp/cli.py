@@ -130,6 +130,18 @@ def _fail_invariant(name: str) -> int:
 # model
 # --------------------------------------------------------------------------
 
+def _c_attainment(p: dist.JointPmf, c: float) -> dict:
+    """Where c = max |log P/(P_X P_Y)| is attained: the labels and mass of
+    the first such cell in row-major order, the cells within a relative
+    1e-12 of c, and the mass of the cells above c/2."""
+    lr = np.abs(dist.log_ratio_matrix(p))
+    i, j = np.unravel_index(int(np.argmax(lr)), lr.shape)
+    return {"c_cell": [p.x_labels[i], p.y_labels[j]],
+            "c_cell_mass": float(p.probs[i, j]),
+            "c_ties": int(np.count_nonzero(lr >= c * (1.0 - 1e-12))),
+            "mass_above_half_c": float(p.probs[lr > c / 2.0].sum())}
+
+
 def cmd_model(args) -> int:
     if args.target_mi_nats is not None:
         rho, p = dist.calibrate_correlation(args.target_mi_nats, args.grid, args.grid)
@@ -142,7 +154,7 @@ def cmd_model(args) -> int:
     _write_sidecar(path, _config_echo(
         args, rho=rho, mi_nats=stats.mi, mi_bits=stats.mi / LN2,
         entropy_x_nats=p.entropy_x, entropy_y_nats=p.entropy_y,
-        c_nats=stats.c_const, var_div=stats.var_div,
+        c_nats=stats.c_const, **_c_attainment(p, stats.c_const), var_div=stats.var_div,
         fingerprint=p.fingerprint()))
     print(f"model {path}: rho={rho:.6f} mi={stats.mi:.6f} nats "
           f"({stats.mi / LN2:.6f} bits) hx={p.entropy_x:.6f} hy={p.entropy_y:.6f} "

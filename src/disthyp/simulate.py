@@ -266,8 +266,9 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
 def count_block(classes: int) -> tuple[int, int]:
     """Rows (trials) per multinomial draw over ``classes`` classes, and the
     bytes of that int64 count block: as many rows as fit in
-    COUNT_BLOCK_BYTES, but at least one."""
-    rows = max(1, COUNT_BLOCK_BYTES // (8 * classes))
+    COUNT_BLOCK_BYTES, but at least one, and no more than the
+    rngstreams.CHUNK_TRIALS rows of a chunk."""
+    rows = min(rngstreams.CHUNK_TRIALS, max(1, COUNT_BLOCK_BYTES // (8 * classes)))
     return rows, rows * classes * 8
 
 

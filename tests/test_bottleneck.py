@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,50 @@ class TestAcceleration:
         # the plain map stops 5 of these 200 beta-solves at the 1000 cap
         p = d.discretized_gaussian(0.8, 4, 4)
         assert bn.solve_envelope(p).solver_counters()["unconverged"] == 0
+
+
+class TestMapStep:
+    """One evaluation of the lockstep iteration is one plain map step."""
+
+    @pytest.mark.parametrize("name", sorted(TestAcceleration.MODELS))
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, 50.0])
+    def test_one_evaluation_is_one_plain_step(self, name, beta):
+        # also with an empty cluster, which must stay exactly empty at every
+        # beta: at 0 and 1 its update is 0 * -inf in one term or the other
+        p = TestAcceleration.MODELS[name]()
+        full = bn.TestChannel.identity_plus_noise(p.nx, p.nx + 1).cond_probs
+        dead = np.insert(bn.TestChannel.identity_plus_noise(p.nx, p.nx).cond_probs,
+                         1, 0.0, axis=1)
+        for w in (full, dead):
+            got, iters, _ = bn._iterate(p, beta, w[None], 1)
+            assert iters[0] == 1
+            want = oracles.plain_ib(p.probs, beta, w, 1)
+            assert np.max(np.abs(got[0] - want)) <= 1e-12
+        assert np.all(got[0][:, 1] == 0.0)
+
+
+class TestStackCap:
+    """Solves whose stacked iterate would exceed the cap fail before any
+    channel is built."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            with pytest.raises(bn.SolverError, match="cap"):
+                fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_too_many_restarts(self, sym_model):
+        peak = self.peak_bytes(lambda: bn.solve_envelope(sym_model, restarts=10**7))
+        assert peak < 1 << 20
+
+    def test_too_wide_a_model(self):
+        # 2048 x 2049 entries for one chain, just over the cap
+        p = d.JointPmf.from_probs(np.full((2048, 2), 1 / 4096))
+        assert self.peak_bytes(lambda: bn.ib_fixed_point(p, 1.0)) < 1 << 20
 
 
 class TestEnvelope:

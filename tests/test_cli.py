@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from disthyp import bounds, cli, simulate
+import numpy as np
+
+from disthyp import bounds, cli, dist, simulate
 
 import oracles
 
@@ -33,6 +35,22 @@ class TestModelCommand:
         assert meta["rho"] == 0.6 and meta["grid"] == 12
         assert meta["seed"] == 0
         assert "gaussian" not in meta
+
+    def test_sidecar_locates_c(self, tmp_path):
+        # on the README model c is attained at a corner of the 4-sigma grid
+        assert run(["model", "--target-mi-nats", 0.08, "--grid", 32,
+                    "--out-dir", tmp_path, "--out", "model.json"]) == 0
+        meta = json.loads((tmp_path / "model.meta.json").read_text())
+        p = dist.JointPmf.from_json((tmp_path / "model.json").read_text())
+        lr = np.abs(dist.log_ratio_matrix(p))
+        c = meta["c_nats"]
+        i, j = divmod(int(np.argmax(lr)), p.ny)
+        assert meta["c_cell"] == [p.x_labels[i], p.y_labels[j]]
+        assert lr[i, j] == c and i in (0, p.nx - 1) and j in (0, p.ny - 1)
+        assert meta["c_cell_mass"] == p.probs[i, j]
+        assert meta["c_ties"] == np.count_nonzero(lr >= c * (1 - 1e-12)) >= 1
+        assert meta["mass_above_half_c"] == pytest.approx(p.probs[lr > c / 2].sum(),
+                                                          rel=1e-15)
 
     def test_target_mi_calibration(self, tmp_path, capsys):
         assert run(["model", "--target-mi-nats", 0.08,
@@ -89,6 +107,15 @@ class TestExponentCommand:
         xi_b = float(row_b.split(",")[1])
         xi_n = float(row_n.split(",")[1])
         assert xi_b == pytest.approx(xi_n, rel=1e-7)
+
+    def test_model_over_the_solver_cap_fails_cleanly(self, tmp_path, capsys):
+        # 5 chains x 1024 x 1025 entries exceed bottleneck.MAX_STACK_ENTRIES
+        model = tmp_path / "wide.json"
+        model.write_text(dist.JointPmf.from_probs(np.full((1024, 2), 1 / 2048)).to_json())
+        assert run(["exponent", "--model", model, "--rates", "0.05,0.1,0.2",
+                    "--out-dir", tmp_path, "--out", "curve.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_linear_grid_flags(self, tmp_path):
         model = make_model(tmp_path)

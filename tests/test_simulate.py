@@ -358,6 +358,7 @@ class TestBlockedSampling:
         ("synthetic_2080", (5, 57), [31, 26]),
         ("synthetic_16384", (6, 9), [4, 4, 1]),
         ("synthetic_16384", (7, 1), [1]),
+        ("synthetic_2", (8, rngstreams.CHUNK_TRIALS), [rngstreams.CHUNK_TRIALS]),
     ])
     def test_blocks_match_one_shot_draw(self, case, span, blocks, draw_sizes):
         kind, classes = case.split("_")
@@ -374,7 +375,8 @@ class TestBlockedSampling:
         assert got.tobytes() == want.tobytes()
         assert draw_sizes == blocks
         rows, nbytes = s.count_block(lr.size)
-        assert rows == s.COUNT_BLOCK_BYTES // (8 * lr.size) >= blocks[-1]
+        assert rows == min(rngstreams.CHUNK_TRIALS,
+                           s.COUNT_BLOCK_BYTES // (8 * lr.size)) >= blocks[-1]
         assert blocks[:-1] == [rows] * (len(blocks) - 1)
         assert nbytes == rows * lr.size * 8 <= s.COUNT_BLOCK_BYTES
 

@@ -5,11 +5,14 @@ finite-length feasibility bounds and critical sample sizes, and run the
 Monte Carlo validation, writing UTF-8 CSV tables plus JSON sidecars that
 echo the full configuration (seed included).  This module alone formats
 the CSVs: each subcommand names its columns next to their values, and
-_cell spells every cell.  `exponent` reads its rate
-grid in bits per sample unless --units nats is given; the curve point that
-`bounds` and `cns` take (--xi, --d-slope, --c) and all CSV columns are
-always in nats.  Every command is deterministic given its arguments, and
-the exit code is 0 only when the run's invariant checks pass.
+_cell spells every cell.  Each input has one flag: `exponent` reads its
+rate grid from --rates, in bits per sample unless --units nats is given,
+and `simulate` its Type I budget from --regime (const:<eps> is a fixed
+one).  The curve point that `bounds` and `cns` take (--xi, --d-slope, --c)
+and all CSV columns are always in nats.  No flag sets the sampling
+threads: the sampler picks them, and they move no output byte.  Every
+command is deterministic given its arguments, and the exit code is 0 only
+when the run's invariant checks pass.
 """
 
 from __future__ import annotations
@@ -25,14 +28,6 @@ import numpy as np
 from . import __version__, bottleneck, bounds, dist, rngstreams, simulate
 
 LN2 = math.log(2.0)
-
-
-def _to_nats(rate: float, units: str) -> float:
-    return rate * LN2 if units == "bits" else rate
-
-
-def _from_nats(rate: float, units: str) -> float:
-    return rate / LN2 if units == "bits" else rate
 
 
 def _positive_int(text: str) -> int:
@@ -168,22 +163,10 @@ def cmd_model(args) -> int:
 # exponent
 # --------------------------------------------------------------------------
 
-def _resolve_rate_grid(args) -> np.ndarray:
-    linear = (args.rate_min, args.rate_max, args.rate_points)
-    if args.rates is not None and linear == (None, None, None):
-        return np.array([_to_nats(r, args.units) for r in args.rates])
-    if args.rates is None and None not in linear:
-        return np.linspace(_to_nats(args.rate_min, args.units),
-                           _to_nats(args.rate_max, args.units),
-                           args.rate_points)
-    raise bottleneck.SolverError(
-        "give either --rates or all of --rate-min/--rate-max/--rate-points, not both")
-
-
 def cmd_exponent(args) -> int:
     p = _load_model(args.model)
-    grid = _resolve_rate_grid(args)
-    curve = bottleneck.build_curve(p, grid, restarts=args.restarts,
+    per_unit = LN2 if args.units == "bits" else 1.0  # nats per unit of --rates
+    curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit, restarts=args.restarts,
                                    master_seed=args.seed)
     path = _out_path(args, args.out)
     _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
@@ -193,7 +176,7 @@ def cmd_exponent(args) -> int:
                                       diagnostics=curve.diagnostics))
     mi = dist.mutual_information(p)
     for i in range(len(curve.r)):
-        print(f"R={_from_nats(float(curve.r[i]), args.units):.6f} {args.units}: "
+        print(f"R={float(curve.r[i]) / per_unit:.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
     diag = curve.diagnostics
     print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
@@ -264,10 +247,7 @@ def cmd_cns(args) -> int:
 def cmd_simulate(args) -> int:
     p = _load_model(args.model)
     cal_trials = args.cal_trials if args.cal_trials is not None else args.trials
-    if args.eps is not None:
-        eps = args.eps
-    else:
-        eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
+    eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
     # calibration checks eps too, but --force-threshold skips it
     if not (0.0 < eps < 1.0):
         raise simulate.SimulationError(f"eps must lie in (0, 1), got {eps!r}")
@@ -286,17 +266,16 @@ def cmd_simulate(args) -> int:
     enc = scalar.blockwise(args.block_len)
     qm = simulate.quantized_model(p, enc)
 
-    saturated = False
-    chunks = 2 * len(rngstreams.chunk_spans(args.trials))
+    saturated, cal_chunks = False, 0
     if args.force_threshold is not None:
         t = args.force_threshold
     else:
-        cal = simulate.calibrate_threshold(qm, args.n, eps, cal_trials,
-                                           args.seed, workers=args.workers)
+        cal = simulate.calibrate_threshold(qm, args.n, eps, cal_trials, args.seed)
         t, saturated = cal.t, cal.saturated
-        chunks += len(rngstreams.chunk_spans(cal_trials))
-    result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed,
-                                      workers=args.workers)
+        cal_chunks = len(rngstreams.chunk_spans(cal_trials))
+    result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed)
+    # counted once the sampler has accepted the trial counts, which bounds them
+    chunks = cal_chunks + 2 * len(rngstreams.chunk_spans(args.trials))
 
     block_rows, block_bytes = simulate.count_block(qm.class_lr.size)
     path = _out_path(args, args.out)
@@ -355,11 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("exponent", parents=[common],
                         help="trace the exponent curve xi(R) on a rate grid")
     pe.add_argument("--model", required=True, help="model JSON path")
-    pe.add_argument("--rates", type=_float_list,
-                    help="comma-separated rate grid (in --units)")
-    pe.add_argument("--rate-min", type=float, help="linear grid start (in --units)")
-    pe.add_argument("--rate-max", type=float, help="linear grid end (in --units)")
-    pe.add_argument("--rate-points", type=_positive_int, help="linear grid size (>= 3)")
+    pe.add_argument("--rates", type=_float_list, required=True,
+                    help="comma-separated rate grid (in --units), at least 3 points")
     pe.add_argument("--units", choices=("bits", "nats"), default="bits",
                     help="unit of the rate grid and the printed rates (default bits)")
     pe.add_argument("--restarts", type=_positive_int, default=4,
@@ -406,17 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--block-len", type=_positive_int, default=1,
                     help="encoder block length (default 1; exact tables need <= 3)")
     ps.add_argument("--n", type=_positive_int, required=True, help="samples per trial")
-    budget = ps.add_mutually_exclusive_group(required=True)
-    budget.add_argument("--eps", type=float, help="Type I budget")
-    budget.add_argument("--regime", help="Type I regime spec; eps = eps_n(--n)")
+    ps.add_argument("--regime", required=True,
+                    help="Type I regime spec, const:<eps> for a fixed budget; "
+                         "eps = eps_n(--n)")
     ps.add_argument("--trials", type=_positive_int, default=100_000,
                     help="evaluation trials (default 100000)")
     ps.add_argument("--cal-trials", type=_positive_int,
                     help="calibration trials (default: same as --trials)")
     ps.add_argument("--force-threshold", type=float,
                     help="skip calibration and use this threshold (inf/-inf allowed)")
-    ps.add_argument("--workers", type=_positive_int, default=1,
-                    help="sampling threads; results are identical for any count")
     ps.add_argument("--out", default="sim.csv")
     ps.set_defaults(func=cmd_simulate)
     return parser

@@ -30,6 +30,8 @@ import numpy as np
 PROB_ATOL = 1e-12
 # calibrate_correlation stops once |I(X;Y) - target| is within this (nats).
 CALIBRATION_TOL = 1e-6
+# Largest nx * ny of a discretized Gaussian: 32 MiB per float64 grid array.
+MAX_GRID_CELLS = 1 << 22
 
 
 class DistributionError(ValueError):
@@ -221,8 +223,7 @@ def discretized_gaussian(correlation: float, nx: int, ny: int,
     """
     if not (-1.0 < correlation < 1.0):
         raise DistributionError(f"correlation must lie strictly inside (-1, 1), got {correlation!r}")
-    if nx < 2 or ny < 2:
-        raise DistributionError("grid needs at least 2 points per axis")
+    _check_grid(nx, ny)
     if span_sigmas <= 0:
         raise DistributionError("span_sigmas must be positive")
     xs = np.linspace(-span_sigmas, span_sigmas, nx)
@@ -241,6 +242,12 @@ def discretized_gaussian(correlation: float, nx: int, ny: int,
         )
     probs = dens / dens.sum()
     return JointPmf(probs, tuple(float(v) for v in xs), tuple(float(v) for v in ys))
+
+
+def _check_grid(nx: int, ny: int) -> None:
+    if nx < 2 or ny < 2 or nx * ny > MAX_GRID_CELLS:
+        raise DistributionError(f"grid needs at least 2 points per axis and at most "
+                                f"{MAX_GRID_CELLS} cells, got {nx} x {ny}")
 
 
 def _max_valid_correlation(nx: int, ny: int) -> float:
@@ -266,6 +273,7 @@ def calibrate_correlation(target_mi: float, nx: int, ny: int) -> tuple[float, Jo
     Relies on I(X;Y) being continuous and increasing in |correlation|; the
     returned correlation is the nonnegative root.
     """
+    _check_grid(nx, ny)  # before the search reads a refused grid as too much correlation
     cap = math.log(min(nx, ny))
     if not (math.isfinite(target_mi) and target_mi >= 0):
         raise DistributionError(f"target_mi must be finite and nonnegative, got {target_mi!r}")

@@ -33,6 +33,7 @@ array that it sorts in place.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -49,6 +50,8 @@ MAX_BLOCK_LEN = 3
 # with the number of classes (at most one per cell).  Sampling memory is
 # bounded by COUNT_BLOCK_BYTES.
 MAX_TABLE_CELLS = 16_384
+# Most trials per calibration or evaluation: a 1 GiB calibration sample.
+MAX_TRIALS = 1 << 27
 # Bytes of int64 class counts one sampling worker draws at a time.
 COUNT_BLOCK_BYTES = 1 << 19
 # Relative gap between sorted log-ratios above which a new class starts.
@@ -295,11 +298,20 @@ def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
     return stats
 
 
+def _sampling_threads() -> int:
+    """The default number of sampling threads: the CPUs the process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_chunks(summary, pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
-                trials: int, seed: int, purpose: int, workers: int = 1) -> list:
-    """summary(span, S) of each chunk of trials, in chunk order.  A chunk's
-    statistics are dropped once summarized."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+                trials: int, seed: int, purpose: int, workers: int | None) -> list:
+    """summary(span, S) of each chunk of trials, in chunk order, on at most
+    ``workers`` threads (default _sampling_threads()), which the pool starts
+    only as chunks need them.  A chunk's statistics are dropped once summarized."""
+    threads = _sampling_threads() if workers is None else workers
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(
             lambda span: summary(span, _chunk_stats(pmf, lr, k_blocks, n, seed,
                                                     purpose, span)),
@@ -313,7 +325,7 @@ class ThresholdCalibration:
 
 
 def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
-                        seed: int, workers: int = 1) -> ThresholdCalibration:
+                        seed: int, workers: int | None = None) -> ThresholdCalibration:
     """Empirical eps-quantile from below of the statistic under the null.
 
     With m = cal_trials and a = floor(eps * m), the returned t is the
@@ -326,8 +338,8 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     """
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
-    if cal_trials < 1:
-        raise SimulationError("cal_trials must be >= 1")
+    if not 1 <= cal_trials <= MAX_TRIALS:
+        raise SimulationError(f"cal_trials = {cal_trials} must lie in [1, {MAX_TRIALS}]")
     if n < 1 or n % qm.block_len:
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")
@@ -385,7 +397,7 @@ class SimResult:
 
 
 def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
-                    seed: int, workers: int = 1) -> SimResult:
+                    seed: int, workers: int | None = None) -> SimResult:
     """Monte Carlo Type I / Type II estimates for the region {S > t}.
 
     Type I counts null trials with S <= t; Type II counts alternative
@@ -396,8 +408,8 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     """
     if math.isnan(t):
         raise SimulationError("threshold t must not be NaN")
-    if trials < 1:
-        raise SimulationError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise SimulationError(f"trials = {trials} must lie in [1, {MAX_TRIALS}]")
     if n < 1 or n % qm.block_len:
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")

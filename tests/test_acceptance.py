@@ -220,18 +220,18 @@ def test_converse_consistency():
                 f"{elapsed:.1f}s")
 
 
-def test_determinism(tmp_path):
+def test_determinism(tmp_path, monkeypatch):
     model = tmp_path / "model.json"
     assert cli.main(["model", "--rho", "0.6", "--grid", "8",
                      "--out-dir", str(tmp_path), "--out", "model.json"]) == 0
 
     def render(tag: str, workers: int) -> dict[str, bytes]:
+        monkeypatch.setattr(d.simulate, "_sampling_threads", lambda: workers)
         out = tmp_path / tag
         base = ["--seed", "3", "--out-dir", str(out)]
         assert cli.main(["simulate", "--model", str(model), "--identity-encoder",
-                         "--n", "8", "--eps", "0.2", "--trials", "6000",
-                         "--cal-trials", "6000", "--workers", str(workers),
-                         "--out", "sim.csv"] + base) == 0
+                         "--n", "8", "--regime", "const:0.2", "--trials", "6000",
+                         "--cal-trials", "6000", "--out", "sim.csv"] + base) == 0
         assert cli.main(["exponent", "--model", str(model),
                          "--rates", "0.05,0.1,0.2", "--out", "curve.csv"]
                         + base) == 0

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,27 +118,11 @@ class TestExponentCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_linear_grid_flags(self, tmp_path):
-        model = make_model(tmp_path)
-        assert run(["exponent", "--model", model, "--rate-min", 0.02,
-                    "--rate-max", 0.3, "--rate-points", 5,
-                    "--out-dir", tmp_path, "--out", "grid.csv"]) == 0
-        lines = (tmp_path / "grid.csv").read_text().strip().split("\n")
-        assert len(lines) == 6
-
     def test_two_rates_rejected(self, tmp_path, capsys):
         model = make_model(tmp_path)
         assert run(["exponent", "--model", model, "--rates", "0.05,0.1",
                     "--out-dir", tmp_path]) == 1
         assert "3 points" in capsys.readouterr().err
-
-    def test_rates_and_linear_grid_conflict(self, tmp_path, capsys):
-        model = make_model(tmp_path)
-        assert run(["exponent", "--model", model, "--rates", "0.05,0.1,0.2",
-                    "--rate-min", 0.5, "--rate-max", 0.9, "--rate-points", 9,
-                    "--out-dir", tmp_path, "--out", "curve.csv"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not list(tmp_path.glob("*.csv"))
 
     def test_nan_rate_rejected(self, tmp_path, capsys):
         model = make_model(tmp_path, grid=8)
@@ -295,14 +280,17 @@ class TestRemovedFlags:
         "cns": ["--xi", 0.7, "--c", 1.92, "--regimes", "log"],
         "model": ["--rho", 0.5, "--grid", 8],
         "exponent": ["--model", "model.json", "--rates", "0.05,0.1,0.2"],
-        "simulate": ["--model", "model.json", "--identity-encoder", "--n", 8, "--eps", 0.2],
+        "simulate": ["--model", "model.json", "--identity-encoder", "--n", 8,
+                     "--regime", "const:0.2"],
     }
 
     @pytest.mark.parametrize("command,flag,value", [
         ("bounds", "--model", "m.json"), ("cns", "--rate", 0.1), ("bounds", "--restarts", 2),
         ("cns", "--units", "nats"), ("model", "--workers", 2), ("exponent", "--workers", 2),
         ("simulate", "--units", "bits"), ("model", "--gaussian", None),
-        ("simulate", "--preset", "smoke"),
+        ("simulate", "--preset", "smoke"), ("exponent", "--rate-min", 0.01),
+        ("exponent", "--rate-max", 0.25), ("exponent", "--rate-points", 7),
+        ("simulate", "--eps", 0.2), ("simulate", "--workers", 2),
     ])
     def test_rejected_and_not_echoed(self, tmp_path, capsys, command, flag, value):
         extra = [flag] if value is None else [flag, value]
@@ -314,12 +302,32 @@ class TestRemovedFlags:
         meta = json.loads((tmp_path / "cns.meta.json").read_text())
         assert not {"model", "rate", "restarts", "units", "workers"} & meta.keys()
 
+    def test_simulate_sidecar_has_no_removed_keys(self, tmp_path):
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, "--identity-encoder", "--n", 8,
+                    "--regime", "const:0.2", "--trials", 200, "--force-threshold", "inf",
+                    "--out-dir", tmp_path]) == 0
+        meta = json.loads((tmp_path / "sim.meta.json").read_text())
+        assert meta["regime"] == "const:0.2" and meta["eps_n"] == 0.2
+        assert not {"eps", "workers", "units", "preset"} & meta.keys()
+
+    @pytest.mark.parametrize("command", ["exponent", "simulate"])
+    def test_grid_and_budget_are_required(self, tmp_path, capsys, command):
+        # the one spelling of each is --rates and --regime
+        flag = {"exponent": "--rates", "simulate": "--regime"}[command]
+        base = self.BASE[command]
+        at = base.index(flag)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *base[:at], *base[at + 2:], "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_identity_encoder_run(self, tmp_path):
         model = make_model(tmp_path)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 8, "--eps", 0.2, "--trials", 4000,
+                    "--n", 8, "--regime", "const:0.2", "--trials", 4000,
                     "--cal-trials", 4000, "--out-dir", tmp_path,
                     "--out", "sim.csv"]) == 0
         lines = (tmp_path / "sim.csv").read_text().strip().split("\n")
@@ -356,7 +364,7 @@ class TestSimulateCommand:
         model = tmp_path / "m.json"
         model.write_text(json.dumps({"x_labels": labels, "y_labels": [0, 1],
                                      "probs": [[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]]}))
-        args = ["simulate", "--model", model, "--n", 4, "--eps", 0.2, "--trials", 200,
+        args = ["simulate", "--model", model, "--n", 4, "--regime", "const:0.2", "--trials", 200,
                 "--cal-trials", 2000, "--out-dir", tmp_path]
         assert run([*args, "--levels", 2]) == 1
         err = capsys.readouterr().err
@@ -367,7 +375,7 @@ class TestSimulateCommand:
     def test_force_threshold_skips_calibration(self, tmp_path):
         model = make_model(tmp_path)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 4, "--eps", 0.1, "--trials", 2000,
+                    "--n", 4, "--regime", "const:0.1", "--trials", 2000,
                     "--force-threshold", "inf",
                     "--out-dir", tmp_path, "--out", "f.csv"]) == 0
         row = (tmp_path / "f.csv").read_text().strip().split("\n")[1]
@@ -385,7 +393,7 @@ class TestSimulateCommand:
     def test_cal_trials_follow_trials(self, tmp_path):
         model = make_model(tmp_path, grid=8)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 4, "--eps", 0.2, "--trials", 2000,
+                    "--n", 4, "--regime", "const:0.2", "--trials", 2000,
                     "--out-dir", tmp_path, "--out", "p.csv"]) == 0
         meta = json.loads((tmp_path / "p.meta.json").read_text())
         assert meta["trials"] == 2000 and meta["cal_trials"] == 2000
@@ -395,40 +403,67 @@ class TestSimulateCommand:
         for encoder in (["--levels", 3, "--identity-encoder"], []):
             with pytest.raises(SystemExit) as exc:
                 run(["simulate", "--model", model, *encoder,
-                     "--n", 4, "--eps", 0.2, "--out-dir", tmp_path])
+                     "--n", 4, "--regime", "const:0.2", "--out-dir", tmp_path])
             assert exc.value.code == 2
         assert not (tmp_path / "sim.csv").exists()
 
-    @pytest.mark.parametrize("eps", ["7", "nan", "0"])
-    def test_eps_outside_unit_interval_rejected(self, tmp_path, capsys, eps):
+    @pytest.mark.parametrize("regime,n,message", [
+        ("poly:1", 1, "eps must lie in (0, 1)"),  # eps_n = 1.0
+        ("superpoly:0.9", 2000, "eps must lie in (0, 1)"),  # eps_n underflows to 0.0
+        ("const:7", 10, "const regime needs a parameter in (0, 1)"),
+    ], ids=["poly:1", "superpoly:0.9", "const:7"])
+    def test_eps_outside_unit_interval_rejected(self, tmp_path, capsys, regime, n, message):
         # --force-threshold skips calibration, which checks eps too
         model = make_model(tmp_path, grid=8)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 10, "--eps", eps, "--force-threshold", 0,
+                    "--n", n, "--regime", regime, "--force-threshold", 0,
                     "--trials", 100, "--out-dir", tmp_path]) == 1
-        assert capsys.readouterr().err.startswith("error: eps must lie in (0, 1)")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "sim.csv").exists()
 
     def test_nan_threshold_rejected(self, tmp_path, capsys):
         # every comparison with NaN is false, so it would report no errors
         model = make_model(tmp_path, grid=8)
         assert run(["simulate", "--model", model, "--identity-encoder",
-                    "--n", 4, "--eps", 0.1, "--force-threshold", "nan",
+                    "--n", 4, "--regime", "const:0.1", "--force-threshold", "nan",
                     "--trials", 100, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "sim.csv").exists()
 
-    def test_eps_and_regime_are_exclusive(self, tmp_path):
-        model = make_model(tmp_path, grid=8)
-        with pytest.raises(SystemExit) as exc:
-            run(["simulate", "--model", model, "--identity-encoder",
-                 "--n", 4, "--eps", 0.2, "--regime", "log",
-                 "--out-dir", tmp_path])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            run(["simulate", "--model", model, "--identity-encoder",
-                 "--n", 4, "--out-dir", tmp_path])
-        assert exc.value.code == 2
+
+class TestInputCaps:
+    """Inputs whose memory would grow with their value fail with an error
+    before anything of that size is allocated."""
+
+    HUGE = 10 ** 12
+
+    @pytest.mark.parametrize("command,args", [
+        ("model", ["--rho", 0.5, "--grid", 1_000_000]),
+        ("model", ["--target-mi-nats", 0.08, "--grid", 1_000_000]),
+        ("simulate", ["--cal-trials", HUGE]),
+        ("simulate", ["--trials", HUGE]),
+        ("simulate", ["--trials", HUGE, "--cal-trials", 1000]),
+        ("simulate", ["--trials", HUGE, "--force-threshold", 0]),
+    ], ids=["rho-grid", "target-grid", "cal-trials", "trials", "trials-after-calibration",
+            "trials-forced-threshold"])
+    def test_refused_before_allocation(self, tmp_path, capsys, command, args):
+        out = tmp_path / "out"
+        if command == "simulate":
+            args = ["--model", make_model(tmp_path, grid=8), "--identity-encoder",
+                    "--n", 8, "--regime", "const:0.2", *args]
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run([command, *args, "--out-dir", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        cap = dist.MAX_GRID_CELLS if command == "model" else simulate.MAX_TRIALS
+        assert err.startswith("error:") and str(cap) in err
+        assert peak < 1 << 20
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestArtifactFormat:
@@ -444,7 +479,7 @@ class TestArtifactFormat:
                    "valid_lb", "valid_lb", ["0", "1"]),
         "cns": (["--xi", 0.7, "--c", 1.92, "--regimes", "log,poly:1", "--cap", 30],
                 "regime,delta,cns", "cns", ["28", "none"]),
-        "simulate": (["--identity-encoder", "--n", 4, "--eps", 0.1, "--trials", 200,
+        "simulate": (["--identity-encoder", "--n", 4, "--regime", "const:0.1", "--trials", 200,
                       "--force-threshold", "inf"],
                      "n,eps_n,t,type1_hat,type2_hat,ci_lo,ci_hi,seed", "t", ["inf"]),
     }
@@ -464,15 +499,16 @@ class TestArtifactFormat:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
+    def test_byte_identical_reruns_and_worker_invariance(self, tmp_path, monkeypatch):
         model = make_model(tmp_path, grid=8)
         texts = []
         for sub, workers in (("a", 1), ("b", 1), ("c", 4)):
+            monkeypatch.setattr(simulate, "_sampling_threads", lambda: workers)
             out = tmp_path / sub
             assert run(["simulate", "--model", model, "--identity-encoder",
-                        "--n", 8, "--eps", 0.2, "--trials", 6000,
+                        "--n", 8, "--regime", "const:0.2", "--trials", 6000,
                         "--cal-trials", 6000, "--seed", 3,
-                        "--workers", workers, "--out-dir", out,
+                        "--out-dir", out,
                         "--out", "sim.csv"]) == 0
             texts.append((out / "sim.csv").read_bytes())
         assert texts[0] == texts[1] == texts[2]

@@ -178,6 +178,13 @@ class TestDiscretizedGaussian:
         with pytest.raises(d.DistributionError, match="at least 2"):
             d.discretized_gaussian(0.3, 1, 8)
 
+    def test_rejects_grid_over_the_cap(self, monkeypatch):
+        # refused before any grid array is built
+        monkeypatch.setattr(d.dist.np, "linspace", None)
+        with pytest.raises(d.DistributionError, match="at most 4194304 cells"):
+            d.discretized_gaussian(0.3, 2049, 2048)
+        d.dist._check_grid(2048, 2048)  # 2^22 cells is allowed
+
     def test_rejects_underflowing_cells(self):
         # corner cells need exp(-span^2/(1-rho)) roughly; span 8, rho 0.95
         # pushes the range past the float64 exponent budget
@@ -208,6 +215,13 @@ class TestCalibration:
         # below the entropy cap but above what positive-support grids reach
         with pytest.raises(d.UnreachableTargetError):
             d.calibrate_correlation(math.log(8) * 0.999, 8, 8)
+
+    def test_rejects_grid_over_the_cap_before_searching(self, monkeypatch):
+        # not read as a correlation too large for the grid
+        monkeypatch.setattr(d.dist, "discretized_gaussian", None)
+        with pytest.raises(d.DistributionError, match="at most 4194304 cells") as exc:
+            d.calibrate_correlation(0.08, 1_000_000, 1_000_000)
+        assert not isinstance(exc.value, d.UnreachableTargetError)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -0.1])
     def test_rejects_non_finite_or_negative_target(self, target, monkeypatch):

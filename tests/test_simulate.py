@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
@@ -518,6 +519,16 @@ class TestCalibration:
         with pytest.raises(s.SimulationError, match="NaN"):
             s.estimate_errors(qm, 4, math.nan, 100, seed=0)
 
+    def test_trial_counts_over_the_cap(self, monkeypatch):
+        # refused before the calibration sample or any chunk exists
+        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        monkeypatch.setattr(s, "_map_chunks", None)
+        monkeypatch.setattr(s.np, "empty", None)
+        with pytest.raises(s.SimulationError, match=str(s.MAX_TRIALS)):
+            s.calibrate_threshold(qm, 4, 0.1, s.MAX_TRIALS + 1, seed=0)
+        with pytest.raises(s.SimulationError, match=str(s.MAX_TRIALS)):
+            s.estimate_errors(qm, 4, 0.0, s.MAX_TRIALS + 1, seed=0)
+
 
 class TestEstimateErrors:
     def test_exact_law_within_confidence_band(self):
@@ -552,6 +563,24 @@ class TestEstimateErrors:
         assert base == again == threaded
         other = s.estimate_errors(qm, 8, 0.0, 40_000, seed=6)
         assert other.type2_hat != base.type2_hat
+
+    @pytest.mark.parametrize("chunks,most", [(5, 3), (1, 1)])
+    def test_threads_bounded_by_cpus_and_chunks(self, monkeypatch, chunks, most):
+        # with 3 CPUs, 5 chunks share at most 3 threads and 1 chunk uses one
+        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        monkeypatch.setattr(s, "_sampling_threads", lambda: 3)
+        seen = {}
+        chunk_stats = s._chunk_stats
+
+        def traced(*args):
+            seen.setdefault(args[5], set()).add(threading.get_ident())
+            return chunk_stats(*args)
+
+        monkeypatch.setattr(s, "_chunk_stats", traced)
+        trials = (chunks - 1) * rngstreams.CHUNK_TRIALS + 1
+        s.estimate_errors(qm, 4, 0.0, trials, seed=0)
+        assert set(seen) == {rngstreams.PURPOSE_H0, rngstreams.PURPOSE_H1}
+        assert all(1 <= len(ids) <= most for ids in seen.values())
 
 
 class TestWilson:

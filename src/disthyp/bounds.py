@@ -10,10 +10,12 @@ sequence eps_n in one of the regimes const, log, poly and superpoly:
   bound, ub_prob the achievability formula without its residual terms,
 * the critical number of samples: the first n at which the interval
   collapses onto the nominal value within a tolerance delta, found by
-  evaluating the interval over chunks of n at once.
+  evaluating the interval over chunks of n at once: the achievability end
+  at every n, the converse end only where the first end is within delta.
 
-The interval arithmetic is written once, on numpy arrays of sample sizes
-(_budget, _interval); the scalar functions evaluate it at a single n, so a
+The interval arithmetic is written once, on numpy arrays of sample sizes:
+_budget, and one function per end (_upper_end, _lower_end), which
+_interval joins.  The scalar functions evaluate it at a single n, so a
 report and a scan see the same numbers.
 
 All asymptotically vanishing residual terms in the closed forms are set to
@@ -133,7 +135,7 @@ def _check_point(curve_point: tuple[float, float], c: float) -> tuple[float, flo
 
 
 def _budget(regime: TypeIRegime, n: np.ndarray) -> tuple[np.ndarray, ...]:
-    """eps_n, ln(1/eps_n), block length l and slack mass h_n at the sizes n.
+    """eps_n, ln(1/eps_n) and block length l at the sizes n.
 
     n is a float64 array.  Callers hold np.errstate(all="ignore"): eps_n
     underflows and 1/eps_n overflows at large n, and poly and superpoly
@@ -155,8 +157,7 @@ def _budget(regime: TypeIRegime, n: np.ndarray) -> tuple[np.ndarray, ...]:
         log_inv_eps = np.where(np.isfinite(log_inv_eps), log_inv_eps, n ** p)
     alpha = (1.0 - p) / 3.0 if kind == "superpoly" else 1.0 / 3.0
     block_l = np.maximum(1.0, np.ceil(n ** alpha - 1e-12))
-    h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
-    return eps, log_inv_eps, block_l, h
+    return eps, log_inv_eps, block_l
 
 
 def eps_at(regime: TypeIRegime, n: int) -> float:
@@ -246,29 +247,49 @@ class BoundReport:
         return (log_ub + math.log1p(-math.exp(log_lb - log_ub))) / self.n
 
 
+def _upper_end(xi: float, d_slope: float, c: float, regime: TypeIRegime,
+               n: np.ndarray) -> dict[str, np.ndarray]:
+    """The budget and the achievability end at the sizes n, with ln(1/eps_n)
+    under "log_inv_eps" for _lower_end.  The exponent of ub_prob is floored
+    at 0, so ub_prob lies in [0, 1] and exp() cannot overflow.  Callers hold
+    np.errstate(all="ignore"), as for _budget."""
+    eps, log_inv_eps, block_l = _budget(regime, n)
+    delta_tilde = c * np.sqrt(2.0 * log_inv_eps / (n * block_l))
+    ub_exponent = xi + d_slope * np.log(block_l) / (2.0 * block_l) - delta_tilde
+    return {"eps_n": eps, "log_inv_eps": log_inv_eps, "block_l": block_l,
+            "delta_tilde": delta_tilde, "ub_exponent": ub_exponent,
+            "nominal": np.exp(-n * xi),
+            "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0))}
+
+
+def _lower_end(xi: float, c: float, n: np.ndarray, eps: np.ndarray,
+               log_inv_eps: np.ndarray) -> dict[str, np.ndarray]:
+    """The slack mass h_n and the converse end at the sizes n, given eps_n
+    and ln(1/eps_n) there.  lb_exponent is >= 0, so lb_prob lies in [0, 1].
+    Callers hold np.errstate(all="ignore")."""
+    h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
+    slack = 1.0 - eps - h
+    valid_lb = slack > 0.0
+    log_inv_slack = np.log(1.0 / slack)
+    lb_exponent = np.where(
+        valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
+    return {"h_n": h, "valid_lb": valid_lb, "lb_exponent": lb_exponent,
+            "lb_prob": np.exp(-n * lb_exponent)}
+
+
 def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
               n: np.ndarray) -> dict[str, np.ndarray]:
     """BoundReport's interval fields at the admissible float64 sizes n.
 
-    The only evaluation of the interval: feasibility_interval calls it on
-    one n, critical_sample_size on chunks of n.  Probabilities come out
-    clamped to [0, 1] without a clamp: the lower exponent is >= 0, and the
-    upper one is floored at 0, which also keeps exp() from overflowing.
+    Both ends at every n: feasibility_interval calls it on one n.
+    critical_sample_size runs the two ends itself, each on the sizes it
+    needs; every operation is elementwise, so a size gets the same bits
+    either way.
     """
     with np.errstate(all="ignore"):
-        eps, log_inv_eps, block_l, h = _budget(regime, n)
-        delta_tilde = c * np.sqrt(2.0 * log_inv_eps / (n * block_l))
-        ub_exponent = xi + d_slope * np.log(block_l) / (2.0 * block_l) - delta_tilde
-        slack = 1.0 - eps - h
-        valid_lb = slack > 0.0
-        log_inv_slack = np.log(1.0 / slack)
-        lb_exponent = np.where(
-            valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
-        return {"eps_n": eps, "block_l": block_l, "h_n": h, "delta_tilde": delta_tilde,
-                "valid_lb": valid_lb, "ub_exponent": ub_exponent,
-                "lb_exponent": lb_exponent, "nominal": np.exp(-n * xi),
-                "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0)),
-                "lb_prob": np.exp(-n * lb_exponent)}
+        upper = _upper_end(xi, d_slope, c, regime, n)
+        log_inv_eps = upper.pop("log_inv_eps")
+        return {**upper, **_lower_end(xi, c, n, upper["eps_n"], log_inv_eps)}
 
 
 def feasibility_interval(curve_point: tuple[float, float], c: float,
@@ -305,10 +326,12 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     The scan starts at the regime's first admissible n.  Returns that n,
     the critical sample size, or None if no n <= cap qualifies.
 
-    The scan evaluates the interval over chunks of n (64 sizes, doubling up
-    to 2048) with the same arithmetic as feasibility_interval, so the
-    condition holds at the cns, as feasibility_interval reports it, and at
-    no admissible n before it.
+    The scan runs over chunks of n (64 sizes, doubling up to 2048) with the
+    arithmetic of feasibility_interval, in two stages: it evaluates the
+    achievability end at every n of a chunk, and the converse end only at
+    the sizes where ub_prob - nominal <= delta, which are few.  Both stages
+    are elementwise, so the condition holds at the cns, as
+    feasibility_interval reports it, and at no admissible n before it.
     """
     if not delta > 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
@@ -316,12 +339,17 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
         raise RegimeSpecError(f"cap must be >= 1, got {cap}")
     xi, d_slope = _check_point(curve_point, c)
     lo, size = _REGIMES[regime.kind][1], _CHUNK_MIN
-    while lo <= cap:
-        hi = min(lo + size, cap + 1)
-        f = _interval(xi, d_slope, c, regime, np.arange(lo, hi, dtype=np.float64))
-        gap = np.maximum(f["ub_prob"] - f["nominal"], f["nominal"] - f["lb_prob"])
-        hits = np.flatnonzero(gap <= delta)
-        if hits.size:
-            return lo + int(hits[0])
-        lo, size = hi, min(2 * size, _CHUNK_MAX)
+    with np.errstate(all="ignore"):
+        while lo <= cap:
+            hi = min(lo + size, cap + 1)
+            n = np.arange(lo, hi, dtype=np.float64)
+            up = _upper_end(xi, d_slope, c, regime, n)
+            # a NaN on either side fails its test, as it fails max(...) <= delta
+            near = np.flatnonzero(up["ub_prob"] - up["nominal"] <= delta)
+            if near.size:
+                low = _lower_end(xi, c, n[near], up["eps_n"][near], up["log_inv_eps"][near])
+                hits = near[up["nominal"][near] - low["lb_prob"] <= delta]
+                if hits.size:
+                    return lo + int(hits[0])
+            lo, size = hi, min(2 * size, _CHUNK_MAX)
     return None

@@ -218,22 +218,36 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _at_cns(report: bounds.BoundReport | None, delta: float) -> dict:
+    """Which end set the gap at the cns (upper on a tie), and whether nominal
+    and lb_prob lie within delta of 0 there; all None without a cns."""
+    if report is None:
+        return {"gap_side": None, "nominal_le_delta": None, "lb_prob_le_delta": None}
+    upper = report.ub_prob - report.nominal >= report.nominal - report.lb_prob
+    return {"gap_side": "upper" if upper else "lower",
+            "nominal_le_delta": report.nominal <= delta,
+            "lb_prob_le_delta": report.lb_prob <= delta}
+
+
 def cmd_cns(args) -> int:
     xi, d_slope, c = args.xi, args.d_slope, args.c
     regimes = [bounds.TypeIRegime.parse(token) for token in args.regimes.split(",")]
     sizes = [bounds.critical_sample_size((xi, d_slope), c, regime, args.delta, cap=args.cap)
              for regime in regimes]
+    reports = [None if cns is None else bounds.feasibility_interval((xi, d_slope), c, regime, cns)
+               for regime, cns in zip(regimes, sizes)]
     path = _out_path(args, args.out)
     _write_csv(path, [{"regime": regime.label, "delta": args.delta, "cns": cns}
                       for regime, cns in zip(regimes, sizes)])
-    _write_sidecar(path, _config_echo(args))
+    _write_sidecar(path, _config_echo(args, at_cns=[
+        {"regime": regime.label, **_at_cns(report, args.delta)}
+        for regime, report in zip(regimes, reports)]))
     for regime, cns in zip(regimes, sizes):
         shown = cns if cns is not None else f"not found below {args.cap}"
         print(f"{regime.label}: cns={shown}")
     print(f"cns {path}: {len(sizes)} rows")
-    for regime, cns in zip(regimes, sizes):
-        if cns is not None:
-            report = bounds.feasibility_interval((xi, d_slope), c, regime, cns)
+    for report in reports:
+        if report is not None:
             gap = max(report.ub_prob - report.nominal, report.nominal - report.lb_prob)
             if gap > args.delta:
                 return _fail_invariant("feasibility condition holds at the reported cns")
@@ -248,9 +262,13 @@ def cmd_simulate(args) -> int:
     p = _load_model(args.model)
     cal_trials = args.cal_trials if args.cal_trials is not None else args.trials
     eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
-    # calibration checks eps too, but --force-threshold skips it
+    # calibration checks eps and its trials too, but --force-threshold skips
+    # it, and neither phase may sample before both counts are known to fit
     if not (0.0 < eps < 1.0):
         raise simulate.SimulationError(f"eps must lie in (0, 1), got {eps!r}")
+    if args.force_threshold is None:
+        simulate.check_trials("cal_trials", cal_trials)
+    simulate.check_trials("trials", args.trials)
 
     if args.identity_encoder:
         scalar = simulate.Encoder.identity(p.nx)
@@ -274,7 +292,6 @@ def cmd_simulate(args) -> int:
         t, saturated = cal.t, cal.saturated
         cal_chunks = len(rngstreams.chunk_spans(cal_trials))
     result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed)
-    # counted once the sampler has accepted the trial counts, which bounds them
     chunks = cal_chunks + 2 * len(rngstreams.chunk_spans(args.trials))
 
     block_rows, block_bytes = simulate.count_block(qm.class_lr.size)

@@ -298,6 +298,12 @@ def _chunk_stats(pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
     return stats
 
 
+def check_trials(name: str, trials: int) -> None:
+    """Refuse a trial count outside [1, MAX_TRIALS], before anything is sampled."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise SimulationError(f"{name} = {trials} must lie in [1, {MAX_TRIALS}]")
+
+
 def _sampling_threads() -> int:
     """The default number of sampling threads: the CPUs the process may use."""
     if hasattr(os, "sched_getaffinity"):
@@ -338,8 +344,7 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     """
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
-    if not 1 <= cal_trials <= MAX_TRIALS:
-        raise SimulationError(f"cal_trials = {cal_trials} must lie in [1, {MAX_TRIALS}]")
+    check_trials("cal_trials", cal_trials)
     if n < 1 or n % qm.block_len:
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")
@@ -408,8 +413,7 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     """
     if math.isnan(t):
         raise SimulationError("threshold t must not be NaN")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise SimulationError(f"trials = {trials} must lie in [1, {MAX_TRIALS}]")
+    check_trials("trials", trials)
     if n < 1 or n % qm.block_len:
         raise SimulationError(f"n = {n} must be a positive multiple of block "
                               f"length {qm.block_len}")

@@ -367,8 +367,9 @@ def cns_reference(curve_point, c: float, regime, delta: float,
                   cap: int = 100_000) -> int | None:
     """First n <= cap whose gap is <= delta, evaluating every n in turn.
 
-    The per-n scalar loop that critical_sample_size's screened scan must
-    agree with; sizes outside the regime's domain fail the condition.
+    The per-n scalar loop that critical_sample_size's two-stage chunked
+    scan must agree with; sizes outside the regime's domain fail the
+    condition.
     """
     for n in range(1, cap + 1):
         try:

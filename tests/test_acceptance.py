@@ -5,6 +5,7 @@ One test per shipping criterion, each printing a single PASS/FAIL line
 budget include the elapsed time in the check.
 """
 
+import json
 import math
 import time
 
@@ -229,9 +230,11 @@ def test_determinism(tmp_path, monkeypatch):
         monkeypatch.setattr(d.simulate, "_sampling_threads", lambda: workers)
         out = tmp_path / tag
         base = ["--seed", "3", "--out-dir", str(out)]
+        # 40,000 trials are 3 chunks per phase, so 4 threads run chunks at once
         assert cli.main(["simulate", "--model", str(model), "--identity-encoder",
-                         "--n", "8", "--regime", "const:0.2", "--trials", "6000",
-                         "--cal-trials", "6000", "--out", "sim.csv"] + base) == 0
+                         "--n", "8", "--regime", "const:0.2", "--trials", "40000",
+                         "--cal-trials", "40000", "--out", "sim.csv"] + base) == 0
+        assert json.loads((out / "sim.meta.json").read_text())["chunks"] >= 2 * 3
         assert cli.main(["exponent", "--model", str(model),
                          "--rates", "0.05,0.1,0.2", "--out", "curve.csv"]
                         + base) == 0

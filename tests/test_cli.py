@@ -214,6 +214,29 @@ class TestCnsCommand:
         assert [row.split(",")[0] for row in rows] == list(oracles.README_REGIMES)
         assert all(row.endswith(",none") for row in rows)
 
+    def test_sidecar_says_what_set_the_gap(self, tmp_path):
+        # at the README point the criterion reduces to ub_prob <= delta
+        xi, slope = oracles.README_CURVE[-1]
+        assert run(["cns", "--xi", repr(xi), "--c", oracles.README_C, "--d-slope", repr(slope),
+                    "--regimes", "const:0.1,log,poly:0.5",
+                    "--out-dir", tmp_path, "--out", "a.csv"]) == 0
+        at_cns = json.loads((tmp_path / "a.meta.json").read_text())["at_cns"]
+        assert at_cns == [{"regime": spec, "gap_side": "upper", "nominal_le_delta": True,
+                           "lb_prob_le_delta": True} for spec in ("const:0.1", "log", "poly:0.5")]
+        # the converse end binds at n = 14 (test_lower_side_binds); log's cns is 15
+        reg = bounds.TypeIRegime("const", 0.05)
+        delta = oracles.cns_gap((0.35, 0.0), 0.05, reg, 14)
+        rep = bounds.feasibility_interval((0.35, 0.0), 0.05, reg, 14)
+        assert run(["cns", "--xi", 0.35, "--c", 0.05, "--regimes", "const:0.05,log",
+                    "--delta", repr(delta), "--cap", 14,
+                    "--out-dir", tmp_path, "--out", "b.csv"]) == 0
+        at_cns = json.loads((tmp_path / "b.meta.json").read_text())["at_cns"]
+        assert at_cns == [
+            {"regime": "const:0.05", "gap_side": "lower",
+             "nominal_le_delta": rep.nominal <= delta, "lb_prob_le_delta": rep.lb_prob <= delta},
+            {"regime": "log", "gap_side": None, "nominal_le_delta": None,
+             "lb_prob_le_delta": None}]
+
     def test_unsatisfiable_cap(self, tmp_path):
         assert run(["cns", "--xi", 0.01, "--c", 5.0, "--regimes", "poly:0.1",
                     "--delta", 1e-12, "--cap", 50,
@@ -446,11 +469,15 @@ class TestInputCaps:
         ("simulate", ["--trials", HUGE, "--force-threshold", 0]),
     ], ids=["rho-grid", "target-grid", "cal-trials", "trials", "trials-after-calibration",
             "trials-forced-threshold"])
-    def test_refused_before_allocation(self, tmp_path, capsys, command, args):
+    def test_refused_before_allocation(self, tmp_path, capsys, monkeypatch, command, args):
         out = tmp_path / "out"
         if command == "simulate":
             args = ["--model", make_model(tmp_path, grid=8), "--identity-encoder",
                     "--n", 8, "--regime", "const:0.2", *args]
+
+            def sampled(*_):  # neither phase samples before both counts are checked
+                raise AssertionError("a chunk was sampled")
+            monkeypatch.setattr(simulate, "_chunk_stats", sampled)
         capsys.readouterr()
         tracemalloc.start()
         try:
@@ -500,16 +527,18 @@ class TestArtifactFormat:
 
 class TestDeterminism:
     def test_byte_identical_reruns_and_worker_invariance(self, tmp_path, monkeypatch):
+        # 40,000 trials are 3 chunks per phase, so 4 threads run chunks at once
         model = make_model(tmp_path, grid=8)
         texts = []
         for sub, workers in (("a", 1), ("b", 1), ("c", 4)):
             monkeypatch.setattr(simulate, "_sampling_threads", lambda: workers)
             out = tmp_path / sub
             assert run(["simulate", "--model", model, "--identity-encoder",
-                        "--n", 8, "--regime", "const:0.2", "--trials", 6000,
-                        "--cal-trials", 6000, "--seed", 3,
+                        "--n", 8, "--regime", "const:0.2", "--trials", 40_000,
+                        "--cal-trials", 40_000, "--seed", 3,
                         "--out-dir", out,
                         "--out", "sim.csv"]) == 0
+            assert json.loads((out / "sim.meta.json").read_text())["chunks"] >= 2 * 3
             texts.append((out / "sim.csv").read_bytes())
         assert texts[0] == texts[1] == texts[2]
 

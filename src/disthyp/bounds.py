@@ -10,8 +10,10 @@ sequence eps_n in one of the regimes const, log, poly and superpoly:
   bound, ub_prob the achievability formula without its residual terms,
 * the critical number of samples: the first n at which the interval
   collapses onto the nominal value within a tolerance delta, found by
-  evaluating the interval over chunks of n at once: the achievability end
-  at every n, the converse end only where the first end is within delta.
+  evaluating the interval over chunks of n at once.  A chunk whose two
+  ends prove ub_prob - nominal > delta throughout is skipped; in the
+  others the achievability end is evaluated at every n, the converse end
+  only where the first end is within delta.
 
 The interval arithmetic is written once, on numpy arrays of sample sizes:
 _budget, and one function per end (_upper_end, _lower_end), which
@@ -37,6 +39,9 @@ K_REGIME = 1.0
 # _CHUNK_MAX: scans that stop early stay cheap and memory stays bounded.
 _CHUNK_MIN = 64
 _CHUNK_MAX = 2048
+# Relative margin of the chunk screen on each of its two terms: it covers
+# last-bit differences between math.exp and np.exp.
+_SCREEN_RTOL = 1e-9
 
 
 class RegimeDomainError(ValueError):
@@ -277,6 +282,45 @@ def _lower_end(xi: float, c: float, n: np.ndarray, eps: np.ndarray,
             "lb_prob": np.exp(-n * lb_exponent)}
 
 
+def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime,
+                        a: int, b: int, delta: float) -> bool:
+    """True only if ub_prob - nominal > delta at every n of [a, b].
+
+    The screen of critical_sample_size: it runs _budget at the two ends
+    only.  Let L(n) = ln(1/eps_n), l(n) the block length and
+    g(l) = ln(l) / (2 l), so ub_exponent = xi + d_slope g(l) - delta_tilde.
+    For every n in [a, b]:
+
+    * eps_n is nonincreasing in every regime, so L(n) >= L(a);
+    * l(n) is nondecreasing, so n l(n) <= b l(b), and with the first point
+      delta_tilde(n) >= c sqrt(2 L(a) / (b l(b)));
+    * on the integers g rises up to l = 3 and falls after it, so its minimum
+      over [l(a), l(b)] is min(g(l(a)), g(l(b))).  With d_slope <= 0 let g*
+      be that minimum; _check_slope_and_c admits 0 < d_slope <= 1e-6, and
+      there g* is g's maximum ln(3)/6.  Either way d_slope g(l(n)) <= d_slope g*.
+
+    So ub_exponent(n) <= E = xi + d_slope g* - c sqrt(2 L(a) / (b l(b))),
+    ub_prob(n) >= exp(-b max(E, 0)) and nominal(n) = exp(-n xi) <= exp(-a xi).
+    The chunk is skipped iff exp(-b max(E, 0)) (1 - eta) - exp(-a xi) (1 + eta)
+    > delta, with eta = _SCREEN_RTOL relative to each term: delta can be
+    far below the last bit of either (1e-300 against terms near 1).  A
+    non-finite E means no skip.  The terms of E are written as _upper_end
+    writes them, so where a bound is attained E has its bits.  A skipped
+    chunk holds no n that passes the upper test, so the scan's result does
+    not change.
+    """
+    with np.errstate(all="ignore"):
+        _, log_inv_eps, block_l = _budget(regime, np.array([a, b], dtype=np.float64))
+        slope_term = (d_slope * np.log(block_l) / (2.0 * block_l)).tolist()
+    slope_max = d_slope * math.log(3.0) / 6.0 if d_slope > 0 else max(slope_term)
+    e_bar = xi + slope_max - c * math.sqrt(2.0 * log_inv_eps.item(0) / (b * block_l.item(1)))
+    if not math.isfinite(e_bar):
+        return False
+    ub_min = math.exp(-b * max(e_bar, 0.0))
+    nominal_max = math.exp(-a * xi)
+    return ub_min * (1.0 - _SCREEN_RTOL) - nominal_max * (1.0 + _SCREEN_RTOL) > delta
+
+
 def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
               n: np.ndarray) -> dict[str, np.ndarray]:
     """BoundReport's interval fields at the admissible float64 sizes n.
@@ -327,11 +371,14 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     the critical sample size, or None if no n <= cap qualifies.
 
     The scan runs over chunks of n (64 sizes, doubling up to 2048) with the
-    arithmetic of feasibility_interval, in two stages: it evaluates the
-    achievability end at every n of a chunk, and the converse end only at
-    the sizes where ub_prob - nominal <= delta, which are few.  Both stages
-    are elementwise, so the condition holds at the cns, as
-    feasibility_interval reports it, and at no admissible n before it.
+    arithmetic of feasibility_interval.  It first skips every chunk that
+    _chunk_clears_delta proves to hold ub_prob - nominal > delta at each of
+    its sizes, from _budget at the chunk's two ends: no size there passes
+    the condition.  In a kept chunk it evaluates the achievability end at
+    every n, and the converse end only at the sizes where ub_prob - nominal
+    <= delta, which are few.  Both stages are elementwise, so the condition
+    holds at the cns, as feasibility_interval reports it, and at no
+    admissible n before it.
     """
     if not delta > 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
@@ -341,8 +388,11 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     lo, size = _REGIMES[regime.kind][1], _CHUNK_MIN
     with np.errstate(all="ignore"):
         while lo <= cap:
-            hi = min(lo + size, cap + 1)
-            n = np.arange(lo, hi, dtype=np.float64)
+            start, hi = lo, min(lo + size, cap + 1)
+            lo, size = hi, min(2 * size, _CHUNK_MAX)
+            if _chunk_clears_delta(xi, d_slope, c, regime, start, hi - 1, delta):
+                continue
+            n = np.arange(start, hi, dtype=np.float64)
             up = _upper_end(xi, d_slope, c, regime, n)
             # a NaN on either side fails its test, as it fails max(...) <= delta
             near = np.flatnonzero(up["ub_prob"] - up["nominal"] <= delta)
@@ -350,6 +400,5 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
                 low = _lower_end(xi, c, n[near], up["eps_n"][near], up["log_inv_eps"][near])
                 hits = near[up["nominal"][near] - low["lb_prob"] <= delta]
                 if hits.size:
-                    return lo + int(hits[0])
-            lo, size = hi, min(2 * size, _CHUNK_MAX)
+                    return start + int(hits[0])
     return None

@@ -436,6 +436,109 @@ class TestTwoStageScan:
                 assert got.tobytes() == want.tobytes(), (reg.label, key)
 
 
+class TestChunkScreen:
+    """The scan skips a chunk only where _chunk_clears_delta proves that no
+    size in it passes the upper test, and still returns what one unchunked
+    evaluation of the interval gives."""
+
+    SPECS = ("const:0.1", "const:0.9", "const:1e-300", "log", "poly:0.5", "poly:1", "poly:2",
+             "poly:70", "superpoly:0.01", "superpoly:0.5", "superpoly:0.9")
+
+    @staticmethod
+    def draw_point(rng) -> tuple[float, float, float]:
+        """(xi, d_slope, c) with xi in {0, 1e-12} and d_slope = +1e-6 often."""
+        xi = (0.0, 1e-12, rng.uniform(0.0, 0.03), rng.uniform(0.0, 3.0))[rng.integers(4)]
+        d_slope = (1e-6, 0.0, -rng.uniform(0.0, 0.3))[rng.integers(3)]
+        return float(xi), float(d_slope), float(rng.uniform(0.01, 12.0))
+
+    def draw_chunk(self, rng) -> tuple[str, int, int]:
+        """(regime, lo, hi): a chunk of 1 to 2048 sizes starting below 100,000."""
+        spec = self.SPECS[rng.integers(len(self.SPECS))]
+        lo = b._REGIMES[spec.partition(":")[0]][1] + int(10 ** rng.uniform(0.0, 5.0)) - 1
+        return spec, lo, lo + int((0, 1, 63, 2047, rng.integers(0, 2048))[rng.integers(5)])
+
+    @staticmethod
+    def upper_gap(xi, d_slope, c, reg, lo, hi) -> np.ndarray:
+        """ub_prob - nominal at every n of [lo, hi], as the scan computes it."""
+        with np.errstate(all="ignore"):
+            up = b._upper_end(xi, d_slope, c, reg, np.arange(lo, hi + 1, dtype=np.float64))
+        return up["ub_prob"] - up["nominal"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_skip_only_where_every_size_fails_the_upper_test(self):
+        rng = np.random.default_rng(20)
+        # l crosses 1 -> 4 on [1, 64]; poly:1 has L = 0 at n = 1; superpoly:0.9's
+        # eps_n underflows from n = 1554 on; log starts at n = 3
+        edges = [("const:0.1", 1, 64), ("poly:1", 1, 64), ("poly:1", 1, 1), ("poly:1", 1, 2),
+                 ("superpoly:0.9", 1554, 1554), ("superpoly:0.9", 1500, 1617),
+                 ("superpoly:0.9", 1554, 3601), ("superpoly:0.9", 20_000, 22_047),
+                 ("log", 3, 66), ("log", 3, 3), ("superpoly:0.01", 1, 64)]
+        cases, skips, tight_skips = 0, 0, 0
+        for _ in range(60):
+            for edge in edges + [None] * 4:
+                spec, lo, hi = edge or self.draw_chunk(rng)
+                reg = b.TypeIRegime.parse(spec)
+                xi, d_slope, c = self.draw_point(rng)
+                gap = self.upper_gap(xi, d_slope, c, reg, lo, hi)
+                least = float(np.min(gap))
+                # 1e-300 and 0.5, and just below and above the least gap of the chunk
+                for delta in (1e-300, 0.5, least * (1.0 - 10 ** -rng.uniform(1.0, 12.0)),
+                              least * (1.0 + 10 ** -rng.uniform(1.0, 12.0))):
+                    if not delta > 0:
+                        continue
+                    cases += 1
+                    if b._chunk_clears_delta(xi, d_slope, c, reg, lo, hi, delta):
+                        assert np.all(gap > delta), (spec, xi, d_slope, c, lo, hi, delta)
+                        skips += 1
+                        tight_skips += delta > least * (1.0 - 1e-3)
+        assert cases >= 500 and skips >= 100 and tight_skips >= 10, (cases, skips, tight_skips)
+
+    def test_scan_matches_one_unchunked_evaluation(self):
+        rng = np.random.default_rng(21)
+        found = 0
+        for cell in range(240):
+            reg = b.TypeIRegime.parse(self.SPECS[cell % len(self.SPECS)])
+            xi, d_slope, c = self.draw_point(rng)
+            delta = float((1e-300, 0.5, 10 ** rng.uniform(-300.0, 0.0),
+                           10 ** rng.uniform(-12.0, -1.0))[rng.integers(4)])
+            cap = 100_000 if cell % 3 == 0 else int(10 ** rng.uniform(0.0, 5.0))
+            n = np.arange(b._REGIMES[reg.kind][1], cap + 1, dtype=np.float64)
+            at = b._interval(xi, d_slope, c, reg, n)
+            ok = np.flatnonzero(np.maximum(at["ub_prob"] - at["nominal"],
+                                           at["nominal"] - at["lb_prob"]) <= delta)
+            want = int(n[ok[0]]) if ok.size else None
+            assert b.critical_sample_size((xi, d_slope), c, reg, delta, cap=cap) == want, (
+                reg.label, xi, d_slope, c, delta, cap)
+            found += want is not None
+        assert 30 <= found <= 210, found
+
+    @staticmethod
+    def count_upper(monkeypatch) -> list:
+        seen, upper_end = [0], b._upper_end
+
+        def counted(xi, d_slope, c, regime, n):
+            seen[0] += n.size
+            return upper_end(xi, d_slope, c, regime, n)
+        monkeypatch.setattr(b, "_upper_end", counted)
+        return seen
+
+    @pytest.mark.parametrize("spec,cns", [("const:0.1", 46657), ("log", 47446),
+                                          ("poly:0.5", 85185)])
+    def test_readme_tail_row_evaluates_few_sizes(self, monkeypatch, spec, cns):
+        seen = self.count_upper(monkeypatch)
+        reg = b.TypeIRegime.parse(spec)
+        point, c = (0.02213497157560763, -0.11413974114169244), 9.919821435033967
+        assert b.critical_sample_size(point, c, reg, 1e-5) == cns
+        assert 0 < seen[0] < 0.1 * (cns - b._REGIMES[reg.kind][1] + 1)
+
+    def test_readme_first_point_evaluates_almost_nothing(self, monkeypatch):
+        seen = self.count_upper(monkeypatch)
+        point, c = (0.001015507560238674, -0.14215916043389096), 9.919821435033967
+        assert b.critical_sample_size(point, c, b.TypeIRegime("const", 0.1), 1e-5,
+                                      cap=100_000) is None
+        assert seen[0] < 0.01 * 100_000
+
+
 class TestDsbsOptimum:
     """The interval against the exact optimal Type II error on the DSBS.
 

@@ -11,13 +11,10 @@ sequence eps_n in one of the regimes const, log, poly and superpoly:
 * the critical number of samples: the first n at which the interval
   collapses onto the nominal value within a tolerance delta, found by
   evaluating the interval over chunks of n at once.  A chunk whose two
-  ends prove ub_prob - nominal > delta throughout is skipped; in the
-  others the achievability end is evaluated at every n, the converse end
-  only where the first end is within delta.
+  ends prove ub_prob - nominal > delta throughout is skipped.
 
-The interval arithmetic is written once, on numpy arrays of sample sizes:
-_budget, and one function per end (_upper_end, _lower_end), which
-_interval joins.  The scalar functions evaluate it at a single n, so a
+The interval arithmetic is written once, on numpy arrays of sample sizes
+(_budget, _interval); the scalar functions evaluate it at a single n, so a
 report and a scan see the same numbers.
 
 All asymptotically vanishing residual terms in the closed forms are set to
@@ -252,36 +249,6 @@ class BoundReport:
         return (log_ub + math.log1p(-math.exp(log_lb - log_ub))) / self.n
 
 
-def _upper_end(xi: float, d_slope: float, c: float, regime: TypeIRegime,
-               n: np.ndarray) -> dict[str, np.ndarray]:
-    """The budget and the achievability end at the sizes n, with ln(1/eps_n)
-    under "log_inv_eps" for _lower_end.  The exponent of ub_prob is floored
-    at 0, so ub_prob lies in [0, 1] and exp() cannot overflow.  Callers hold
-    np.errstate(all="ignore"), as for _budget."""
-    eps, log_inv_eps, block_l = _budget(regime, n)
-    delta_tilde = c * np.sqrt(2.0 * log_inv_eps / (n * block_l))
-    ub_exponent = xi + d_slope * np.log(block_l) / (2.0 * block_l) - delta_tilde
-    return {"eps_n": eps, "log_inv_eps": log_inv_eps, "block_l": block_l,
-            "delta_tilde": delta_tilde, "ub_exponent": ub_exponent,
-            "nominal": np.exp(-n * xi),
-            "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0))}
-
-
-def _lower_end(xi: float, c: float, n: np.ndarray, eps: np.ndarray,
-               log_inv_eps: np.ndarray) -> dict[str, np.ndarray]:
-    """The slack mass h_n and the converse end at the sizes n, given eps_n
-    and ln(1/eps_n) there.  lb_exponent is >= 0, so lb_prob lies in [0, 1].
-    Callers hold np.errstate(all="ignore")."""
-    h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
-    slack = 1.0 - eps - h
-    valid_lb = slack > 0.0
-    log_inv_slack = np.log(1.0 / slack)
-    lb_exponent = np.where(
-        valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
-    return {"h_n": h, "valid_lb": valid_lb, "lb_exponent": lb_exponent,
-            "lb_prob": np.exp(-n * lb_exponent)}
-
-
 def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime,
                         a: int, b: int, delta: float) -> bool:
     """True only if ub_prob - nominal > delta at every n of [a, b].
@@ -304,7 +271,7 @@ def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime
     The chunk is skipped iff exp(-b max(E, 0)) (1 - eta) - exp(-a xi) (1 + eta)
     > delta, with eta = _SCREEN_RTOL relative to each term: delta can be
     far below the last bit of either (1e-300 against terms near 1).  A
-    non-finite E means no skip.  The terms of E are written as _upper_end
+    non-finite E means no skip.  The terms of E are written as _interval
     writes them, so where a bound is attained E has its bits.  A skipped
     chunk holds no n that passes the upper test, so the scan's result does
     not change.
@@ -325,15 +292,28 @@ def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
               n: np.ndarray) -> dict[str, np.ndarray]:
     """BoundReport's interval fields at the admissible float64 sizes n.
 
-    Both ends at every n: feasibility_interval calls it on one n.
-    critical_sample_size runs the two ends itself, each on the sizes it
-    needs; every operation is elementwise, so a size gets the same bits
-    either way.
+    The only evaluation of the interval: feasibility_interval calls it on
+    one n, critical_sample_size on chunks of n.  Every operation is
+    elementwise, so a size gets the same bits either way.  Probabilities
+    come out clamped to [0, 1] without a clamp: the lower exponent is >= 0,
+    and the upper one is floored at 0, which also keeps exp() from
+    overflowing.
     """
     with np.errstate(all="ignore"):
-        upper = _upper_end(xi, d_slope, c, regime, n)
-        log_inv_eps = upper.pop("log_inv_eps")
-        return {**upper, **_lower_end(xi, c, n, upper["eps_n"], log_inv_eps)}
+        eps, log_inv_eps, block_l = _budget(regime, n)
+        delta_tilde = c * np.sqrt(2.0 * log_inv_eps / (n * block_l))
+        ub_exponent = xi + d_slope * np.log(block_l) / (2.0 * block_l) - delta_tilde
+        h = np.where(np.sqrt(2.0 * eps) >= K_REGIME * log_inv_eps / n, eps, n ** -2.0)
+        slack = 1.0 - eps - h
+        valid_lb = slack > 0.0
+        log_inv_slack = np.log(1.0 / slack)
+        lb_exponent = np.where(
+            valid_lb, xi + 4.0 * c * np.sqrt(2.0 * log_inv_slack) + np.log(1.0 / h) / n, np.inf)
+        return {"eps_n": eps, "block_l": block_l, "h_n": h, "delta_tilde": delta_tilde,
+                "valid_lb": valid_lb, "ub_exponent": ub_exponent,
+                "lb_exponent": lb_exponent, "nominal": np.exp(-n * xi),
+                "ub_prob": np.exp(-n * np.maximum(ub_exponent, 0.0)),
+                "lb_prob": np.exp(-n * lb_exponent)}
 
 
 def feasibility_interval(curve_point: tuple[float, float], c: float,
@@ -370,15 +350,13 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     The scan starts at the regime's first admissible n.  Returns that n,
     the critical sample size, or None if no n <= cap qualifies.
 
-    The scan runs over chunks of n (64 sizes, doubling up to 2048) with the
-    arithmetic of feasibility_interval.  It first skips every chunk that
-    _chunk_clears_delta proves to hold ub_prob - nominal > delta at each of
-    its sizes, from _budget at the chunk's two ends: no size there passes
-    the condition.  In a kept chunk it evaluates the achievability end at
-    every n, and the converse end only at the sizes where ub_prob - nominal
-    <= delta, which are few.  Both stages are elementwise, so the condition
-    holds at the cns, as feasibility_interval reports it, and at no
-    admissible n before it.
+    The scan runs over chunks of n (64 sizes, doubling up to 2048).  It
+    skips every chunk that _chunk_clears_delta proves to hold ub_prob -
+    nominal > delta at each of its sizes, from _budget at the chunk's two
+    ends: no size there passes the condition.  A kept chunk is evaluated
+    whole by _interval, the arithmetic of feasibility_interval, so the
+    condition holds at the cns, as feasibility_interval reports it, and at
+    no admissible n before it.
     """
     if not delta > 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
@@ -386,19 +364,15 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
         raise RegimeSpecError(f"cap must be >= 1, got {cap}")
     xi, d_slope = _check_point(curve_point, c)
     lo, size = _REGIMES[regime.kind][1], _CHUNK_MIN
-    with np.errstate(all="ignore"):
-        while lo <= cap:
-            start, hi = lo, min(lo + size, cap + 1)
-            lo, size = hi, min(2 * size, _CHUNK_MAX)
-            if _chunk_clears_delta(xi, d_slope, c, regime, start, hi - 1, delta):
-                continue
-            n = np.arange(start, hi, dtype=np.float64)
-            up = _upper_end(xi, d_slope, c, regime, n)
-            # a NaN on either side fails its test, as it fails max(...) <= delta
-            near = np.flatnonzero(up["ub_prob"] - up["nominal"] <= delta)
-            if near.size:
-                low = _lower_end(xi, c, n[near], up["eps_n"][near], up["log_inv_eps"][near])
-                hits = near[up["nominal"][near] - low["lb_prob"] <= delta]
-                if hits.size:
-                    return start + int(hits[0])
+    while lo <= cap:
+        start, hi = lo, min(lo + size, cap + 1)
+        lo, size = hi, min(2 * size, _CHUNK_MAX)
+        if _chunk_clears_delta(xi, d_slope, c, regime, start, hi - 1, delta):
+            continue
+        at = _interval(xi, d_slope, c, regime, np.arange(start, hi, dtype=np.float64))
+        # a NaN on either side fails its test, as it fails max(...) <= delta
+        hits = np.flatnonzero((at["ub_prob"] - at["nominal"] <= delta)
+                              & (at["nominal"] - at["lb_prob"] <= delta))
+        if hits.size:
+            return start + int(hits[0])
     return None

@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
     simulate.check_trials("trials", args.trials)
 
     if args.identity_encoder:
-        scalar = simulate.Encoder.identity(p.nx)
+        enc = simulate.Encoder.identity(p.nx)
     else:
         points = []
         for label in p.x_labels:
@@ -280,8 +280,7 @@ def cmd_simulate(args) -> int:
             except (TypeError, ValueError):
                 raise simulate.SimulationError(
                     f"--levels needs numeric x labels, got {label!r}") from None
-        scalar = simulate.lloyd_max(points, p.x_marginal, args.levels)
-    enc = scalar.blockwise(args.block_len)
+        enc = simulate.lloyd_max(points, p.x_marginal, args.levels)
     qm = simulate.quantized_model(p, enc)
 
     saturated, cal_chunks = False, 0
@@ -304,8 +303,8 @@ def cmd_simulate(args) -> int:
         cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
         table_cells=qm.h0.size, sampled_classes=qm.class_lr.size, chunks=chunks,
         count_block_rows=block_rows, count_block_bytes=block_bytes,
-        codebook_size=enc.codebook_size, block_len=enc.block_len,
-        levels_reduced=enc.levels_reduced, model_fingerprint=p.fingerprint()))
+        codebook_size=enc.codebook_size, levels_reduced=enc.levels_reduced,
+        model_fingerprint=p.fingerprint()))
     exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf
     print(f"simulate {path}: n={args.n} eps={eps:.4g} t={t:.6g} "
           f"type1={result.type1_hat:.4g} type2={result.type2_hat:.4g} "
@@ -396,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scalar quantizer levels (Lloyd-Max on the X grid)")
     encoder.add_argument("--identity-encoder", action="store_true",
                          help="no compression: the detector sees X exactly")
-    ps.add_argument("--block-len", type=_positive_int, default=1,
-                    help="encoder block length (default 1; exact tables need <= 3)")
     ps.add_argument("--n", type=_positive_int, required=True, help="samples per trial")
     ps.add_argument("--regime", required=True,
                     help="Type I regime spec, const:<eps> for a fixed budget; "

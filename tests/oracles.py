@@ -367,7 +367,7 @@ def cns_reference(curve_point, c: float, regime, delta: float,
                   cap: int = 100_000) -> int | None:
     """First n <= cap whose gap is <= delta, evaluating every n in turn.
 
-    The per-n scalar loop that critical_sample_size's two-stage chunked
+    The per-n scalar loop that critical_sample_size's screened, chunked
     scan must agree with; sizes outside the regime's domain fail the
     condition.
     """

@@ -377,63 +377,42 @@ class TestCnsScanAgainstReference:
         assert got == oracles.cns_reference((0.5, 0.0), 1.0, reg, 1e-5, cap=5000)
 
 
-class TestTwoStageScan:
-    """The scan evaluates the converse end only where the achievability end
-    is within delta, on a subset of each chunk that gets the same bits."""
+class TestSizeAloneAndInAChunk:
+    """A size gets the same bits from feasibility_interval as inside a chunk
+    that the scan evaluates: cmd_cns re-checks the cns that way."""
 
     @staticmethod
-    def count_lower(monkeypatch) -> list:
-        seen, lower_end = [], b._lower_end
+    def assert_alone_matches_chunk(point, c, reg, n, lo, hi):
+        # _interval's keys are BoundReport's ten interval fields
+        at = b._interval(*point, c, reg, np.arange(lo, hi + 1, dtype=np.float64))
+        rep = b.feasibility_interval(point, c, reg, n)
+        assert len(at) == 10
+        for key, chunk in at.items():
+            got = np.array(getattr(rep, key), dtype=chunk.dtype)
+            assert got.tobytes() == chunk[n - lo].tobytes(), (reg.label, point, c, n, lo, hi, key)
 
-        def counted(xi, c, n, eps, log_inv_eps):
-            seen.extend(int(m) for m in n)
-            return lower_end(xi, c, n, eps, log_inv_eps)
-        monkeypatch.setattr(b, "_lower_end", counted)
-        return seen
+    def test_edge_sizes(self):
+        # poly:1 at n = 1 (eps = 1, the converse degenerates), superpoly:0.9
+        # on both sides of eps underflow (n = 1554), log at its first size
+        point, c = (0.7, -0.1), 1.92
+        for spec, n, lo, hi in (("poly:1", 1, 1, 64), ("superpoly:0.9", 1553, 1500, 1617),
+                                ("superpoly:0.9", 1554, 1500, 1617),
+                                ("superpoly:0.9", 1554, 1554, 1554), ("log", 3, 3, 66)):
+            self.assert_alone_matches_chunk(point, c, b.TypeIRegime.parse(spec), n, lo, hi)
 
-    def test_readme_point_never_reaches_the_converse(self, monkeypatch):
-        seen = self.count_lower(monkeypatch)
-        reg = b.TypeIRegime("const", 0.1)
-        assert b.critical_sample_size(oracles.README_CURVE[0], oracles.README_C, reg, 1e-5,
-                                      cap=100_000) is None
-        assert seen == []
-
-    def test_lower_stage_sees_exactly_the_upper_passes(self, monkeypatch):
-        # the cell of test_lower_side_binds: each cns lies in the first chunk
-        reg, point, c = b.TypeIRegime("const", 0.05), (0.35, 0.0), 0.05
-        seen = self.count_lower(monkeypatch)
-        for m in (14, 25, 33, 40):
-            delta = oracles.cns_gap(point, c, reg, m)
-            passes = []
-            for n in range(1, b._CHUNK_MIN + 1):
-                at = b.feasibility_interval(point, c, reg, n)
-                if at.ub_prob - at.nominal <= delta:
-                    passes.append(n)
-            seen.clear()
-            assert b.critical_sample_size(point, c, reg, delta, cap=500) == m
-            assert m in passes and seen == passes
-
-    def test_ends_on_a_subset_match_the_interval(self):
+    def test_random_cells(self):
         rng = np.random.default_rng(19)
-        # poly:1 at n = 1 (eps = 1), superpoly:0.9 past eps underflow (n >= 1554),
-        # log below its domain (n = 1, 2)
         specs = ("const:0.1", "const:0.9", "log", "poly:0.5", "poly:1", "poly:3",
                  "superpoly:0.5", "superpoly:0.9")
         for cell in range(240):
             reg = b.TypeIRegime.parse(specs[cell % len(specs)])
             xi, d_slope = rng.uniform(0.0, 3.0) * rng.choice([1e-3, 1.0]), -rng.uniform(0.0, 0.2)
             c = rng.uniform(0.01, 12.0)
-            n = np.unique(np.concatenate([[1.0, 2.0, 3.0, 1553.0, 1554.0],
-                                          rng.integers(1, 200_000, size=60)])).astype(np.float64)
-            whole = b._interval(xi, d_slope, c, reg, n)
-            at = np.flatnonzero(rng.random(n.size) < 0.3)
-            with np.errstate(all="ignore"):
-                upper = b._upper_end(xi, d_slope, c, reg, n)
-                lower = b._lower_end(xi, c, n[at], upper["eps_n"][at], upper["log_inv_eps"][at])
-            assert set({**upper, **lower}) - set(whole) == {"log_inv_eps"}
-            for key, value in whole.items():
-                got, want = (lower[key], value[at]) if key in lower else (upper[key], value)
-                assert got.tobytes() == want.tobytes(), (reg.label, key)
+            first = b._REGIMES[reg.kind][1]
+            lo = first + int(rng.integers(0, 200_000))
+            hi = lo + int(rng.integers(0, b._CHUNK_MAX))
+            n = int(rng.integers(lo, hi + 1))
+            self.assert_alone_matches_chunk((xi, d_slope), c, reg, n, lo, hi)
 
 
 class TestChunkScreen:
@@ -460,9 +439,8 @@ class TestChunkScreen:
     @staticmethod
     def upper_gap(xi, d_slope, c, reg, lo, hi) -> np.ndarray:
         """ub_prob - nominal at every n of [lo, hi], as the scan computes it."""
-        with np.errstate(all="ignore"):
-            up = b._upper_end(xi, d_slope, c, reg, np.arange(lo, hi + 1, dtype=np.float64))
-        return up["ub_prob"] - up["nominal"]
+        at = b._interval(xi, d_slope, c, reg, np.arange(lo, hi + 1, dtype=np.float64))
+        return at["ub_prob"] - at["nominal"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_skip_only_where_every_size_fails_the_upper_test(self):
@@ -514,12 +492,12 @@ class TestChunkScreen:
 
     @staticmethod
     def count_upper(monkeypatch) -> list:
-        seen, upper_end = [0], b._upper_end
+        seen, interval = [0], b._interval
 
         def counted(xi, d_slope, c, regime, n):
             seen[0] += n.size
-            return upper_end(xi, d_slope, c, regime, n)
-        monkeypatch.setattr(b, "_upper_end", counted)
+            return interval(xi, d_slope, c, regime, n)
+        monkeypatch.setattr(b, "_interval", counted)
         return seen
 
     @pytest.mark.parametrize("spec,cns", [("const:0.1", 46657), ("log", 47446),

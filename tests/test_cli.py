@@ -332,7 +332,18 @@ class TestRemovedFlags:
                     "--out-dir", tmp_path]) == 0
         meta = json.loads((tmp_path / "sim.meta.json").read_text())
         assert meta["regime"] == "const:0.2" and meta["eps_n"] == 0.2
-        assert not {"eps", "workers", "units", "preset"} & meta.keys()
+        assert not {"eps", "workers", "units", "preset", "block_len"} & meta.keys()
+
+    def test_block_len_is_refused_before_any_output(self, tmp_path, capsys):
+        # the scalar encoder is the only one the command line builds
+        model = make_model(tmp_path, grid=8)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--model", model, "--levels", 2, "--block-len", 2, "--n", 8,
+                 "--regime", "const:0.2", "--trials", 200, "--force-threshold", "inf",
+                 "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --block-len 2" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize("command", ["exponent", "simulate"])
     def test_grid_and_budget_are_required(self, tmp_path, capsys, command):
@@ -371,10 +382,10 @@ class TestSimulateCommand:
         assert ((meta["count_block_rows"], meta["count_block_bytes"])
                 == simulate.count_block(42) == (1560, 1560 * 42 * 8))
 
-    def test_levels_with_blocks_and_regime(self, tmp_path):
+    def test_levels_with_regime(self, tmp_path):
         model = make_model(tmp_path)
         assert run(["simulate", "--model", model, "--levels", 3,
-                    "--block-len", 2, "--n", 32, "--regime", "poly:0.5",
+                    "--n", 32, "--regime", "poly:0.5",
                     "--trials", 3000, "--cal-trials", 3000,
                     "--out-dir", tmp_path, "--out", "s.csv"]) == 0
         row = (tmp_path / "s.csv").read_text().strip().split("\n")[1]

@@ -10,8 +10,9 @@ sequence eps_n in one of the regimes const, log, poly and superpoly:
   bound, ub_prob the achievability formula without its residual terms,
 * the critical number of samples: the first n at which the interval
   collapses onto the nominal value within a tolerance delta, found by
-  evaluating the interval over chunks of n at once.  A chunk whose two
-  ends prove ub_prob - nominal > delta throughout is skipped.
+  evaluating the interval over fixed chunks of n at once.  One screen over
+  every chunk's two ends first drops the chunks in which ub_prob - nominal
+  > delta throughout.
 
 The interval arithmetic is written once, on numpy arrays of sample sizes
 (_budget, _interval); the scalar functions evaluate it at a single n, so a
@@ -32,12 +33,12 @@ import numpy as np
 _E = math.e
 # Regime-1 threshold constant in the h-selection rule sqrt(2 eps) >= K ln(1/eps)/n.
 K_REGIME = 1.0
-# The CNS scan evaluates n in chunks that double from _CHUNK_MIN to
-# _CHUNK_MAX: scans that stop early stay cheap and memory stays bounded.
-_CHUNK_MIN = 64
-_CHUNK_MAX = 2048
-# Relative margin of the chunk screen on each of its two terms: it covers
-# last-bit differences between math.exp and np.exp.
+# The CNS scan evaluates n in chunks of _CHUNK sizes; its screen holds one
+# entry per chunk, and its time grows with the cap, which MAX_CAP bounds.
+_CHUNK = 2048
+MAX_CAP = 1 << 27
+# Relative margin of the chunk screen on each of its two terms: delta can be
+# far below their last bit, and the screen rounds unlike _interval.
 _SCREEN_RTOL = 1e-9
 
 
@@ -250,13 +251,13 @@ class BoundReport:
 
 
 def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime,
-                        a: int, b: int, delta: float) -> bool:
-    """True only if ub_prob - nominal > delta at every n of [a, b].
+                        a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
+    """True where ub_prob - nominal > delta at every n of [a, b].
 
-    The screen of critical_sample_size: it runs _budget at the two ends
-    only.  Let L(n) = ln(1/eps_n), l(n) the block length and
-    g(l) = ln(l) / (2 l), so ub_exponent = xi + d_slope g(l) - delta_tilde.
-    For every n in [a, b]:
+    The screen of critical_sample_size, elementwise over the float64 chunk
+    ends a <= b: it runs _budget at the two ends only.  Let L(n) =
+    ln(1/eps_n), l(n) the block length and g(l) = ln(l) / (2 l), so
+    ub_exponent = xi + d_slope g(l) - delta_tilde.  For every n in [a, b]:
 
     * eps_n is nonincreasing in every regime, so L(n) >= L(a);
     * l(n) is nondecreasing, so n l(n) <= b l(b), and with the first point
@@ -268,24 +269,21 @@ def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime
 
     So ub_exponent(n) <= E = xi + d_slope g* - c sqrt(2 L(a) / (b l(b))),
     ub_prob(n) >= exp(-b max(E, 0)) and nominal(n) = exp(-n xi) <= exp(-a xi).
-    The chunk is skipped iff exp(-b max(E, 0)) (1 - eta) - exp(-a xi) (1 + eta)
-    > delta, with eta = _SCREEN_RTOL relative to each term: delta can be
-    far below the last bit of either (1e-300 against terms near 1).  A
-    non-finite E means no skip.  The terms of E are written as _interval
-    writes them, so where a bound is attained E has its bits.  A skipped
-    chunk holds no n that passes the upper test, so the scan's result does
-    not change.
+    A chunk is skipped iff exp(-b max(E, 0)) (1 - eta) - exp(-a xi) (1 + eta)
+    > delta, with eta = _SCREEN_RTOL relative to each term.  A non-finite E
+    means no skip.  The terms of E are written as _interval writes them, so
+    where a bound is attained E has its bits.  A skipped chunk holds no n
+    that passes the upper test, so the scan's result does not change.
     """
     with np.errstate(all="ignore"):
-        _, log_inv_eps, block_l = _budget(regime, np.array([a, b], dtype=np.float64))
-        slope_term = (d_slope * np.log(block_l) / (2.0 * block_l)).tolist()
-    slope_max = d_slope * math.log(3.0) / 6.0 if d_slope > 0 else max(slope_term)
-    e_bar = xi + slope_max - c * math.sqrt(2.0 * log_inv_eps.item(0) / (b * block_l.item(1)))
-    if not math.isfinite(e_bar):
-        return False
-    ub_min = math.exp(-b * max(e_bar, 0.0))
-    nominal_max = math.exp(-a * xi)
-    return ub_min * (1.0 - _SCREEN_RTOL) - nominal_max * (1.0 + _SCREEN_RTOL) > delta
+        _, log_inv_eps, block_l = _budget(regime, np.stack([a, b]))
+        slope_term = d_slope * np.log(block_l) / (2.0 * block_l)
+        slope_max = d_slope * np.log(3.0) / 6.0 if d_slope > 0 else slope_term.max(axis=0)
+        e_bar = xi + slope_max - c * np.sqrt(2.0 * log_inv_eps[0] / (b * block_l[1]))
+        ub_min = np.exp(-b * np.maximum(e_bar, 0.0))
+        nominal_max = np.exp(-a * xi)
+        return np.isfinite(e_bar) & (
+            ub_min * (1.0 - _SCREEN_RTOL) - nominal_max * (1.0 + _SCREEN_RTOL) > delta)
 
 
 def _interval(xi: float, d_slope: float, c: float, regime: TypeIRegime,
@@ -350,29 +348,27 @@ def critical_sample_size(curve_point: tuple[float, float], c: float,
     The scan starts at the regime's first admissible n.  Returns that n,
     the critical sample size, or None if no n <= cap qualifies.
 
-    The scan runs over chunks of n (64 sizes, doubling up to 2048).  It
-    skips every chunk that _chunk_clears_delta proves to hold ub_prob -
-    nominal > delta at each of its sizes, from _budget at the chunk's two
-    ends: no size there passes the condition.  A kept chunk is evaluated
-    whole by _interval, the arithmetic of feasibility_interval, so the
-    condition holds at the cns, as feasibility_interval reports it, and at
-    no admissible n before it.
+    The scan runs over chunks of _CHUNK sizes.  One call of
+    _chunk_clears_delta over every chunk's two ends drops each chunk in
+    which ub_prob - nominal > delta at every size: no size there passes the
+    condition.  The kept chunks are evaluated whole by _interval, the
+    arithmetic of feasibility_interval, in order up to the first hit, so
+    the condition holds at the cns, as feasibility_interval reports it, and
+    at no admissible n before it.  A cap above MAX_CAP is refused.
     """
     if not delta > 0:
         raise RegimeSpecError(f"delta must be positive, got {delta!r}")
-    if cap < 1:
-        raise RegimeSpecError(f"cap must be >= 1, got {cap}")
+    if not 1 <= cap <= MAX_CAP:
+        raise RegimeSpecError(f"cap = {cap} must lie in [1, {MAX_CAP}]")
     xi, d_slope = _check_point(curve_point, c)
-    lo, size = _REGIMES[regime.kind][1], _CHUNK_MIN
-    while lo <= cap:
-        start, hi = lo, min(lo + size, cap + 1)
-        lo, size = hi, min(2 * size, _CHUNK_MAX)
-        if _chunk_clears_delta(xi, d_slope, c, regime, start, hi - 1, delta):
-            continue
-        at = _interval(xi, d_slope, c, regime, np.arange(start, hi, dtype=np.float64))
+    starts = np.arange(_REGIMES[regime.kind][1], cap + 1, _CHUNK, dtype=np.float64)
+    ends = np.minimum(starts + (_CHUNK - 1), cap)
+    kept = ~_chunk_clears_delta(xi, d_slope, c, regime, starts, ends, delta)
+    for start, end in zip(starts[kept], ends[kept]):
+        at = _interval(xi, d_slope, c, regime, np.arange(start, end + 1))
         # a NaN on either side fails its test, as it fails max(...) <= delta
         hits = np.flatnonzero((at["ub_prob"] - at["nominal"] <= delta)
                               & (at["nominal"] - at["lb_prob"] <= delta))
         if hits.size:
-            return start + int(hits[0])
+            return int(start) + int(hits[0])
     return None

@@ -365,20 +365,25 @@ def cns_gap(curve_point, c: float, regime, n: int) -> float:
 
 def cns_reference(curve_point, c: float, regime, delta: float,
                   cap: int = 100_000) -> int | None:
-    """First n <= cap whose gap is <= delta, evaluating every n in turn.
+    """First n <= cap whose gap is <= delta, from one evaluation of every n.
 
-    The per-n scalar loop that critical_sample_size's screened, chunked
-    scan must agree with; sizes outside the regime's domain fail the
-    condition.
+    The unchunked, unscreened scan that critical_sample_size must agree
+    with: the first admissible n is the first at which feasibility_interval
+    raises no RegimeDomainError, and one bounds._interval call then covers
+    every admissible n <= cap.  A NaN gap fails the condition.
     """
-    for n in range(1, cap + 1):
+    first = 1
+    while first <= cap:
         try:
-            gap = cns_gap(curve_point, c, regime, n)
+            bounds.feasibility_interval(curve_point, c, regime, first)
+            break
         except bounds.RegimeDomainError:
-            continue
-        if gap <= delta:
-            return n
-    return None
+            first += 1
+    n = np.arange(first, cap + 1, dtype=np.float64)
+    at = bounds._interval(*curve_point, c, regime, n)
+    ok = np.flatnonzero(np.maximum(at["ub_prob"] - at["nominal"],
+                                   at["nominal"] - at["lb_prob"]) <= delta)
+    return int(n[ok[0]]) if ok.size else None
 
 
 def best_contiguous_mse(points, weights, levels: int) -> float:

@@ -293,6 +293,14 @@ class TestCriticalSampleSize:
         assert b.critical_sample_size((3.0, 0.0), 2.47, b.TypeIRegime("poly", 0.1),
                                       1e-300, cap=10) is None
 
+    def test_cap_limit(self):
+        # the README's const:0.1 cns at xi = 3 is 8
+        reg, point, c = b.TypeIRegime("const", 0.1), (3.0, 0.0), 2.47
+        for cap in (0, b.MAX_CAP + 1):
+            with pytest.raises(b.RegimeSpecError, match=f"must lie in \\[1, {b.MAX_CAP}\\]"):
+                b.critical_sample_size(point, c, reg, 1e-5, cap=cap)
+        assert b.critical_sample_size(point, c, reg, 1e-5, cap=b.MAX_CAP) == 8
+
     def test_rejects_bad_delta(self):
         for delta in (0.0, -1e-5, math.nan):
             with pytest.raises(b.RegimeSpecError, match="delta"):
@@ -332,11 +340,13 @@ class TestCnsScanAgainstReference:
             assert got == oracles.cns_reference((3.0, 0.0), 2.47, reg, 1e-300, cap=3000)
 
     @pytest.mark.parametrize("spec,first", [("poly:1", 1), ("log", 3)])
-    @pytest.mark.parametrize("chunk_end", [64, 192, 448, 960, 1984, 4032, 6080])
+    @pytest.mark.parametrize("chunk_end", [64, 192, 448, 960, 1984, 2048, 4032, 4096, 6080,
+                                           6144])
     def test_chunk_edges(self, spec, first, chunk_end):
-        # chunks hold 64, 128, ..., 2048, 2048, ... sizes from the first
-        # admissible n.  This cell's gap falls strictly over [60, 6100], so
-        # delta = gap(m) makes m the cns with equality in the condition.
+        # chunks hold 2048 sizes each from the first admissible n; the other
+        # ends are those of chunks that once doubled from 64 sizes.  This
+        # cell's gap falls strictly over [60, 6200], so delta = gap(m) makes
+        # m the cns with equality in the condition.
         reg, point, c = b.TypeIRegime.parse(spec), (0.05, 0.0), 0.2
         edge = first - 1 + chunk_end
         for m in (edge - 1, edge, edge + 1):
@@ -410,7 +420,7 @@ class TestSizeAloneAndInAChunk:
             c = rng.uniform(0.01, 12.0)
             first = b._REGIMES[reg.kind][1]
             lo = first + int(rng.integers(0, 200_000))
-            hi = lo + int(rng.integers(0, b._CHUNK_MAX))
+            hi = lo + int(rng.integers(0, b._CHUNK))
             n = int(rng.integers(lo, hi + 1))
             self.assert_alone_matches_chunk((xi, d_slope), c, reg, n, lo, hi)
 
@@ -437,6 +447,12 @@ class TestChunkScreen:
         return spec, lo, lo + int((0, 1, 63, 2047, rng.integers(0, 2048))[rng.integers(5)])
 
     @staticmethod
+    def screen(xi, d_slope, c, reg, lo, hi, delta) -> np.ndarray:
+        """_chunk_clears_delta over the chunks [lo[i], hi[i]]."""
+        return b._chunk_clears_delta(xi, d_slope, c, reg, np.array(lo, dtype=np.float64),
+                                     np.array(hi, dtype=np.float64), delta)
+
+    @staticmethod
     def upper_gap(xi, d_slope, c, reg, lo, hi) -> np.ndarray:
         """ub_prob - nominal at every n of [lo, hi], as the scan computes it."""
         at = b._interval(xi, d_slope, c, reg, np.arange(lo, hi + 1, dtype=np.float64))
@@ -451,7 +467,7 @@ class TestChunkScreen:
                  ("superpoly:0.9", 1554, 1554), ("superpoly:0.9", 1500, 1617),
                  ("superpoly:0.9", 1554, 3601), ("superpoly:0.9", 20_000, 22_047),
                  ("log", 3, 66), ("log", 3, 3), ("superpoly:0.01", 1, 64)]
-        cases, skips, tight_skips = 0, 0, 0
+        cases, skips, tight_skips, drawn = 0, 0, 0, []
         for _ in range(60):
             for edge in edges + [None] * 4:
                 spec, lo, hi = edge or self.draw_chunk(rng)
@@ -465,11 +481,22 @@ class TestChunkScreen:
                     if not delta > 0:
                         continue
                     cases += 1
-                    if b._chunk_clears_delta(xi, d_slope, c, reg, lo, hi, delta):
+                    skip = self.screen(xi, d_slope, c, reg, [lo], [hi], delta)[0]
+                    drawn.append((xi, d_slope, c, reg, lo, hi, delta, skip))
+                    if skip:
                         assert np.all(gap > delta), (spec, xi, d_slope, c, lo, hi, delta)
                         skips += 1
                         tight_skips += delta > least * (1.0 - 1e-3)
         assert cases >= 500 and skips >= 100 and tight_skips >= 10, (cases, skips, tight_skips)
+        # one call over every chunk drawn in a regime gives each case the
+        # answer of the call over its own chunk alone
+        chunks = {}
+        for _, _, _, reg, lo, hi, _, _ in drawn:
+            chunks.setdefault(reg, {}).setdefault((lo, hi), len(chunks[reg]))
+        for xi, d_slope, c, reg, lo, hi, delta, skip in drawn:
+            los, his = zip(*chunks[reg])
+            mask = self.screen(xi, d_slope, c, reg, los, his, delta)
+            assert mask[chunks[reg][lo, hi]] == skip, (reg.label, xi, d_slope, c, lo, hi, delta)
 
     def test_scan_matches_one_unchunked_evaluation(self):
         rng = np.random.default_rng(21)

@@ -478,8 +478,9 @@ class TestInputCaps:
         ("simulate", ["--trials", HUGE]),
         ("simulate", ["--trials", HUGE, "--cal-trials", 1000]),
         ("simulate", ["--trials", HUGE, "--force-threshold", 0]),
+        ("cns", ["--xi", 0.001, "--c", 9.9, "--regimes", "const:0.1", "--cap", HUGE]),
     ], ids=["rho-grid", "target-grid", "cal-trials", "trials", "trials-after-calibration",
-            "trials-forced-threshold"])
+            "trials-forced-threshold", "cns-cap"])
     def test_refused_before_allocation(self, tmp_path, capsys, monkeypatch, command, args):
         out = tmp_path / "out"
         if command == "simulate":
@@ -498,7 +499,8 @@ class TestInputCaps:
             tracemalloc.stop()
         assert code == 1
         err = capsys.readouterr().err
-        cap = dist.MAX_GRID_CELLS if command == "model" else simulate.MAX_TRIALS
+        cap = {"model": dist.MAX_GRID_CELLS, "simulate": simulate.MAX_TRIALS,
+               "cns": bounds.MAX_CAP}[command]
         assert err.startswith("error:") and str(cap) in err
         assert peak < 1 << 20
         assert not out.exists() or not list(out.iterdir())

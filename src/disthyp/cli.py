@@ -270,8 +270,11 @@ def cmd_simulate(args) -> int:
         simulate.check_trials("cal_trials", cal_trials)
     simulate.check_trials("trials", args.trials)
 
+    # the scheme's size is known from the flags: refuse it before the
+    # quantizer's O(levels |X|^2) search or any channel is built
+    simulate.check_scheme(p, p.nx if args.identity_encoder else min(args.levels, p.nx), 1)
     if args.identity_encoder:
-        enc = simulate.Encoder.identity(p.nx)
+        enc = simulate.Encoder(bottleneck.TestChannel.identity(p.nx, p.nx))
     else:
         points = []
         for label in p.x_labels:
@@ -303,7 +306,8 @@ def cmd_simulate(args) -> int:
         cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
         table_cells=qm.h0.size, sampled_classes=qm.class_lr.size, chunks=chunks,
         count_block_rows=block_rows, count_block_bytes=block_bytes,
-        codebook_size=enc.codebook_size, levels_reduced=enc.levels_reduced,
+        codebook_size=qm.h0.shape[0],
+        levels_reduced=args.levels is not None and args.levels > p.nx,
         model_fingerprint=p.fingerprint()))
     exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf
     print(f"simulate {path}: n={args.n} eps={eps:.4g} t={t:.6g} "

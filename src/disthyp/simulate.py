@@ -1,15 +1,17 @@
 """Monte Carlo validation of quantize-then-test schemes.
 
 The simulated scheme mirrors the achievability construction: the X side is
-compressed by a deterministic per-letter encoder (a scalar code map, such
-as Lloyd-Max, applied to each symbol of a block), the detector sees (code,
-Y-block) pairs, and decides via the per-sample log-likelihood ratio statistic
+described through a per-letter test channel p(u|x) (any row-stochastic
+bottleneck.TestChannel, applied to each symbol of a block: a Lloyd-Max
+quantizer's one-hot rows, the identity, or a solver witness), the detector
+sees (code-block, Y-block) pairs, and decides via the per-sample
+log-likelihood ratio statistic
 
     S = (1/n) * sum_blocks log( P_quant(u, y-block) / Q_quant(u, y-block) ),
 
 accepting the dependent hypothesis on {S > t}.  The quantized pair
 (P_quant, Q_quant) is the Kronecker power of the exact scalar laws pushed
-through the code map, so simulation error is purely statistical.
+through the channel, so simulation error is purely statistical.
 
 S depends only on how many blocks fall in each log-ratio class, not on
 which cell holds them, so the sampler draws class counts: cells whose
@@ -41,6 +43,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .bottleneck import MAX_STACK_ENTRIES, TestChannel
 from .dist import JointPmf, divergence_stats, product_model
 from . import rngstreams
 
@@ -74,37 +77,16 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class Encoder:
-    """Per-letter block map: the scalar code map ``table`` (one code in
-    [0, |X|) per x) applied to each of the ``block_len`` symbols of a block.
-    ``levels_reduced`` flags a quantizer request that asked for more levels
-    than there are source points.
+    """Per-letter scheme: the test channel p(u|x) applied to each of the
+    ``block_len`` symbols of a block.
     """
 
-    table: np.ndarray
+    channel: TestChannel
     block_len: int = 1
-    levels_reduced: bool = False
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.int64)
-        if table.ndim != 1 or table.size < 1 or self.block_len < 1:
-            raise SimulationError("an encoder needs a non-empty 1-d table and block_len >= 1")
-        if np.any(table < 0) or np.any(table >= table.size):
-            raise SimulationError(f"table entries must lie in [0, {table.size})")
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-    @property
-    def nx(self) -> int:
-        return self.table.size
-
-    @property
-    def codebook_size(self) -> int:
-        """Number of code blocks: the scalar codes used, to the block length."""
-        return int(np.count_nonzero(np.bincount(self.table))) ** self.block_len
-
-    @classmethod
-    def identity(cls, nx: int) -> "Encoder":
-        return cls(np.arange(nx))
+        if self.block_len < 1:
+            raise SimulationError("an encoder needs block_len >= 1")
 
     def blockwise(self, block_len: int) -> "Encoder":
         """Apply this scalar encoder independently to each symbol of a block."""
@@ -158,8 +140,9 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
     programming, with cells numbered 0..levels-1 from the left and none
     empty.  A global optimum already meets the nearest-neighbour and
     centroid conditions, so a Lloyd iteration after it would not move a
-    point.  Requests for more levels than grid points are reduced to one
-    cell per point and flagged.
+    point.  The encoder's channel has one-hot rows: x -> its cell.
+    Requests for more levels than grid points are reduced to one cell per
+    point.
     """
     pts = np.asarray(points, dtype=np.float64)
     wts = np.asarray(weights, dtype=np.float64)
@@ -174,9 +157,10 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
     if levels < 1:
         raise SimulationError("levels must be >= 1")
     npts = len(pts)
-    if levels >= npts:
-        return Encoder(np.arange(npts), levels_reduced=levels > npts)
-    return Encoder(_optimal_split_cells(pts, wts, levels))
+    cells = np.arange(npts) if levels >= npts else _optimal_split_cells(pts, wts, levels)
+    one_hot = np.zeros((npts, int(cells[-1]) + 1))
+    one_hot[np.arange(npts), cells] = 1.0
+    return Encoder(TestChannel(one_hot))
 
 
 @dataclass(frozen=True)
@@ -223,34 +207,43 @@ def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
             lr[np.sort(first)])
 
 
-def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
-    """Push the exact laws P and Q through the scalar code map, then take
-    the ``block_len``-th Kronecker power of both tables (first symbol most
-    significant).
-
-    The alternative table pushes the product model through the same map
-    (not re-multiplied quantized marginals, though the two agree for
-    deterministic encoders; tests assert that identity).  Codes never
-    produced by the encoder are dropped from both tables.
-    """
-    if enc.nx != p.nx:
-        raise SimulationError(f"encoder expects |X| = {enc.nx}, model has {p.nx}")
-    if enc.block_len > MAX_BLOCK_LEN:
+def check_scheme(p: JointPmf, codes: int, block_len: int) -> None:
+    """Refuse a scheme on ``codes`` scalar codes before its channel or table
+    is built: a block length over MAX_BLOCK_LEN, an |X| x codes channel of
+    more than MAX_STACK_ENTRIES entries, or a table of more than
+    MAX_TABLE_CELLS (codes * |Y|)^block_len cells."""
+    if block_len > MAX_BLOCK_LEN:
+        raise SimulationError(f"block length {block_len} exceeds the cap {MAX_BLOCK_LEN}")
+    if p.nx * codes > MAX_STACK_ENTRIES:
         raise SimulationError(
-            f"block length {enc.block_len} exceeds the cap {MAX_BLOCK_LEN}")
-    l = enc.block_len
-    cells = enc.codebook_size * p.ny ** l
+            f"channel of {p.nx} x {codes} entries exceeds the cap of {MAX_STACK_ENTRIES}")
+    cells = (codes * p.ny) ** block_len
     if cells > MAX_TABLE_CELLS:
         raise SimulationError(
             f"quantized table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS}")
-    s0 = np.zeros((enc.nx, p.ny))
-    s1 = np.zeros((enc.nx, p.ny))
-    np.add.at(s0, enc.table, p.probs)  # rows summed per code, in x order
-    np.add.at(s1, enc.table, product_model(p).probs)
-    used = s0.sum(axis=1) > 0
-    s0, s1 = s0[used], s1[used]
+
+
+def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
+    """Push the exact laws P and Q = P_X x P_Y through the channel
+    W = p(u|x), giving W^T P and W^T Q, then take the ``block_len``-th
+    Kronecker power of both tables (first symbol most significant).
+
+    Codes that W never produces carry no mass and are dropped first.  The
+    alternative table is pushed, not re-multiplied from the null table's
+    marginals; the two agree up to rounding for every W, as tests assert.
+    The push sums over x in x order (einsum), so a one-hot W adds each
+    code's rows exactly as a loop over x would; a BLAS product W^T P
+    rounds differently on large grids.
+    """
+    w = enc.channel.cond_probs
+    if w.shape[0] != p.nx:
+        raise SimulationError(f"encoder expects |X| = {w.shape[0]}, model has {p.nx}")
+    w = w[:, w.any(axis=0)]
+    check_scheme(p, w.shape[1], enc.block_len)
+    s0 = np.einsum("xu,xy->uy", w, p.probs)
+    s1 = np.einsum("xu,xy->uy", w, product_model(p).probs)
     h0, h1 = s0, s1
-    for _ in range(l - 1):
+    for _ in range(enc.block_len - 1):
         h0, h1 = np.kron(h0, s0), np.kron(h1, s1)
     for name, table in (("H0", h0), ("H1", h1)):
         if abs(table.sum() - 1.0) > 1e-9:
@@ -259,7 +252,7 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
     classes = _merge_tied_cells(h0.ravel(), h1.ravel(), log_ratios.ravel())
     for arr in (h0, h1, log_ratios) + classes:
         arr.setflags(write=False)
-    return QuantizedModel(h0, h1, log_ratios, l, *classes)
+    return QuantizedModel(h0, h1, log_ratios, enc.block_len, *classes)
 
 
 # --------------------------------------------------------------------------

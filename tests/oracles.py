@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from disthyp import bounds, dist, simulate
+from disthyp import bottleneck, bounds, dist, simulate
 
 
 def xlogx_sum(a: np.ndarray, axis=None) -> np.ndarray:
@@ -414,28 +414,46 @@ def best_contiguous_mse(points, weights, levels: int) -> float:
 # Quantized tables
 # --------------------------------------------------------------------------
 
+def code_map(table, block_len: int = 1) -> simulate.Encoder:
+    """Per-letter encoder of the deterministic code map x -> table[x]: a
+    channel with one column per code in [0, max(table)] and a 1 in row x,
+    column table[x]."""
+    table = np.asarray(table)
+    one_hot = np.zeros((table.size, int(table.max()) + 1))
+    one_hot[np.arange(table.size), table] = 1.0
+    return simulate.Encoder(bottleneck.TestChannel(one_hot), block_len)
+
+
 def random_map(nx: int, block_len: int, codes: int,
                rng: np.random.Generator) -> simulate.Encoder:
     """Per-letter encoder sending each x to one of ``codes`` codes drawn
     uniformly at random."""
-    return simulate.Encoder(rng.integers(0, codes, size=nx)).blockwise(block_len)
+    return code_map(rng.integers(0, codes, size=nx), block_len)
 
 
 def block_tables(p, enc: simulate.Encoder) -> tuple[np.ndarray, np.ndarray]:
     """(code-block, Y-block) tables under P^l and Q^l by enumerating every
-    x-block: its Kronecker product of rows is added to its code block, the
-    mixed-radix number of its scalar codes (first symbol most significant).
-    Code blocks that no x-block reaches are dropped."""
-    l, radix = enc.block_len, int(enc.table.max()) + 1
+    (x-block, code-block) pair: the Kronecker product of the x-block's rows,
+    times the product of W(u_i|x_i) over its letters, is added to the
+    code block's row, the mixed-radix number of its codes (first symbol
+    most significant).  Code blocks that no x-block reaches are dropped."""
+    w = enc.channel.cond_probs
+    l, nu = enc.block_len, w.shape[1]
     q = dist.product_model(p)
-    h0 = np.zeros((radix ** l, p.ny ** l))
-    h1 = np.zeros((radix ** l, p.ny ** l))
+    h0 = np.zeros((nu ** l, p.ny ** l))
+    h1 = np.zeros((nu ** l, p.ny ** l))
     for xblock in itertools.product(range(p.nx), repeat=l):
-        code = 0
-        for x in xblock:
-            code = code * radix + enc.table[x]
-        h0[code] += functools.reduce(np.kron, (p.probs[x] for x in xblock))
-        h1[code] += functools.reduce(np.kron, (q.probs[x] for x in xblock))
+        row0 = functools.reduce(np.kron, (p.probs[x] for x in xblock))
+        row1 = functools.reduce(np.kron, (q.probs[x] for x in xblock))
+        for ublock in itertools.product(range(nu), repeat=l):
+            weight = math.prod(w[x, u] for x, u in zip(xblock, ublock))
+            if weight == 0.0:
+                continue
+            code = 0
+            for u in ublock:
+                code = code * nu + u
+            h0[code] += weight * row0
+            h1[code] += weight * row1
     used = h0.sum(axis=1) > 0
     return h0[used], h1[used]
 

@@ -154,7 +154,7 @@ def test_exact_np_equivalence():
         eps = float(rng.uniform(0.05, 0.4))
         probs = np.maximum(rng.dirichlet(np.ones(nx * ny)), 5e-3).reshape(nx, ny)
         p = d.JointPmf.from_probs(probs, normalize=True)
-        qm = d.quantized_model(p, d.Encoder.identity(nx))
+        qm = d.quantized_model(p, d.Encoder(d.TestChannel.identity(nx, nx)))
         pmf0, pmf1, lr = qm.flat()
         values, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
         t = oracles.exact_threshold(values, p0, eps)
@@ -176,7 +176,7 @@ def test_exact_np_equivalence():
 def test_centralized_second_order():
     t0 = time.perf_counter()
     _, p = d.calibrate_correlation(0.03, 8, 8)
-    qm = d.quantized_model(p, d.Encoder.identity(8))
+    qm = d.quantized_model(p, d.Encoder(d.TestChannel.identity(8, 8)))
     eps, n, trials = 0.1, 400, 1_000_000
     cal = d.calibrate_threshold(qm, n, eps, trials, seed=777, workers=4)
     res = d.estimate_errors(qm, n, cal.t, trials, seed=777, workers=4)
@@ -208,7 +208,7 @@ def test_converse_consistency():
         if not rep.valid_lb:
             continue
         checked += 1
-        qm = d.quantized_model(p, d.Encoder.identity(nx))
+        qm = d.quantized_model(p, d.Encoder(d.TestChannel.identity(nx, nx)))
         cal_trials = max(20_000, math.ceil(100.0 / rep.eps_n))
         cal = d.calibrate_threshold(qm, n, rep.eps_n, cal_trials, seed=400 + k)
         res = d.estimate_errors(qm, n, cal.t, 20_000, seed=400 + k)

@@ -558,7 +558,8 @@ class TestDsbsOptimum:
         return (d.mutual_information(self.DSBS), 0.0), d.c_constant(self.DSBS)
 
     def test_oracle_matches_enumeration(self):
-        pmf0, pmf1, lr = d.quantized_model(self.DSBS, d.Encoder.identity(2)).flat()
+        enc = d.Encoder(d.TestChannel.identity(2, 2))
+        pmf0, pmf1, lr = d.quantized_model(self.DSBS, enc).flat()
         for n in range(1, 7):
             _, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
             for eps in (0.01, 0.05, 0.1, 0.3, 0.5):

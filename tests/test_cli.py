@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from disthyp import bounds, cli, dist, simulate
+from disthyp import bottleneck, bounds, cli, dist, simulate
 
 import oracles
 
@@ -392,6 +392,18 @@ class TestSimulateCommand:
         eps = float(row.split(",")[1])
         assert eps == pytest.approx(32 ** -0.5)
 
+    @pytest.mark.parametrize("encoder, codebook, reduced", [
+        (["--levels", 3], 3, False), (["--levels", 8], 8, False),
+        (["--levels", 20], 8, True), (["--identity-encoder"], 8, False)])
+    def test_sidecar_codebook(self, tmp_path, encoder, codebook, reduced):
+        # the codes of the table, and whether --levels asked for more than |X|
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, *encoder, "--n", 4, "--regime", "const:0.1",
+                    "--trials", 200, "--force-threshold", 0, "--out-dir", tmp_path]) == 0
+        meta = json.loads((tmp_path / "sim.meta.json").read_text())
+        assert (meta["codebook_size"], meta["levels_reduced"]) == (codebook, reduced)
+        assert meta["table_cells"] == codebook * 8
+
     @pytest.mark.parametrize("labels, named", [
         (["a", "b", "c"], "got 'a'"), ([0, None, 1], "got None"), ([0, math.nan, 1], "finite")])
     def test_levels_need_finite_numeric_labels(self, tmp_path, capsys, labels, named):
@@ -505,6 +517,41 @@ class TestInputCaps:
         assert peak < 1 << 20
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("encoder", [["--levels", 100], ["--levels", 1000],
+                                         ["--identity-encoder"]])
+    def test_table_cap_before_the_quantizer(self, tmp_path, capsys, monkeypatch, encoder):
+        # min(levels, |X|) = 100 or 200 codes x 200 y values exceed the table
+        # cap: refused before the quantizer's search or any channel is built
+        model = make_model(tmp_path, grid=200)
+        monkeypatch.setattr(simulate, "_optimal_split_cells", None)
+        monkeypatch.setattr(bottleneck.TestChannel, "identity", None)
+        assert run(["simulate", "--model", model, *encoder, "--n", 4, "--regime", "const:0.1",
+                    "--trials", 200, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantized table") and str(simulate.MAX_TABLE_CELLS) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_dense_channel_cap(self, tmp_path, capsys):
+        # 4096 x 2: the identity table fits (8192 cells), but its channel
+        # would be 4096 x 4096 float64 entries, 128 MiB
+        model = tmp_path / "tall.json"
+        model.write_text(json.dumps({"x_labels": list(range(4096)), "y_labels": [0, 1],
+                                     "probs": [[1 / 8192] * 2] * 4096}))
+        args = ["simulate", "--model", model, "--n", 4, "--regime", "const:0.1",
+                "--trials", 200, "--force-threshold", 0]
+        tracemalloc.start()
+        try:
+            code = run([*args, "--identity-encoder", "--out-dir", tmp_path / "id"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 8 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel") and str(bottleneck.MAX_STACK_ENTRIES) in err
+        assert not (tmp_path / "id").exists()
+        # a 4-level quantizer's channel is 4096 x 4
+        assert run([*args, "--levels", 4, "--out-dir", tmp_path / "lm"]) == 0
+
 
 class TestArtifactFormat:
     """Each subcommand's CSV: its exact header, as many cells in every row
@@ -604,6 +651,11 @@ class TestReadmeExamples:
             for line in shown:
                 if line != "...":
                     assert line in rest, f"$ {shlex.join(argv)}: README shows {line!r}"
+
+    def test_library_block_runs(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README Library block", "exec"), {})
 
 
 class TestTopLevel:

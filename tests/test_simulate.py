@@ -22,10 +22,22 @@ def sym_model():
     return d.JointPmf.from_probs(SYM)
 
 
+def identity(nx):
+    return s.Encoder(d.TestChannel.identity(nx, nx))
+
+
+def codes(enc):
+    """The code map x -> u of an encoder whose channel rows are one-hot."""
+    w = enc.channel.cond_probs
+    assert np.all((w == 0.0) | (w == 1.0))
+    return w.argmax(axis=1)
+
+
 def encoder_mse(enc, pts, wts):
     total = 0.0
-    for j in np.unique(enc.table):
-        m = enc.table == j
+    table = codes(enc)
+    for j in np.unique(table):
+        m = table == j
         mu = np.average(pts[m], weights=wts[m])
         total += float((wts[m] * (pts[m] - mu) ** 2).sum())
     return total
@@ -33,39 +45,40 @@ def encoder_mse(enc, pts, wts):
 
 class TestEncoder:
     def test_identity(self):
-        enc = s.Encoder.identity(3)
-        assert enc.block_len == 1 and enc.codebook_size == 3
-        assert np.array_equal(enc.table, [0, 1, 2])
+        # one code per x: the table keeps the model's 3 rows
+        enc = identity(3)
+        assert enc.block_len == 1
+        p = d.JointPmf.from_probs([[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]])
+        assert s.quantized_model(p, enc).h0.tobytes() == p.probs.tobytes()
 
     def test_codes_must_fit_codebook(self):
-        # one code per x, each in [0, |X|)
-        with pytest.raises(s.SimulationError):
-            s.Encoder(np.array([0, 2]))
-        with pytest.raises(s.SimulationError):
-            s.Encoder(np.array([0, -1]))
-        with pytest.raises(s.SimulationError):
-            s.Encoder(np.zeros((2, 2), dtype=int))
-        with pytest.raises(s.SimulationError):
-            s.Encoder(np.array([0, 1]), block_len=0)
+        # the channel checks its rows; the encoder checks its block length
+        with pytest.raises(d.SolverError, match="sums to"):
+            s.Encoder(d.TestChannel([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(d.SolverError, match="nonnegative"):
+            s.Encoder(d.TestChannel([[1.5, -0.5], [0.0, 1.0]]))
+        with pytest.raises(d.SolverError, match="2-d"):
+            s.Encoder(d.TestChannel([1.0, 1.0]))
+        with pytest.raises(s.SimulationError, match="block_len"):
+            s.Encoder(d.TestChannel.identity(2, 2), block_len=0)
 
     def test_blockwise_keeps_the_scalar_map(self):
-        scalar = s.Encoder(np.array([0, 2, 2]))
+        scalar = oracles.code_map([0, 2, 2])
         blk = scalar.blockwise(2)
-        assert np.array_equal(blk.table, scalar.table) and blk.nx == 3
-        # two codes are used, so four code blocks
-        assert (blk.block_len, blk.codebook_size) == (2, 4)
-        assert (scalar.block_len, scalar.codebook_size) == (1, 2)
+        assert blk.channel is scalar.channel
+        assert (blk.block_len, scalar.block_len) == (2, 1)
 
     def test_blockwise_needs_scalar_base(self):
-        blk = s.Encoder.identity(2).blockwise(2)
+        blk = identity(2).blockwise(2)
         with pytest.raises(s.SimulationError):
             blk.blockwise(2)
 
     def test_random_map_reproducible(self):
         a = oracles.random_map(4, 2, 3, np.random.default_rng(5))
         bb = oracles.random_map(4, 2, 3, np.random.default_rng(5))
-        assert np.array_equal(a.table, bb.table) and a.block_len == 2
-        assert a.table.min() >= 0 and a.table.max() < 3
+        assert np.array_equal(a.channel.cond_probs, bb.channel.cond_probs)
+        assert a.block_len == 2 and a.channel.nu <= 3
+        assert codes(a).max() < 3
 
 
 class TestLloydMax:
@@ -82,32 +95,31 @@ class TestLloydMax:
                 got = encoder_mse(enc, pts, wts)
                 want = oracles.best_contiguous_mse(pts, wts, levels)
                 assert got <= want + 1e-12
-                assert enc.codebook_size == levels
+                assert np.unique(codes(enc)).size == enc.channel.nu == levels
 
     def test_cells_are_contiguous(self):
         rng = np.random.default_rng(11)
         pts = np.sort(rng.normal(size=30))
         enc = s.lloyd_max(pts, np.full(30, 1 / 30), 6)
-        assert np.all(np.diff(enc.table) >= 0)
-        assert enc.codebook_size == 6
+        assert np.all(np.diff(codes(enc)) >= 0)
+        assert np.unique(codes(enc)).size == enc.channel.nu == 6
 
     def test_symmetric_tie_is_deterministic(self):
         # both two-cell splits of this symmetric grid have equal cost; the
         # implementation must pick one reproducibly (middle point goes left)
         enc = s.lloyd_max(np.array([-1.0, 0.0, 1.0]), np.array([0.4, 0.2, 0.4]), 2)
-        assert np.array_equal(enc.table, [0, 0, 1])
+        assert np.array_equal(codes(enc), [0, 0, 1])
 
     def test_levels_at_least_points_collapses_to_identity(self):
         pts = np.array([0.0, 1.0, 2.0])
         w = np.full(3, 1 / 3)
-        enc = s.lloyd_max(pts, w, 3)
-        assert np.array_equal(enc.table, [0, 1, 2]) and not enc.levels_reduced
-        enc = s.lloyd_max(pts, w, 7)
-        assert np.array_equal(enc.table, [0, 1, 2]) and enc.levels_reduced
+        for levels in (3, 7):
+            enc = s.lloyd_max(pts, w, levels)
+            assert enc.channel.cond_probs.tobytes() == np.eye(3).tobytes()
 
     def test_single_level(self):
         enc = s.lloyd_max(np.array([0.0, 1.0, 5.0]), np.array([0.2, 0.3, 0.5]), 1)
-        assert enc.codebook_size == 1
+        assert enc.channel.cond_probs.tobytes() == np.ones((3, 1)).tobytes()
 
     def test_input_validation(self):
         w2 = np.array([0.5, 0.5])
@@ -134,7 +146,7 @@ class TestLloydMax:
 class TestQuantizedModel:
     def test_identity_encoder_reproduces_tables(self):
         p = sym_model()
-        qm = s.quantized_model(p, s.Encoder.identity(2))
+        qm = s.quantized_model(p, identity(2))
         assert np.array_equal(qm.h0, p.probs)
         assert np.allclose(qm.h1, 0.25, atol=1e-15)
         assert qm.block_len == 1
@@ -163,22 +175,22 @@ class TestQuantizedModel:
 
     def test_injective_scalar_encoder_preserves_information(self):
         p = sym_model()
-        qm = s.quantized_model(p, s.Encoder.identity(2))
+        qm = s.quantized_model(p, identity(2))
         assert oracles.table_mutual_information(qm.h0) == pytest.approx(
             d.mutual_information(p), abs=1e-12)
 
     def test_constant_encoder_kills_information(self):
         p = sym_model()
-        enc = s.Encoder(np.array([0, 0]))
+        enc = oracles.code_map([0, 0])
         qm = s.quantized_model(p, enc)
         assert qm.h0.shape[0] == 1
         assert oracles.table_mutual_information(qm.h0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unused_codes_dropped(self):
         p = d.JointPmf.from_probs([[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]])
-        qm = s.quantized_model(p, s.Encoder(np.array([0, 2, 2])))
+        qm = s.quantized_model(p, oracles.code_map([0, 2, 2]))
         assert qm.h0.shape[0] == 2
-        qm = s.quantized_model(p, s.Encoder(np.array([0, 2, 2])).blockwise(2))
+        qm = s.quantized_model(p, oracles.code_map([0, 2, 2]).blockwise(2))
         assert qm.h0.shape == (4, 4)
 
     @pytest.mark.parametrize("block_len", [1, 2, 3])
@@ -186,8 +198,15 @@ class TestQuantizedModel:
         rng = np.random.default_rng(block_len)
         p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
         # code 1 of the last map is never used
-        for table in ([0, 1, 2], [0, 1, 0], [2, 0, 2]):
-            self.assert_matches_enumeration(p, s.Encoder(np.array(table)).blockwise(block_len))
+        encoders = [oracles.code_map(table, block_len)
+                    for table in ([0, 1, 2], [0, 1, 0], [2, 0, 2])]
+        if block_len <= 2:
+            # the solver's witness: a dense 3 x 4 channel, no row one-hot
+            witness = d.exponent_at_rate(p, 0.3)[1].channel
+            assert np.all(witness.cond_probs.max(axis=1) < 0.9)
+            encoders.append(s.Encoder(witness, block_len))
+        for enc in encoders:
+            self.assert_matches_enumeration(p, enc)
 
     @pytest.mark.parametrize("grid, block_len, classes",
                              [(32, 1, 64), (16, 1, 32), (16, 2, 528)])
@@ -197,8 +216,9 @@ class TestQuantizedModel:
 
     @staticmethod
     def assert_matches_enumeration(p, enc):
-        """Same cells as summing every x-block: bit for bit at block
-        length 1, within 1e-15 above it, and the same log-ratio classes."""
+        """Same cells as summing every (x-block, code-block) pair: bit for
+        bit at block length 1, within 1e-15 above it, and the same
+        log-ratio classes."""
         qm = s.quantized_model(p, enc)
         want0, want1 = oracles.block_tables(p, enc)
         if enc.block_len == 1:
@@ -215,7 +235,7 @@ class TestQuantizedModel:
 
     def test_block_length_cap(self):
         with pytest.raises(s.SimulationError, match="cap"):
-            s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(4))
+            s.quantized_model(sym_model(), identity(2).blockwise(4))
 
     def test_table_cap_counts_sampler_cells(self, monkeypatch):
         # README model, 4 levels at block length 3: 64 codes x 32^3 y-blocks,
@@ -228,7 +248,32 @@ class TestQuantizedModel:
 
     def test_alphabet_mismatch(self):
         with pytest.raises(s.SimulationError, match="expects"):
-            s.quantized_model(sym_model(), s.Encoder.identity(3))
+            s.quantized_model(sym_model(), identity(3))
+
+
+class TestWitnessScheme:
+    """The solver's witness channel runs as a scheme with no other code:
+    its table's exponent KL(H0 || H1) = I(U;Y) is the witness's relevance,
+    and calibration and evaluation sample it like any table."""
+
+    @pytest.mark.parametrize("model, rate", [("dsbs", 0.3), ("readme", 0.17329)])
+    def test_table_exponent_is_witness_relevance(self, model, rate):
+        p = sym_model() if model == "dsbs" else d.calibrate_correlation(0.08, 32, 32)[1]
+        sol = d.exponent_at_rate(p, rate)[1]
+        qm = s.quantized_model(p, s.Encoder(sol.channel))
+        assert qm.h0.shape == (sol.channel.nu, p.ny)
+        kl = float((qm.h0 * qm.log_ratios).sum())
+        assert kl == pytest.approx(sol.relevance, rel=0, abs=1e-12)
+        assert oracles.table_mutual_information(qm.h0) == pytest.approx(
+            sol.relevance, rel=0, abs=1e-12)
+        n, eps, trials = 50, 0.1, 4000
+        cal = s.calibrate_threshold(qm, n, eps, trials, seed=5)
+        res = s.estimate_errors(qm, n, cal.t, trials, seed=5)
+        # calibration and evaluation draw disjoint samples
+        sigma = math.sqrt(eps * (1.0 - eps) * 2.0 / trials)
+        assert not cal.saturated and res.type1_hat <= eps + 4.0 * sigma
+        assert 0.0 < res.type2_hat < 1.0 - eps
+        assert res.type2_ci[0] <= res.type2_hat <= res.type2_ci[1]
 
 
 def readme_model(grid, block_len):
@@ -259,7 +304,7 @@ class TestLogRatioClasses:
     def test_tie_free_table_samples_cells_bit_for_bit(self):
         rng = np.random.default_rng(12)
         p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
-        for enc in (s.Encoder.identity(3), s.Encoder(np.array([0, 1, 0]))):
+        for enc in (identity(3), oracles.code_map([0, 1, 0])):
             qm = s.quantized_model(p, enc)
             pmf0, pmf1, lr = qm.flat()
             assert np.unique(lr).size == lr.size
@@ -292,7 +337,7 @@ class TestLogRatioClasses:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dsbs_class_law_equals_cell_law(self, n):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         assert qm.class_lr.size == 2
         self.assert_same_law(qm, n)
 
@@ -425,7 +470,7 @@ class TestBlockedSampling:
 
 class TestCalibration:
     def test_two_atom_quantile_lands_on_lower_atom(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         cal = s.calibrate_threshold(qm, 1, 0.25, 200_000, seed=42)
         assert not cal.saturated
         assert cal.t == pytest.approx(math.log(0.1) - math.log(0.25), abs=1e-12)
@@ -436,13 +481,13 @@ class TestCalibration:
         assert lo2 <= 0.5 <= hi2
 
     def test_threshold_monotone_in_eps(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         ts = [s.calibrate_threshold(qm, 8, eps, 50_000, seed=1).t
               for eps in (0.05, 0.15, 0.35, 0.6)]
         assert all(a <= bb for a, bb in zip(ts, ts[1:]))
 
     def test_saturation_at_tiny_eps(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         with pytest.warns(UserWarning, match="small for eps"):
             cal = s.calibrate_threshold(qm, 4, 1e-9, 1000, seed=0)
         assert cal.saturated
@@ -456,7 +501,7 @@ class TestCalibration:
         # same seed and purpose reproduce the calibration sample exactly,
         # so the empirical constraint can be checked directly; the DSBS
         # statistic has n + 1 atoms, so the sample is full of ties
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
         stats = np.concatenate([
@@ -475,7 +520,7 @@ class TestCalibration:
 
     def test_one_float_per_statistic_atom(self):
         # the DSBS statistic has n + 1 atoms; each must come out as one float
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         n = 6
         stats = s._chunk_stats(qm.class_h0, qm.class_lr, n, n, 77,
                                rngstreams.PURPOSE_CALIBRATE, (0, rngstreams.CHUNK_TRIALS))
@@ -485,7 +530,7 @@ class TestCalibration:
         # 30 chunks of the 2-class DSBS statistic at 2 workers: 8 bytes per
         # trial, plus per worker one count block, its weighted copy and a
         # chunk of S.  Concatenating per-chunk arrays would hold it twice.
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         trials, workers = 30 * rngstreams.CHUNK_TRIALS, 2
         block = rngstreams.CHUNK_TRIALS * qm.class_lr.size * 8
         tracemalloc.start()
@@ -497,14 +542,14 @@ class TestCalibration:
         assert peak < 1.5 * 8 * trials + workers * (2 * block + 8 * rngstreams.CHUNK_TRIALS)
 
     def test_multiple_of_block_length_enforced(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2).blockwise(2))
+        qm = s.quantized_model(sym_model(), identity(2).blockwise(2))
         with pytest.raises(s.SimulationError, match="multiple"):
             s.calibrate_threshold(qm, 5, 0.1, 100, seed=0)
         with pytest.raises(s.SimulationError, match="multiple"):
             s.estimate_errors(qm, 5, 0.0, 100, seed=0)
 
     def test_input_validation(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         with pytest.raises(s.SimulationError):
             s.calibrate_threshold(qm, 4, 0.0, 100, seed=0)
         with pytest.raises(s.SimulationError):
@@ -521,7 +566,7 @@ class TestCalibration:
 
     def test_trial_counts_over_the_cap(self, monkeypatch):
         # refused before the calibration sample or any chunk exists
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         monkeypatch.setattr(s, "_map_chunks", None)
         monkeypatch.setattr(s.np, "empty", None)
         with pytest.raises(s.SimulationError, match=str(s.MAX_TRIALS)):
@@ -533,7 +578,7 @@ class TestCalibration:
 class TestEstimateErrors:
     def test_exact_law_within_confidence_band(self):
         p = sym_model()
-        qm = s.quantized_model(p, s.Encoder.identity(2))
+        qm = s.quantized_model(p, identity(2))
         pmf0, pmf1, lr = qm.flat()
         for n, eps in ((2, 0.2), (3, 0.1)):
             values, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
@@ -549,14 +594,14 @@ class TestEstimateErrors:
             assert lo2 <= exact2 <= hi2
 
     def test_degenerate_thresholds(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         always = s.estimate_errors(qm, 4, -math.inf, 1000, seed=0)
         assert always.type1_hat == 0.0 and always.type2_hat == 1.0
         never = s.estimate_errors(qm, 4, math.inf, 1000, seed=0)
         assert never.type1_hat == 1.0 and never.type2_hat == 0.0
 
     def test_seed_determinism_and_worker_invariance(self):
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         base = s.estimate_errors(qm, 8, 0.0, 40_000, seed=5, workers=1)
         again = s.estimate_errors(qm, 8, 0.0, 40_000, seed=5, workers=1)
         threaded = s.estimate_errors(qm, 8, 0.0, 40_000, seed=5, workers=4)
@@ -567,7 +612,7 @@ class TestEstimateErrors:
     @pytest.mark.parametrize("chunks,most", [(5, 3), (1, 1)])
     def test_threads_bounded_by_cpus_and_chunks(self, monkeypatch, chunks, most):
         # with 3 CPUs, 5 chunks share at most 3 threads and 1 chunk uses one
-        qm = s.quantized_model(sym_model(), s.Encoder.identity(2))
+        qm = s.quantized_model(sym_model(), identity(2))
         monkeypatch.setattr(s, "_sampling_threads", lambda: 3)
         seen = {}
         chunk_stats = s._chunk_stats

@@ -158,11 +158,14 @@ def _chain_sumsq(a: np.ndarray) -> np.ndarray:
     return (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
 
 
+_MOST_NEGATIVE = np.finfo(np.float64).min
+
+
 def _xlogx(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     """x log x from x and its log: 0 where x = 0 (log x = -inf is clipped
     to the most negative float, whose product with 0 is 0), NaN where
     either is NaN."""
-    out = np.maximum(log_x, np.finfo(np.float64).min)
+    out = np.maximum(log_x, _MOST_NEGATIVE)
     out *= x
     return out
 

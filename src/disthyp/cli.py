@@ -12,12 +12,15 @@ one).  The curve point that `bounds` and `cns` take (--xi, --d-slope, --c)
 and all CSV columns are always in nats.  No flag sets the sampling
 threads: the sampler picks them, and they move no output byte.  Every
 command is deterministic given its arguments, and the exit code is 0 only
-when the run's invariant checks pass.
+when the run's invariant checks pass.  The parser is built once per
+process, on the first call of main; later calls only parse, since each
+parse starts from a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -326,6 +329,7 @@ def cmd_simulate(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -415,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (dist.DistributionError, bottleneck.SolverError, simulate.SimulationError,

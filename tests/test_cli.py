@@ -1,7 +1,11 @@
+import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -668,3 +672,60 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call may see another's."""
+
+    CNS = ["cns", "--xi", 3.0, "--c", 2.47, "--regimes", "log"]
+
+    def echo(self, tmp_path, *extra):
+        assert run([*self.CNS, *extra, "--out-dir", tmp_path, "--out", "r.csv"]) == 0
+        return json.loads((tmp_path / "r.meta.json").read_text())
+
+    def test_built_once(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        self.echo(tmp_path)
+        self.echo(tmp_path, "--delta", 1e-3)
+        assert built == []
+
+    def test_defaults_return_after_overrides(self, tmp_path):
+        meta = self.echo(tmp_path, "--delta", 1e-3, "--cap", 500)
+        assert (meta["delta"], meta["cap"]) == (1e-3, 500)
+        meta = self.echo(tmp_path)
+        assert (meta["delta"], meta["cap"]) == (1e-5, 100_000)
+
+    @pytest.mark.parametrize("bad,code", [
+        (["cns", "--xi", "3.0", "--c", "2.47", "--regimes", "log", "--delta", "1e-3",
+          "--cap", "0"], 2),
+        (["cns", "--delta", "1e-3", "--bogus"], 2),
+        (["--version"], 0)])
+    def test_valid_call_after_an_exit(self, tmp_path, capsys, bad, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == code
+        capsys.readouterr()
+        meta = self.echo(tmp_path)
+        assert (meta["delta"], meta["cap"]) == (1e-5, 100_000)
+        assert capsys.readouterr().out.startswith("log: cns=6\n")
+
+    def test_fresh_process_writes_the_same_bytes(self, tmp_path):
+        # the README cns example whose rows are 46657, 47446 and 85185
+        argv = [argv for argv, _ in TestReadmeExamples.transcripts() if argv[1:2] == ["cns"]][-1]
+        argv = [*argv[1:], "--out-dir", str(tmp_path)]
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-m", "disthyp.cli", *argv], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src_dir})
+        names = ("cns.csv", "cns.meta.json")
+        fresh = [(tmp_path / name).read_bytes() for name in names]
+        assert [row.split(b",")[2] for row in fresh[0].splitlines()[1:]] == [
+            b"46657", b"47446", b"85185"]
+        for _ in range(2):
+            for name in names:
+                (tmp_path / name).unlink()
+            assert cli.main(argv) == 0
+            assert [(tmp_path / name).read_bytes() for name in names] == fresh

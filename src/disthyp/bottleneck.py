@@ -10,21 +10,23 @@ noisy distortion-rate function under log-loss.
 
 The solver is the standard alternating minimization of
 I(U;X) - beta*I(U;Y): a geometric sweep over beta with warm starts traces
-out the (rate, relevance) trade-off, a fixed number of random restarts
-guards against local optima, and the reported curve is the upper concave
-envelope of every solution found.  The restart chains run in lockstep as
-one stacked iterate, each with its own stopping rule.  The iteration is
-accelerated by SQUAREM (Varadhan & Roland 2008): every third step
-extrapolates the last three iterates in log space, and the result is kept
-only if one map step from it does not raise the objective, so the objective
-still falls monotonically.  The stopping rule (the objective changes by less
-than OBJ_TOL between consecutive iterates) and the 1000-evaluation cap are
-those of the plain iteration.  Each map evaluation works from the logs of
-p(u) and p(u,y) that the previous one kept, and takes the objective from
-entropies (see _iterate).  A stack larger than MAX_STACK_ENTRIES is refused
-before it is built.  Chord points on the envelope are achievable
-by time sharing between the two endpoint channels, so the envelope is a
-certified lower bound on xi.
+out the (rate, relevance) trade-off, RESTARTS (4) random restarts guard
+against local optima, and the reported curve is the upper concave envelope
+of every solution found.  The restart chains run in lockstep as one stacked
+iterate, each with its own stopping rule.  The iteration is accelerated by
+SQUAREM (Varadhan & Roland 2008): every third step extrapolates the last
+three iterates in log space, and the result is kept only if one map step
+from it does not raise the objective, so the objective still falls
+monotonically.  The stopping rule (the objective changes by less than
+OBJ_TOL between consecutive iterates) and the cap of MAX_ITERS (1000) map
+evaluations per beta-solve are those of the plain iteration.  RESTARTS and
+MAX_ITERS are the whole solver configuration; they are no parameters, and
+each solve reads them when it is called.  Each map evaluation works from
+the logs of p(u) and p(u,y) that the previous one kept, and takes the
+objective from entropies (see _iterate).  A stack larger than
+MAX_STACK_ENTRIES is refused before it is built.  Chord points on the
+envelope are achievable by time sharing between the two endpoint channels,
+so the envelope is a certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -45,6 +47,10 @@ DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
 # A chain stops once its objective changes by less than this between
 # consecutive iterates.
 OBJ_TOL = 1e-10
+# Random start channels beside the near-identity one, so RESTARTS + 1 chains.
+RESTARTS = 4
+# Map evaluations allowed per beta-solve and chain.
+MAX_ITERS = 1000
 # The largest solver stack, in float64 entries: chains x max(|X|, |Y|) x
 # (|X|+1), the size of every whole-stack temporary (32 MiB each).
 MAX_STACK_ENTRIES = 1 << 22
@@ -337,9 +343,9 @@ def _check_stack_size(p: JointPmf, chains: int) -> None:
             f"solver array, more than the cap of {MAX_STACK_ENTRIES}")
 
 
-def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
-                   max_iters: int = 1000) -> IbSolution:
-    """Run the alternating minimization from one starting channel.
+def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None) -> IbSolution:
+    """Run the alternating minimization from one starting channel, for at
+    most MAX_ITERS map evaluations.
 
     The starting channel must have |X|+1 clusters, and so does the returned
     one: a cluster whose mass collapses to zero keeps its all-zero column.
@@ -355,7 +361,7 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None,
         raise SolverError(
             f"init must have shape ({p.nx}, {p.nx + 1}), got ({init.nx}, {init.nu})"
         )
-    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], max_iters)
+    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], MAX_ITERS)
     return _wrap_solution(p, w[0], float(beta), int(iters[0]), bool(converged[0]))
 
 
@@ -443,12 +449,12 @@ class EnvelopePool:
         return best
 
 
-def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
-                   max_iters: int = 1000) -> EnvelopePool:
+def solve_envelope(p: JointPmf, master_seed: int = 0) -> EnvelopePool:
     """Sweep the trade-off curve and return the solution pool.
 
-    Chain 0 starts from a near-identity channel and chains 1..restarts from
-    random channels.  The chains run in lockstep as one stacked iterate,
+    Chain 0 starts from a near-identity channel and chains 1..RESTARTS from
+    random channels; each beta-solve runs for at most MAX_ITERS map
+    evaluations.  The chains run in lockstep as one stacked iterate,
     each with its own stopping rule, through a single sweep down the beta
     grid; every beta is warm-started from the stack the previous one
     returned.  Sweeping from large beta to small tracks the nontrivial
@@ -458,27 +464,25 @@ def solve_envelope(p: JointPmf, restarts: int = 4, master_seed: int = 0,
 
     The pool holds the two anchors, then the solutions chain by chain, each
     chain in sweep order; every solution keeps its |X|+1 clusters.  The
-    number of restarts is fixed: it never escalates.  A stack of
-    restarts + 1 chains larger than MAX_STACK_ENTRIES is refused before any
-    start channel is built.
+    number of restarts is fixed: it never escalates, so the pool's
+    restarts_used is RESTARTS.  A stack of RESTARTS + 1 chains larger than
+    MAX_STACK_ENTRIES is refused before any start channel is built.
     """
-    if restarts < 0:
-        raise SolverError("restarts must be nonnegative")
-    _check_stack_size(p, restarts + 1)
+    _check_stack_size(p, RESTARTS + 1)
     starts = [TestChannel.identity_plus_noise(p.nx, p.nx + 1)]
-    for chain_id in range(1, restarts + 1):
+    for chain_id in range(1, RESTARTS + 1):
         rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
         starts.append(TestChannel.random(p.nx, p.nx + 1, rng))
     w = np.stack([start.cond_probs for start in starts])
     chains: list[list[IbSolution]] = [[] for _ in starts]
     for beta in sorted(DEFAULT_BETA_GRID, reverse=True):
-        w, iters, converged = _iterate(p, float(beta), w, max_iters)
+        w, iters, converged = _iterate(p, float(beta), w, MAX_ITERS)
         for chain, wk, n, ok in zip(chains, w, iters, converged):
             chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
     solutions = _anchor_solutions(p)
     for chain in chains:
         solutions.extend(chain)
-    return EnvelopePool(p, solutions, restarts_used=restarts)
+    return EnvelopePool(p, solutions, restarts_used=RESTARTS)
 
 
 def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3) -> None:
@@ -512,8 +516,7 @@ def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3) -> None:
             return
 
 
-def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
-                     master_seed: int = 0) -> tuple[float, IbSolution]:
+def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float, IbSolution]:
     """Best exponent at rate budget r (nats) and the channel witnessing it.
 
     The value is read off the concave envelope of all solutions, so it is a
@@ -525,7 +528,7 @@ def exponent_at_rate(p: JointPmf, r: float, restarts: int = 4,
     """
     if not (math.isfinite(r) and r >= 0):
         raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
-    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
+    pool = solve_envelope(p, master_seed=master_seed)
     _refine_at(pool, r)
     return pool.value_at(r), pool.witness_at(r)
 
@@ -545,7 +548,13 @@ def _check_rate_grid(r_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExponentCurve:
-    """Rate grid with exponent, distortion, and distortion slope columns."""
+    """Rate grid with exponent, distortion, and distortion slope columns.
+
+    build_curve fills ``diagnostics`` from its solution pool: ``restarts``
+    (restarts_used, which is RESTARTS), the pool's ``solutions``, its
+    ``beta_solves``, their ``iterations`` (map evaluations) and the
+    ``unconverged`` ones, stopped at MAX_ITERS.
+    """
 
     r: np.ndarray
     xi: np.ndarray
@@ -567,8 +576,7 @@ class ExponentCurve:
             object.__setattr__(self, name, arr)
 
 
-def build_curve(p: JointPmf, r_grid, restarts: int = 4,
-                master_seed: int = 0) -> ExponentCurve:
+def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
     One envelope solve is shared by all grid points; each point then gets a
@@ -578,7 +586,7 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     central differences on the grid.
     """
     r = _check_rate_grid(r_grid)
-    pool = solve_envelope(p, restarts=restarts, master_seed=master_seed)
+    pool = solve_envelope(p, master_seed=master_seed)
     for point in r:
         _refine_at(pool, float(point), rounds=1)
     xi = np.array([pool.value_at(float(point)) for point in r])
@@ -591,5 +599,6 @@ def build_curve(p: JointPmf, r_grid, restarts: int = 4,
     d_slope[1:-1] = (d[2:] - d[:-2]) / (r[2:] - r[:-2])
     d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
     d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
-    diagnostics = {"solutions": len(pool.solutions), **pool.solver_counters()}
+    diagnostics = {"restarts": pool.restarts_used, "solutions": len(pool.solutions),
+                   **pool.solver_counters()}
     return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)

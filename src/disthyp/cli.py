@@ -116,7 +116,11 @@ def _config_echo(args, **extra) -> dict:
 
 
 def _load_model(path: str) -> dist.JointPmf:
-    return dist.JointPmf.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise dist.DistributionError(f"model JSON is not UTF-8 text: {exc}") from exc
+    return dist.JointPmf.from_json(text)
 
 
 def _fail_invariant(name: str) -> int:
@@ -169,8 +173,7 @@ def cmd_model(args) -> int:
 def cmd_exponent(args) -> int:
     p = _load_model(args.model)
     per_unit = LN2 if args.units == "bits" else 1.0  # nats per unit of --rates
-    curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit, restarts=args.restarts,
-                                   master_seed=args.seed)
+    curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit, master_seed=args.seed)
     path = _out_path(args, args.out)
     _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
                       for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
@@ -362,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated rate grid (in --units), at least 3 points")
     pe.add_argument("--units", choices=("bits", "nats"), default="bits",
                     help="unit of the rate grid and the printed rates (default bits)")
-    pe.add_argument("--restarts", type=_positive_int, default=4,
-                    help="random solver restarts (default 4)")
     pe.add_argument("--out", default="curve.csv", help="curve filename (default curve.csv)")
     pe.set_defaults(func=cmd_exponent)
 

@@ -87,13 +87,11 @@ class JointPmf:
             )
 
     @classmethod
-    def from_probs(cls, probs, normalize: bool = False) -> "JointPmf":
+    def from_probs(cls, probs) -> "JointPmf":
         """Model with integer labels 0..nx-1 and 0..ny-1."""
         mat = np.asarray(probs, dtype=np.float64)
         if mat.ndim != 2:
             raise DistributionError(f"probs must be a 2-d matrix, got shape {mat.shape}")
-        if normalize and mat.size and np.all(mat > 0):
-            mat = mat / mat.sum()
         return cls(mat, tuple(range(mat.shape[0])), tuple(range(mat.shape[1])))
 
     @property
@@ -142,15 +140,27 @@ class JointPmf:
 
     @classmethod
     def from_json(cls, text: str) -> "JointPmf":
+        """Model from the text to_json writes: a JSON object whose x_labels
+        and y_labels are lists and whose probs is a matrix of numbers."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: deep nesting
             raise DistributionError(f"model JSON is unparseable: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DistributionError(
+                f"model JSON must be an object, got {type(payload).__name__}")
         for key in ("x_labels", "y_labels", "probs"):
             if key not in payload:
                 raise DistributionError(f"model JSON is missing required key {key!r}")
-        return cls(np.asarray(payload["probs"], dtype=np.float64),
-                   tuple(payload["x_labels"]), tuple(payload["y_labels"]))
+        for key in ("x_labels", "y_labels"):
+            if not isinstance(payload[key], list):
+                raise DistributionError(
+                    f"model JSON {key!r} must be a list, got {type(payload[key]).__name__}")
+        try:
+            probs = np.asarray(payload["probs"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DistributionError(f"model JSON 'probs' is not a matrix of numbers: {exc}") from exc
+        return cls(probs, tuple(payload["x_labels"]), tuple(payload["y_labels"]))
 
 
 @dataclass(frozen=True)

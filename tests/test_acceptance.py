@@ -111,8 +111,7 @@ def test_ib_oracle_equivalence():
         p = d.JointPmf.from_probs(probs)
         rates = np.linspace(0.08, 1.0, 5) * p.entropy_x
         want = oracles.brute_force_exponent(p.probs, rates)
-        got = np.array([d.exponent_at_rate(p, float(r), restarts=3,
-                                           master_seed=11)[0] for r in rates])
+        got = np.array([d.exponent_at_rate(p, float(r), master_seed=11)[0] for r in rates])
         worst = max(worst, float(np.abs(want - got).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3 and elapsed < 300.0
@@ -126,14 +125,14 @@ def test_ib_boundary_identities():
     rng = np.random.default_rng(31)
     models = [d.JointPmf.from_probs([[0.4, 0.1], [0.1, 0.4]])]
     probs = np.maximum(rng.dirichlet(np.ones(6)).reshape(2, 3), 1e-3)
-    models.append(d.JointPmf.from_probs(probs, normalize=True))
+    models.append(d.JointPmf.from_probs(probs / probs.sum()))
     for p in models:
         mi = d.mutual_information(p)
         hy = p.entropy_y
         rates = np.linspace(0.0, p.entropy_x + 0.3, 8)
-        curve = d.build_curve(p, rates, restarts=3, master_seed=11)
+        curve = d.build_curve(p, rates, master_seed=11)
         checks.append(abs(curve.xi[-1] - mi) <= 1e-4)
-        full, _ = d.exponent_at_rate(p, p.entropy_x, restarts=3, master_seed=11)
+        full, _ = d.exponent_at_rate(p, p.entropy_x, master_seed=11)
         checks.append(abs(full - mi) <= 1e-4)
         checks.append(curve.xi[0] <= 1e-6)
         checks.append(bool(np.array_equal(curve.d, hy - curve.xi)))
@@ -153,7 +152,7 @@ def test_exact_np_equivalence():
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.05, 0.4))
         probs = np.maximum(rng.dirichlet(np.ones(nx * ny)), 5e-3).reshape(nx, ny)
-        p = d.JointPmf.from_probs(probs, normalize=True)
+        p = d.JointPmf.from_probs(probs / probs.sum())
         qm = d.quantized_model(p, d.Encoder(d.TestChannel.identity(nx, nx)))
         pmf0, pmf1, lr = qm.flat()
         values, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
@@ -200,7 +199,7 @@ def test_converse_consistency():
         nx = int(rng.integers(2, 5))
         ny = int(rng.integers(2, 5))
         probs = np.maximum(rng.dirichlet(np.ones(nx * ny)), 5e-3).reshape(nx, ny)
-        p = d.JointPmf.from_probs(probs, normalize=True)
+        p = d.JointPmf.from_probs(probs / probs.sum())
         reg = d.TypeIRegime.parse(specs[k % len(specs)])
         n = (60, 120, 240)[k % 3]
         rep = d.feasibility_interval((d.mutual_information(p), 0.0),

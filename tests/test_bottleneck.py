@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -22,6 +23,27 @@ def three_by_two_model():
     probs = rng.dirichlet(np.ones(6)).reshape(3, 2)
     probs = np.maximum(probs, 1e-3)
     return d.JointPmf.from_probs(probs / probs.sum())
+
+
+def objective_after(p, beta, budget):
+    """I(U;X) - beta I(U;Y) after at most ``budget`` map evaluations from
+    ib_fixed_point's default start."""
+    start = bn.TestChannel.identity_plus_noise(p.nx, p.nx + 1).cond_probs
+    w, _, _ = bn._iterate(p, beta, start[None], budget)
+    rate, relevance = bn.channel_information(p, bn.TestChannel(w[0]))
+    return rate - beta * relevance
+
+
+class TestConfiguration:
+    def test_no_public_function_takes_a_solver_setting(self):
+        # RESTARTS and MAX_ITERS are the configuration; _iterate keeps its budget
+        public = [fn for name, fn in inspect.getmembers(bn, inspect.isfunction)
+                  if fn.__module__ == bn.__name__ and not name.startswith("_")]
+        assert {fn.__name__ for fn in public} >= {
+            "ib_fixed_point", "solve_envelope", "exponent_at_rate", "build_curve"}
+        for fn in public:
+            assert not {"restarts", "max_iters"} & inspect.signature(fn).parameters.keys()
+        assert (bn.RESTARTS, bn.MAX_ITERS) == (4, 1000)
 
 
 class TestTestChannel:
@@ -64,10 +86,8 @@ class TestFixedPoint:
 
     def test_objective_is_monotone_in_iterations(self, sym_model):
         # two budgets of the same start: more iterations never raise L
-        short = bn.ib_fixed_point(sym_model, 5.0, max_iters=3)
-        long = bn.ib_fixed_point(sym_model, 5.0, max_iters=400)
-        l_short = short.rate - 5.0 * short.relevance
-        l_long = long.rate - 5.0 * long.relevance
+        l_short = objective_after(sym_model, 5.0, 3)
+        l_long = objective_after(sym_model, 5.0, 400)
         assert l_long <= l_short + 1e-12
 
     def test_rejects_negative_beta(self, sym_model):
@@ -137,9 +157,11 @@ class TestLockstep:
         assert uncapped[0] > 10 and uncapped[2] == 2
         assert converged.tolist() == (uncapped <= 10).tolist()
 
-    def test_restarts_leave_chain_zero_alone(self, model):
-        alone = bn.solve_envelope(model, restarts=0)
-        stacked = bn.solve_envelope(model, restarts=3)
+    def test_restarts_leave_chain_zero_alone(self, model, monkeypatch):
+        monkeypatch.setattr(bn, "RESTARTS", 0)
+        alone = bn.solve_envelope(model)
+        monkeypatch.setattr(bn, "RESTARTS", 3)
+        stacked = bn.solve_envelope(model)
         # anchors, then chain 0's sweep: the pool is chain-major
         assert len(stacked.solutions) == 2 + 4 * (len(alone.solutions) - 2)
         for a, b in zip(alone.solutions, stacked.solutions):
@@ -169,8 +191,7 @@ class TestAcceleration:
         p = self.MODELS[name]()
         start = bn.TestChannel.identity_plus_noise(p.nx, p.nx + 1).cond_probs
         plain = oracles.plain_ib(p.probs, beta, start, budget, tol=1e-10)
-        sol = bn.ib_fixed_point(p, beta, max_iters=budget)
-        assert sol.rate - beta * sol.relevance <= \
+        assert objective_after(p, beta, budget) <= \
             oracles.ib_objective(p.probs, plain, beta)[2] + 1e-9
 
     @pytest.mark.parametrize("name", ["dsbs", "gauss8"])
@@ -189,7 +210,7 @@ class TestAcceleration:
             0, rngstreams.PURPOSE_SOLVER, k)).cond_probs for k in range(1, 5)]
         rates, rels = oracles.plain_ib_points(p.probs, starts, bn.DEFAULT_BETA_GRID,
                                               1000, 1e-10)
-        pool = bn.solve_envelope(p, restarts=4, master_seed=0)
+        pool = bn.solve_envelope(p, master_seed=0)
         ours_r = np.array([s.rate for s in pool.solutions])
         ours_v = np.array([s.relevance for s in pool.solutions])
         slopes = 1.0 / np.array(bn.DEFAULT_BETA_GRID)[:, None]
@@ -201,10 +222,7 @@ class TestAcceleration:
         # every budget k ends on an accepted iterate, so the objective is
         # non-increasing in k through the extrapolated steps and rejections
         p = gauss8()
-        objs = []
-        for k in range(1, 61):
-            sol = bn.ib_fixed_point(p, 5.0, max_iters=k)
-            objs.append(sol.rate - 5.0 * sol.relevance)
+        objs = [objective_after(p, 5.0, k) for k in range(1, 61)]
         assert np.all(np.diff(objs) <= 1e-12)
 
     def test_dead_cluster_stays_empty(self):
@@ -262,8 +280,9 @@ class TestStackCap:
         finally:
             tracemalloc.stop()
 
-    def test_too_many_restarts(self, sym_model):
-        peak = self.peak_bytes(lambda: bn.solve_envelope(sym_model, restarts=10**7))
+    def test_too_many_restarts(self, sym_model, monkeypatch):
+        monkeypatch.setattr(bn, "RESTARTS", 10**7)
+        peak = self.peak_bytes(lambda: bn.solve_envelope(sym_model))
         assert peak < 1 << 20
 
     def test_too_wide_a_model(self):
@@ -274,7 +293,7 @@ class TestStackCap:
 
 class TestEnvelope:
     def test_envelope_monotone_and_concave(self, sym_model):
-        pool = bn.solve_envelope(sym_model, restarts=3, master_seed=1)
+        pool = bn.solve_envelope(sym_model, master_seed=1)
         grid = np.linspace(0.0, 1.2, 40)
         vals = np.array([pool.value_at(float(r)) for r in grid])
         assert np.all(np.diff(vals) >= -1e-12)
@@ -305,11 +324,11 @@ class TestEnvelope:
         rates = [0.05, 0.15, 0.3, 0.5, 0.69]
         oracle = oracles.brute_force_exponent(SYM, rates)
         for r, ov in zip(rates, oracle):
-            xi, _ = d.exponent_at_rate(sym_model, r, restarts=3, master_seed=5)
+            xi, _ = d.exponent_at_rate(sym_model, r, master_seed=5)
             assert xi == pytest.approx(ov, abs=1e-3)
 
     def test_witness_at_rate_is_feasible_and_reproducible(self, sym_model):
-        xi, wit = d.exponent_at_rate(sym_model, 0.4, restarts=3, master_seed=5)
+        xi, wit = d.exponent_at_rate(sym_model, 0.4, master_seed=5)
         assert wit.rate <= 0.4 + 1e-12
         rate, rel = bn.channel_information(sym_model, wit.channel)
         assert rate == pytest.approx(wit.rate, abs=1e-10)
@@ -335,33 +354,35 @@ class TestCurve:
     def test_log_loss_identity_exact(self, sym_model):
         # D is defined by the identity D = H(Y) - xi, so that direction is
         # bit-exact; the re-summed form only holds to float rounding
-        curve = d.build_curve(sym_model, np.linspace(0.02, 1.0, 8),
-                              restarts=2, master_seed=3)
+        curve = d.build_curve(sym_model, np.linspace(0.02, 1.0, 8), master_seed=3)
         assert np.array_equal(curve.d, sym_model.entropy_y - curve.xi)
         assert np.allclose(curve.d + curve.xi, sym_model.entropy_y,
                            rtol=0, atol=1e-15)
 
     def test_curve_monotonicity_and_slope_sign(self, sym_model):
-        curve = d.build_curve(sym_model, np.linspace(0.02, 1.0, 8),
-                              restarts=2, master_seed=3)
+        curve = d.build_curve(sym_model, np.linspace(0.02, 1.0, 8), master_seed=3)
         assert np.all(np.diff(curve.xi) >= -1e-12)
         assert np.all(curve.d_slope <= 1e-6)
 
     def test_sidecar_carries_diagnostics(self, sym_model):
-        curve = d.build_curve(sym_model, np.linspace(0.1, 0.9, 5),
-                              restarts=2, master_seed=3)
+        curve = d.build_curve(sym_model, np.linspace(0.1, 0.9, 5), master_seed=3)
         assert curve.fingerprint == sym_model.fingerprint()
         diag = curve.diagnostics
-        # restarts and the seed are inputs, echoed by the CLI sidecar
-        assert set(diag) == {"solutions", "beta_solves", "iterations", "unconverged"}
+        # the seed is an input, echoed by the CLI sidecar; the restarts are the pool's
+        assert set(diag) == {"restarts", "solutions", "beta_solves", "iterations",
+                             "unconverged"}
+        assert diag["restarts"] == bn.RESTARTS
         assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
         assert diag["beta_solves"] == diag["solutions"] - 2  # the two anchors
 
-    def test_counters_report_capped_solves(self):
+    def test_counters_report_capped_solves(self, monkeypatch):
         # with a cap of 10 evaluations most beta-solves on this 4x4 Gaussian
         # stop at the cap, and each of those spends all 10
         p = d.discretized_gaussian(0.8, 4, 4)
-        pool = bn.solve_envelope(p, restarts=1, max_iters=10)
+        monkeypatch.setattr(bn, "RESTARTS", 1)
+        with monkeypatch.context() as m:
+            m.setattr(bn, "MAX_ITERS", 10)
+            pool = bn.solve_envelope(p)
         counters = pool.solver_counters()
         solves = [s for s in pool.solutions if math.isfinite(s.beta)]
         assert counters["beta_solves"] == len(solves) == 2 * len(bn.DEFAULT_BETA_GRID)
@@ -369,8 +390,9 @@ class TestCurve:
                                               for s in solves) > 0
         assert counters["iterations"] == sum(s.iterations for s in solves)
         assert counters["iterations"] >= 10 * counters["unconverged"]
-        curve = d.build_curve(p, np.linspace(0.05, 0.5, 3), restarts=1)
+        curve = d.build_curve(p, np.linspace(0.05, 0.5, 3))
         assert curve.diagnostics["beta_solves"] == 2 * len(bn.DEFAULT_BETA_GRID) + 3
+        assert curve.diagnostics["restarts"] == 1
 
     def test_rejects_bad_grids(self, sym_model):
         with pytest.raises(bn.SolverError):
@@ -393,16 +415,16 @@ class TestCurve:
     def test_boundary_identities(self, sym_model):
         mi = d.mutual_information(sym_model)
         hx = sym_model.entropy_x
-        xi_high, _ = d.exponent_at_rate(sym_model, hx + 0.5, restarts=2)
+        xi_high, _ = d.exponent_at_rate(sym_model, hx + 0.5)
         assert xi_high == pytest.approx(mi, abs=1e-4)
-        xi_zero, _ = d.exponent_at_rate(sym_model, 0.0, restarts=2)
+        xi_zero, _ = d.exponent_at_rate(sym_model, 0.0)
         assert xi_zero <= 1e-6
 
     def test_seed_changes_nothing_material(self, sym_model):
         # different master seeds explore differently but land on the same
         # envelope within solver tolerance
-        a, _ = d.exponent_at_rate(sym_model, 0.3, restarts=4, master_seed=1)
-        b, _ = d.exponent_at_rate(sym_model, 0.3, restarts=4, master_seed=2)
+        a, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=1)
+        b, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=2)
         assert a == pytest.approx(b, abs=1e-4)
 
 
@@ -410,7 +432,6 @@ class TestAsymmetricModels:
     def test_three_by_two_curve(self):
         p = three_by_two_model()
         mi = d.mutual_information(p)
-        curve = d.build_curve(p, np.linspace(0.05, p.entropy_x, 6),
-                              restarts=3, master_seed=4)
+        curve = d.build_curve(p, np.linspace(0.05, p.entropy_x, 6), master_seed=4)
         assert curve.xi[-1] == pytest.approx(mi, abs=1e-4)
         assert np.all(curve.xi <= np.minimum(curve.r, mi) + 1e-9)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -150,6 +151,8 @@ class TestExponentCommand:
         meta = json.loads((tmp_path / "c.meta.json").read_text())
         assert meta["seed"] == 9 and meta["units"] == "bits"
         diag = meta["diagnostics"]
+        # the restart count is the solver's, reported with its counters
+        assert "restarts" not in meta and diag["restarts"] == bottleneck.RESTARTS == 4
         summary = capsys.readouterr().out.strip().split("\n")[-1]
         assert summary.endswith(f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
 
@@ -318,6 +321,7 @@ class TestRemovedFlags:
         ("simulate", "--preset", "smoke"), ("exponent", "--rate-min", 0.01),
         ("exponent", "--rate-max", 0.25), ("exponent", "--rate-points", 7),
         ("simulate", "--eps", 0.2), ("simulate", "--workers", 2),
+        ("exponent", "--restarts", 4),
     ])
     def test_rejected_and_not_echoed(self, tmp_path, capsys, command, flag, value):
         extra = [flag] if value is None else [flag, value]
@@ -325,6 +329,7 @@ class TestRemovedFlags:
             run([command, *self.BASE[command], *extra, "--out-dir", tmp_path])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
         assert run(["cns", *self.BASE["cns"], "--out-dir", tmp_path]) == 0
         meta = json.loads((tmp_path / "cns.meta.json").read_text())
         assert not {"model", "rate", "restarts", "units", "workers"} & meta.keys()
@@ -479,6 +484,88 @@ class TestSimulateCommand:
                     "--trials", 100, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "sim.csv").exists()
+
+
+class TestMalformedInput:
+    """Malformed inputs end in an error line, never a traceback, and
+    before any artifact is written."""
+
+    @pytest.mark.parametrize("command", ["exponent", "simulate"])
+    @pytest.mark.parametrize("text,named", [
+        (b"null", "must be an object, got NoneType"),
+        (b'{"x_labels": [0, 1], "y_labels": [0, 1], "probs": [[0.5], [0.25, 0.25]]}',
+         "'probs' is not a matrix of numbers"),
+        (b'{"x_labels": [0, 1], "y_labels": [0, 1], "probs": "ab"}',
+         "'probs' is not a matrix of numbers"),
+        (b'{"x_labels": 5, "y_labels": [0, 1], "probs": [[0.25, 0.25], [0.25, 0.25]]}',
+         "'x_labels' must be a list, got int"),
+        (b"[" * 100_000, "unparseable: maximum recursion depth exceeded"),
+        (b"\xff\xfe", "is not UTF-8 text"),
+    ], ids=["null", "ragged-probs", "string-probs", "number-labels", "deep-nesting",
+            "not-utf8"])
+    def test_model_json(self, tmp_path, capsys, command, text, named):
+        model = tmp_path / "m.json"
+        model.write_bytes(text)
+        args = {"exponent": ["--rates", "0.05,0.1,0.2"],
+                "simulate": ["--identity-encoder", "--n", 4, "--regime", "const:0.1",
+                             "--trials", 200]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--model", model, *args, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model JSON ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,kind", [
+        (["exponent", "--model", "m.json", "--rates", "0.1,x"], "--rates", "floats"),
+        (["bounds", "--xi", 0.7, "--c", 1.92, "--regime", "log", "--n-grid", "5,x"],
+         "--n-grid", "integers"),
+    ], ids=["rates", "n-grid"])
+    def test_list_flag(self, tmp_path, capsys, argv, flag, kind):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        value = argv[-1]
+        assert (f"argument {flag}: expected comma-separated {kind}, got {value!r}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+
+def _feasibility_with(**fields):
+    real = bounds.feasibility_interval
+    return lambda *args: dataclasses.replace(real(*args), **fields)
+
+
+class TestInvariantChecks:
+    """Each command's invariant checks, failed by breaking the library call
+    under them: the run exits 1 and names the check on stderr."""
+
+    BOUNDS = ["bounds", "--xi", 0.7, "--c", 1.92, "--regime", "const:0.1", "--n-grid", 50]
+
+    @pytest.mark.parametrize("argv,module,name,fake,check", [
+        (["model", "--target-mi-nats", 0.08, "--grid", 8], dist, "calibrate_correlation",
+         lambda *_: (0.1, dist.discretized_gaussian(0.1, 8, 8)),
+         "calibrated mutual information within 1e-4 of target"),
+        (BOUNDS, bounds, "feasibility_interval",
+         _feasibility_with(valid_lb=True, lb_prob=0.5, ub_prob=0.25),
+         "lb_prob <= ub_prob when valid_lb"),
+        (BOUNDS, bounds, "feasibility_interval", _feasibility_with(ub_prob=1.5),
+         "probabilities clamped to [0, 1]"),
+        (["cns", "--xi", 0.7, "--c", 1.92, "--regimes", "const:0.1"], bounds,
+         "critical_sample_size", lambda *_, **__: 1,  # far from feasible at n = 1
+         "feasibility condition holds at the reported cns"),
+        (["simulate", "--identity-encoder", "--n", 4, "--regime", "const:0.1",
+          "--trials", 200, "--force-threshold", 0], simulate, "wilson_interval",
+         lambda *_: (2.0, 3.0), "type1 estimate inside its Wilson interval"),
+    ], ids=["model", "bounds-order", "bounds-clamp", "cns", "simulate"])
+    def test_violation_exits_1(self, tmp_path, capsys, monkeypatch,
+                               argv, module, name, fake, check):
+        if argv[0] == "simulate":
+            argv = [*argv, "--model", make_model(tmp_path, grid=8)]
+        monkeypatch.setattr(module, name, fake)
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == f"invariant violated: {check}\n"
 
 
 class TestInputCaps:

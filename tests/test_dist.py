@@ -41,10 +41,6 @@ class TestValidation:
         with pytest.raises(d.DistributionError):
             d.JointPmf.from_probs(SYM * (1 + 1e-10))
 
-    def test_normalize_flag(self):
-        p = d.JointPmf.from_probs(SYM * 7.0, normalize=True)
-        assert np.allclose(p.probs, SYM)
-
     def test_label_count_mismatch(self):
         with pytest.raises(d.DistributionError, match="label counts"):
             d.JointPmf(SYM, ("a",), ("b", "c"))

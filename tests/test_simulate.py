@@ -154,7 +154,7 @@ class TestQuantizedModel:
     def test_alternative_is_product_of_null_marginals(self):
         rng = np.random.default_rng(3)
         mat = np.maximum(rng.dirichlet(np.ones(12)), 1e-4).reshape(3, 4)
-        p = d.JointPmf.from_probs(mat, normalize=True)
+        p = d.JointPmf.from_probs(mat / mat.sum())
         for l in (1, 2, 3):
             enc = oracles.random_map(3, l, 3, rng)
             qm = s.quantized_model(p, enc)

@@ -9,24 +9,29 @@ optimum) and U-X-Y a Markov chain.  Equivalently D(R) = H(Y) - xi(R) is a
 noisy distortion-rate function under log-loss.
 
 The solver is the standard alternating minimization of
-I(U;X) - beta*I(U;Y): a geometric sweep over beta with warm starts traces
-out the (rate, relevance) trade-off, RESTARTS (4) random restarts guard
-against local optima, and the reported curve is the upper concave envelope
-of every solution found.  The restart chains run in lockstep as one stacked
-iterate, each with its own stopping rule.  The iteration is accelerated by
-SQUAREM (Varadhan & Roland 2008): every third step extrapolates the last
-three iterates in log space, and the result is kept only if one map step
-from it does not raise the objective, so the objective still falls
-monotonically.  The stopping rule (the objective changes by less than
-OBJ_TOL between consecutive iterates) and the cap of MAX_ITERS (1000) map
-evaluations per beta-solve are those of the plain iteration.  RESTARTS and
-MAX_ITERS are the whole solver configuration; they are no parameters, and
-each solve reads them when it is called.  Each map evaluation works from
-the logs of p(u) and p(u,y) that the previous one kept, and takes the
-objective from entropies (see _iterate).  A stack larger than
-MAX_STACK_ENTRIES is refused before it is built.  Chord points on the
-envelope are achievable by time sharing between the two endpoint channels,
-so the envelope is a certified lower bound on xi.
+I(U;X) - beta*I(U;Y).  At an optimum dxi/dR = 1/beta, so each rate has its
+own beta, and every beta <= 1 gives the trivial channel: the strong
+data-processing constant of (X, Y) is at most 1 (Anantharam, Gohari, Kamath
+& Nair 2013).  solve_envelope grows beta from 2 until a solution's rate
+passes the largest query rate, then sweeps SWEEP_POINTS betas down to 1
+with warm starts; each query rate is then bisected in log beta between the
+solutions that bracket it (_bisect), to BISECT_RTOL.  RESTARTS (4) random
+restarts guard the sweep against local optima, and the reported curve is
+the upper concave envelope of every solution found.  The restart chains run
+in lockstep as one stacked iterate, each with its own stopping rule.  The
+iteration is accelerated by SQUAREM (Varadhan & Roland 2008): every third
+step extrapolates the last three iterates in log space, and the result is
+kept only if one map step from it does not raise the objective, so the
+objective still falls monotonically.  The stopping rule (the objective
+changes by less than OBJ_TOL between consecutive iterates) and the cap of
+MAX_ITERS (1000) map evaluations per beta-solve are those of the plain
+iteration.  These constants are the whole solver configuration; they are
+no parameters, and each solve reads them when it is called.  Each map
+evaluation works from the logs of p(u) and p(u,y) that the previous one
+kept, and takes the objective from entropies (see _iterate).  A stack
+larger than MAX_STACK_ENTRIES is refused before it is built.  Chord points
+on the envelope are achievable by time sharing between the two endpoint
+channels, so the envelope is a certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -43,7 +48,6 @@ import numpy as np
 from .dist import PROB_ATOL, JointPmf, mutual_information
 from . import rngstreams
 
-DEFAULT_BETA_GRID = tuple(np.geomspace(0.1, 100.0, 40))
 # A chain stops once its objective changes by less than this between
 # consecutive iterates.
 OBJ_TOL = 1e-10
@@ -51,6 +55,14 @@ OBJ_TOL = 1e-10
 RESTARTS = 4
 # Map evaluations allowed per beta-solve and chain.
 MAX_ITERS = 1000
+# Betas in the descending sweep, from the grown beta down to 1.
+SWEEP_POINTS = 8
+# A bisection stops once its bracket's betas are within this ratio of 1.
+BISECT_RTOL = 1e-5
+# The largest beta the growth reaches.  The cancellation in the objective
+# grows with beta (see _iterate): at 2^14 it is some 160 times that at
+# beta = 100, still below OBJ_TOL.
+BETA_MAX = 2.0 ** 14
 # The largest solver stack, in float64 entries: chains x max(|X|, |Y|) x
 # (|X|+1), the size of every whole-stack temporary (32 MiB each).
 MAX_STACK_ENTRIES = 1 << 22
@@ -449,21 +461,26 @@ class EnvelopePool:
         return best
 
 
-def solve_envelope(p: JointPmf, master_seed: int = 0) -> EnvelopePool:
-    """Sweep the trade-off curve and return the solution pool.
+def solve_envelope(p: JointPmf, r_max: float = math.inf,
+                   master_seed: int = 0) -> EnvelopePool:
+    """Sweep the trade-off curve up to rate r_max and return the solution pool.
 
     Chain 0 starts from a near-identity channel and chains 1..RESTARTS from
     random channels; each beta-solve runs for at most MAX_ITERS map
-    evaluations.  The chains run in lockstep as one stacked iterate,
-    each with its own stopping rule, through a single sweep down the beta
-    grid; every beta is warm-started from the stack the previous one
-    returned.  Sweeping from large beta to small tracks the nontrivial
-    solution branch from its stable side: ascending sweeps collapse to the
-    trivial fixed point below the critical beta and cannot leave it
-    afterwards, losing the whole small-rate part of the curve.
+    evaluations.  The chains run in lockstep as one stacked iterate, each
+    with its own stopping rule.  Beta first grows, by doubling from 2, each
+    solve from the start channels, until a solution's rate passes
+    min(r_max, H(X)) (by more than 1e-12, the witness slack), or its
+    relevance comes within OBJ_TOL of I(X;Y), or beta reaches BETA_MAX.
+    From that beta_hi a single sweep runs down SWEEP_POINTS geometric betas
+    to 1, every beta warm-started from the stack the previous one returned.
+    Sweeping from large beta to small tracks the nontrivial solution branch
+    from its stable side: ascending sweeps collapse to the trivial fixed
+    point below the critical beta and cannot leave it afterwards, losing the
+    whole small-rate part of the curve.
 
     The pool holds the two anchors, then the solutions chain by chain, each
-    chain in sweep order; every solution keeps its |X|+1 clusters.  The
+    chain in solve order; every solution keeps its |X|+1 clusters.  The
     number of restarts is fixed: it never escalates, so the pool's
     restarts_used is RESTARTS.  A stack of RESTARTS + 1 chains larger than
     MAX_STACK_ENTRIES is refused before any start channel is built.
@@ -473,74 +490,100 @@ def solve_envelope(p: JointPmf, master_seed: int = 0) -> EnvelopePool:
     for chain_id in range(1, RESTARTS + 1):
         rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
         starts.append(TestChannel.random(p.nx, p.nx + 1, rng))
-    w = np.stack([start.cond_probs for start in starts])
+    stack = np.stack([start.cond_probs for start in starts])
     chains: list[list[IbSolution]] = [[] for _ in starts]
-    for beta in sorted(DEFAULT_BETA_GRID, reverse=True):
-        w, iters, converged = _iterate(p, float(beta), w, MAX_ITERS)
+
+    def solve(beta: float, w: np.ndarray) -> np.ndarray:
+        w, iters, converged = _iterate(p, beta, w, MAX_ITERS)
         for chain, wk, n, ok in zip(chains, w, iters, converged):
-            chain.append(_wrap_solution(p, wk, float(beta), int(n), bool(ok)))
+            chain.append(_wrap_solution(p, wk, beta, int(n), bool(ok)))
+        return w
+
+    target = min(r_max, p.entropy_x) + 1e-12
+    mi = mutual_information(p)
+    beta = 2.0
+    while True:
+        w = solve(beta, stack)
+        if beta >= BETA_MAX or any(chain[-1].rate > target or
+                                   chain[-1].relevance >= mi - OBJ_TOL for chain in chains):
+            break
+        beta *= 2.0
+    for beta in np.geomspace(beta, 1.0, SWEEP_POINTS)[1:].tolist():
+        w = solve(beta, w)
     solutions = _anchor_solutions(p)
     for chain in chains:
         solutions.extend(chain)
     return EnvelopePool(p, solutions, restarts_used=RESTARTS)
 
 
-def _refine_at(pool: EnvelopePool, r: float, rounds: int = 3) -> None:
-    """Sharpen the envelope near one rate by solving at the supporting beta.
+def _bisect(pool: EnvelopePool, r: float) -> float:
+    """Solve at rate r by bisection in log beta; return dD/dR there.
 
-    Each round takes the hull chord over r (r >= 0 and the first vertex is
-    at rate 0, so the chord has a left end) and runs ib_fixed_point at
-    beta = 1/(chord slope), warm-started from the solution at the chord's
-    right end.  Starting from the left end would be useless: below the
-    query rate the best known channel is often the trivial one, which is an
-    exact fixed point of the iteration at every beta.  A solution strictly
-    inside the chord splits it; if the iterate falls back onto an endpoint
-    the chord is genuinely optimal (time-sharing region) and refinement
-    stops.  It stops too when r is at or past the last vertex, or the chord
-    is flat.
+    At any beta the pool's solution with the least objective
+    I(U;X) - beta I(U;Y) stands for that beta, and beta is above r if that
+    solution's rate passes r by more than 1e-12, the witness slack.  The
+    bracket is the least pool beta above r and the largest pool beta below
+    it, or 1 if there is none: every beta <= 1 gives the trivial channel.
+    Each step solves at the geometric mean with ib_fixed_point,
+    warm-started from the solution standing for the bracket's upper end,
+    the stable side (see solve_envelope), and moves the end on its side of
+    r.  It stops once the ends are within a ratio 1 + BISECT_RTOL.  Near
+    the critical beta, where the map contracts slowly, a solve that starts
+    close to its fixed point meets the stopping rule some 1e-4 nats of rate
+    away from it (on the DSBS at R = 0.01), so no late step lands near r;
+    one last solve, at the final bracket's geometric mean and from the
+    bracket's first upper solution, starts far enough away to get there.
+    Every solution enters the pool, whose hull is refreshed.  The slope is
+    -1/beta at the final bracket's geometric mean.  If no pool beta is
+    above r, r lies where the relevance has reached I(X;Y) or past the
+    rates of beta <= BETA_MAX, and the slope is 0.
     """
-    for _ in range(rounds):
-        hr, hv = pool.hull_rates, pool.hull_rels
-        j = int(np.searchsorted(hr, r, side="right"))
-        if j == len(hr):
-            return
-        slope = float((hv[j] - hv[j - 1]) / (hr[j] - hr[j - 1]))
-        if slope <= 1e-9:
-            return
-        beta = min(max(1.0 / slope, 1e-3), 1e6)
-        seed = pool.solutions[pool.hull[j]]
-        before = pool.value_at(r)
-        pool.solutions.append(ib_fixed_point(pool.p, beta, seed.channel))
-        pool.refresh()
-        if pool.value_at(r) <= before + 1e-12:
-            return
+    def standing(beta: float) -> IbSolution:
+        objs = [sol.rate - beta * sol.relevance for sol in pool.solutions]
+        return pool.solutions[int(np.argmin(objs))]
+
+    betas = sorted({sol.beta for sol in pool.solutions if 1.0 < sol.beta < math.inf})
+    hi = next((beta for beta in betas if standing(beta).rate > r + 1e-12), None)
+    if hi is None:
+        return 0.0
+    lo = max((beta for beta in betas if beta < hi), default=1.0)
+    seed = first = standing(hi)
+    while hi > lo * (1.0 + BISECT_RTOL):
+        mid = math.sqrt(lo * hi)
+        pool.solutions.append(ib_fixed_point(pool.p, mid, seed.channel))
+        held = standing(mid)
+        if held.rate > r + 1e-12:
+            hi, seed = mid, held
+        else:
+            lo = mid
+    pool.solutions.append(ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
+    pool.refresh()
+    return -1.0 / math.sqrt(lo * hi)
 
 
 def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float, IbSolution]:
     """Best exponent at rate budget r (nats) and the channel witnessing it.
 
-    The value is read off the concave envelope of all solutions, so it is a
-    certified lower bound on the true curve: envelope vertices are actual
-    channels and chord points are time-sharing combinations of the two
-    endpoint channels.  The witness is the best single channel with
-    rate <= r; its (rate, relevance) can be reproduced exactly via
-    channel_information.
+    The value is read off the concave envelope of all solutions, the
+    bisection's at r included, so it is a certified lower bound on the true
+    curve: envelope vertices are actual channels and chord points are
+    time-sharing combinations of the two endpoint channels.  The witness is
+    the best single channel with rate <= r; its (rate, relevance) can be
+    reproduced exactly via channel_information.
     """
     if not (math.isfinite(r) and r >= 0):
         raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
-    pool = solve_envelope(p, master_seed=master_seed)
-    _refine_at(pool, r)
+    pool = solve_envelope(p, r, master_seed=master_seed)
+    _bisect(pool, r)
     return pool.value_at(r), pool.witness_at(r)
 
 
 def _check_rate_grid(r_grid) -> np.ndarray:
-    """The rate grid as a float array, if it is 1-d with at least 3 points
-    (slope estimation needs them), finite, nonnegative and strictly
-    increasing."""
+    """The rate grid as a float array, if it is 1-d and nonempty, finite,
+    nonnegative and strictly increasing."""
     r = np.asarray(r_grid, dtype=np.float64)
-    if r.ndim != 1 or len(r) < 3:
-        raise SolverError("rate grid must be 1-d with at least 3 points "
-                          "(slope estimation needs them)")
+    if r.ndim != 1 or len(r) == 0:
+        raise SolverError("rate grid must be 1-d and nonempty")
     if not (np.all(np.isfinite(r)) and r[0] >= 0 and np.all(np.diff(r) > 0)):
         raise SolverError("rate grid must be finite, nonnegative and strictly increasing")
     return r
@@ -579,26 +622,20 @@ class ExponentCurve:
 def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
-    One envelope solve is shared by all grid points; each point then gets a
-    local refinement at its supporting beta.  The envelope's vertices rise
-    with rate, so xi is nondecreasing.  D is defined as H(Y) - xi, so
-    the log-loss identity holds by construction, and dD/dR comes from
-    central differences on the grid.
+    One envelope solve up to the grid's last rate is shared by all grid
+    points, and each point is then bisected at its own beta (_bisect),
+    which also gives dD/dR there.  The envelope's vertices rise with rate,
+    so xi is nondecreasing.  D is defined as H(Y) - xi, so the log-loss
+    identity holds by construction.
     """
     r = _check_rate_grid(r_grid)
-    pool = solve_envelope(p, master_seed=master_seed)
-    for point in r:
-        _refine_at(pool, float(point), rounds=1)
+    pool = solve_envelope(p, float(r[-1]), master_seed=master_seed)
+    d_slope = np.array([_bisect(pool, float(point)) for point in r])
     xi = np.array([pool.value_at(float(point)) for point in r])
     mi = mutual_information(p)
     if np.any(xi > np.minimum(r, mi) + 1e-9):
         raise SolverError("solver produced xi above min(R, I(X;Y)); model or solver is broken")
-    hy = p.entropy_y
-    d = hy - xi
-    d_slope = np.empty_like(d)
-    d_slope[1:-1] = (d[2:] - d[:-2]) / (r[2:] - r[:-2])
-    d_slope[0] = (d[1] - d[0]) / (r[1] - r[0])
-    d_slope[-1] = (d[-1] - d[-2]) / (r[-1] - r[-2])
+    d = p.entropy_y - xi
     diagnostics = {"restarts": pool.restarts_used, "solutions": len(pool.solutions),
                    **pool.solver_counters()}
     return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)

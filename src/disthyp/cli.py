@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace the exponent curve xi(R) on a rate grid")
     pe.add_argument("--model", required=True, help="model JSON path")
     pe.add_argument("--rates", type=_float_list, required=True,
-                    help="comma-separated rate grid (in --units), at least 3 points")
+                    help="comma-separated rate grid (in --units), strictly increasing")
     pe.add_argument("--units", choices=("bits", "nats"), default="bits",
                     help="unit of the rate grid and the printed rates (default bits)")
     pe.add_argument("--out", default="curve.csv", help="curve filename (default curve.csv)")
@@ -419,8 +419,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may be a negative number that argparse would read as an
+# option: it takes only plain decimals such as -0.5 for values, not -1e-05
+# (an exponent curve's small slopes) or -inf
+_SIGNED_FLAGS = ("--d-slope", "--force-threshold")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with every number that follows a _SIGNED_FLAGS flag joined to it
+    as --flag=value, so `--d-slope -1e-05` parses as `--d-slope=-1e-05`."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(list(argv)))
     try:
         return args.func(args)
     except (dist.DistributionError, bottleneck.SolverError, simulate.SimulationError,

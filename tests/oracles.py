@@ -177,22 +177,38 @@ def _binary_entropy(q: float) -> float:
     return -q * math.log(q) - (1.0 - q) * math.log(1.0 - q)
 
 
+def _binary_entropy_inverse(v: float) -> float:
+    """The q in [0, 1/2] with h(q) = v, by bisection."""
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _binary_entropy(mid) < v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def mrs_gerber(r: float, crossover: float = 0.2) -> float:
     """Exact xi(R) in nats for a doubly symmetric binary source.
 
     Mrs. Gerber's lemma (Wyner & Ziv 1973): xi(R) = ln2 - h(a * h^-1(ln2 - R)),
     where a * q = a(1-q) + q(1-a) and h^-1 maps onto [0, 1/2] (bisection).
     """
-    target = max(math.log(2.0) - r, 0.0)
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _binary_entropy(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    q = 0.5 * (lo + hi)
+    q = _binary_entropy_inverse(max(math.log(2.0) - r, 0.0))
     return math.log(2.0) - _binary_entropy(crossover * (1.0 - q) + q * (1.0 - crossover))
+
+
+def mrs_gerber_slope(r: float, crossover: float = 0.2) -> float:
+    """dxi/dR of mrs_gerber, for 0 < R < ln 2.
+
+    With q = h^-1(ln2 - R) and m = a * q, R = ln2 - h(q) and
+    xi = ln2 - h(m), where h'(q) = ln((1-q)/q) and dm/dq = 1 - 2a, so
+    dxi/dR = (1 - 2a) ln((1-m)/m) / ln((1-q)/q).
+    """
+    q = _binary_entropy_inverse(math.log(2.0) - r)
+    m = crossover * (1.0 - q) + q * (1.0 - crossover)
+    return (1.0 - 2.0 * crossover) * math.log((1.0 - m) / m) / math.log((1.0 - q) / q)
 
 
 # --------------------------------------------------------------------------
@@ -342,8 +358,11 @@ def interval_reference(xi: float, d_slope: float, c: float, eps: float,
 
 # (xi, dD/dR) at the README curve's 7 rates, with the README model's
 # concentration constant.  These are recorded inputs, printed by an earlier
-# solver; `disthyp exponent` now prints slightly different digits, and the
-# cns of every README cell is the same for both.
+# solver that took dD/dR from central differences on the grid; `disthyp
+# exponent` now prints xi up to 6e-5 higher and the slope -1/beta of its
+# bisection, which moves the README's cns values (46518, 46657 and 84783 at
+# the last point, not 46657, 47446 and 85185).  The cells below stay as
+# fixed inputs of the scan's tests.
 README_CURVE = (
     (0.0010155115720374504, -0.14215782956652182),
     (0.0049569635223797965, -0.13913353788129765),

@@ -174,6 +174,19 @@ def gauss8():
     return d.discretized_gaussian(0.5, 8, 8)
 
 
+def chain_betas(pool):
+    """The betas chain 0 was solved at, in order: the pool holds the two
+    anchors, then RESTARTS + 1 equal runs of sweep solutions."""
+    per_chain = (len(pool.solutions) - 2) // (bn.RESTARTS + 1)
+    return [s.beta for s in pool.solutions[2:2 + per_chain]]
+
+
+def swept_betas(pool):
+    """The descending warm-started sweep: chain 0's betas from the largest on."""
+    betas = chain_betas(pool)
+    return betas[betas.index(max(betas)):]
+
+
 class TestAcceleration:
     """The extrapolated iteration against the plain map it accelerates."""
 
@@ -196,24 +209,23 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("name", ["dsbs", "gauss8"])
     def test_envelope_support_dominates_the_plain_map(self, name):
-        # same starts, sweep and stopping rule, plain steps only.  The check
-        # is on the envelope's support line at each swept slope 1/beta, the
-        # quantity each beta-solve optimizes; the chord value at a fixed
-        # rate also moves with where a vertex stops along the curve, which
-        # the stopping rule leaves free (on the DSBS the plain map's vertex
-        # at beta 2.89 stops short of the fixed point, which lifts its chord
-        # by 1.1e-6 at R = 0.09 above that of the converged vertex)
+        # same starts, descending sweep and stopping rule, plain steps only.
+        # The check is on the envelope's support line at each swept slope
+        # 1/beta, the quantity each beta-solve optimizes; the chord value at
+        # a fixed rate also moves with where a vertex stops along the curve,
+        # which the stopping rule leaves free
         p = d.JointPmf.from_probs(SYM) if name == "dsbs" else gauss8()
         nu = p.nx + 1
         starts = [bn.TestChannel.identity_plus_noise(p.nx, nu).cond_probs]
         starts += [bn.TestChannel.random(p.nx, nu, rngstreams.stream(
             0, rngstreams.PURPOSE_SOLVER, k)).cond_probs for k in range(1, 5)]
-        rates, rels = oracles.plain_ib_points(p.probs, starts, bn.DEFAULT_BETA_GRID,
-                                              1000, 1e-10)
         pool = bn.solve_envelope(p, master_seed=0)
+        swept = swept_betas(pool)
+        assert len(swept) == bn.SWEEP_POINTS
+        rates, rels = oracles.plain_ib_points(p.probs, starts, swept, 1000, 1e-10)
         ours_r = np.array([s.rate for s in pool.solutions])
         ours_v = np.array([s.relevance for s in pool.solutions])
-        slopes = 1.0 / np.array(bn.DEFAULT_BETA_GRID)[:, None]
+        slopes = 1.0 / np.array(swept)[:, None]
         ours = np.max(ours_v - slopes * ours_r, axis=1)
         plain = np.max(rels - slopes * rates, axis=1)
         assert np.all(ours >= plain - 1e-9)
@@ -309,11 +321,13 @@ class TestEnvelope:
         assert all(s.relevance <= pool.value_at(s.rate) + 1e-12 for s in pool.solutions)
 
     def test_every_solution_keeps_all_clusters(self, sym_model):
-        # no cluster is dropped, during the sweep or in refinement, even when
-        # its mass collapses; the reported pair is the channel's own
+        # no cluster is dropped, during the sweep or in the bisection, even
+        # when its mass collapses; the reported pair is the channel's own
         pool = bn.solve_envelope(sym_model)
+        swept = len(pool.solutions)
         for r in (0.05, 0.1, 0.2, 0.3, 0.4):
-            bn._refine_at(pool, r)
+            bn._bisect(pool, r)
+        assert len(pool.solutions) > swept
         for sol in pool.solutions:
             assert sol.channel.cond_probs.shape == (2, 3)
             rate, rel = bn.channel_information(sym_model, sol.channel)
@@ -344,10 +358,15 @@ class TestEnvelope:
 
     def test_exponent_at_rate_against_mrs_gerber(self, sym_model):
         # SYM is a doubly symmetric binary source with crossover 0.2, whose
-        # curve is known in closed form; the envelope must sit just below it
-        for r in (0.05, 0.1, 0.2, 0.3, 0.4):
+        # curve is known in closed form; the envelope must sit just below it,
+        # and the bisection's slope -1/beta must be the curve's.  The rates
+        # are the benchmark's, one near the critical beta and one near H(X)
+        for r in (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6):
             xi, _ = d.exponent_at_rate(sym_model, r)
-            assert 0.0 <= oracles.mrs_gerber(r) - xi <= 1e-4
+            assert 0.0 <= oracles.mrs_gerber(r) - xi <= 1e-9
+            curve = d.build_curve(sym_model, [r])
+            assert curve.xi[0] == xi
+            assert abs(curve.d_slope[0] + oracles.mrs_gerber_slope(r)) <= 1e-5
 
 
 class TestCurve:
@@ -385,18 +404,32 @@ class TestCurve:
             pool = bn.solve_envelope(p)
         counters = pool.solver_counters()
         solves = [s for s in pool.solutions if math.isfinite(s.beta)]
-        assert counters["beta_solves"] == len(solves) == 2 * len(bn.DEFAULT_BETA_GRID)
+        # growth doubles beta from 2 to the largest, then the sweep runs
+        # SWEEP_POINTS betas down to 1; both chains solve every one of them
+        betas = chain_betas(pool)
+        top = betas.index(max(betas))
+        assert betas[:top + 1] == [2.0 ** k for k in range(1, top + 2)]
+        assert np.allclose(betas[top:], np.geomspace(max(betas), 1.0, bn.SWEEP_POINTS),
+                           rtol=1e-15, atol=0)
+        assert counters["beta_solves"] == len(solves) == 2 * len(betas)
         assert counters["unconverged"] == sum(s.iterations == 10 and not s.converged
                                               for s in solves) > 0
         assert counters["iterations"] == sum(s.iterations for s in solves)
         assert counters["iterations"] >= 10 * counters["unconverged"]
-        curve = d.build_curve(p, np.linspace(0.05, 0.5, 3))
-        assert curve.diagnostics["beta_solves"] == 2 * len(bn.DEFAULT_BETA_GRID) + 3
-        assert curve.diagnostics["restarts"] == 1
+        rates = np.linspace(0.05, 0.5, 3)
+        curve = d.build_curve(p, rates)
+        pool = bn.solve_envelope(p, rates[-1])
+        swept = len(pool.solutions) - 2
+        for r in rates:
+            bn._bisect(pool, float(r))
+        assert curve.diagnostics == {"restarts": 1, "solutions": len(pool.solutions),
+                                     **pool.solver_counters()}
+        # at least one bisection solve per rate, on top of the sweep
+        assert curve.diagnostics["beta_solves"] >= swept + 3
 
     def test_rejects_bad_grids(self, sym_model):
         with pytest.raises(bn.SolverError):
-            d.build_curve(sym_model, [0.1, 0.2])  # too short
+            d.build_curve(sym_model, [])  # empty
         with pytest.raises(bn.SolverError):
             d.build_curve(sym_model, [0.3, 0.2, 0.4])  # not increasing
         with pytest.raises(bn.SolverError):
@@ -404,6 +437,14 @@ class TestCurve:
         for bad in (math.nan, math.inf):
             with pytest.raises(bn.SolverError):
                 d.build_curve(sym_model, [0.1, bad, 0.4])  # not a number
+
+    def test_one_point_grid_runs(self, sym_model):
+        # the slope comes from the bisection at the point, not from
+        # neighbours on the grid
+        curve = d.build_curve(sym_model, [0.2])
+        xi, _ = d.exponent_at_rate(sym_model, 0.2)
+        assert curve.xi.tolist() == [xi]
+        assert curve.d_slope[0] < 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_curve_rejects_bad_rates_directly(self, bad):
@@ -426,6 +467,27 @@ class TestCurve:
         a, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=1)
         b, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=2)
         assert a == pytest.approx(b, abs=1e-4)
+
+
+# xi at the README curve's 7 rates as the 40-point beta grid with
+# refinement at the supporting beta reported them, to full precision
+GRID_README_XI = (0.001015507560238674, 0.004956996410059371, 0.008730721556780365,
+                  0.01232832399527372, 0.01576418732698618, 0.018970345985119767,
+                  0.02213497157560763)
+
+
+class TestReadmeCurve:
+    def test_bisection_never_loses_to_the_grid(self):
+        # the README model and rates: every xi at least the grid's, no solve
+        # stopped at the cap, and every witness within its rate budget
+        _, p = d.calibrate_correlation(0.08, 32, 32)
+        rates = np.linspace(0.01, 0.25, 7) * math.log(2.0)
+        curve = d.build_curve(p, rates)
+        assert np.all(curve.xi >= np.array(GRID_README_XI) - 1e-9)
+        assert curve.diagnostics["unconverged"] == 0
+        for r in rates:
+            _, witness = d.exponent_at_rate(p, float(r))
+            assert witness.rate <= r + 1e-12
 
 
 class TestAsymmetricModels:

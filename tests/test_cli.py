@@ -123,11 +123,13 @@ class TestExponentCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_two_rates_rejected(self, tmp_path, capsys):
+    def test_one_rate_runs(self, tmp_path):
+        # the slope comes from the solver at the rate, so one point is a curve
         model = make_model(tmp_path)
-        assert run(["exponent", "--model", model, "--rates", "0.05,0.1",
-                    "--out-dir", tmp_path]) == 1
-        assert "3 points" in capsys.readouterr().err
+        assert run(["exponent", "--model", model, "--rates", "0.1",
+                    "--out-dir", tmp_path]) == 0
+        header, row = (tmp_path / "curve.csv").read_text().strip().split("\n")
+        assert float(row.split(",")[3]) < 0.0
 
     def test_nan_rate_rejected(self, tmp_path, capsys):
         model = make_model(tmp_path, grid=8)
@@ -259,6 +261,40 @@ class TestCnsCommand:
         assert run(["cns", *(item for pair in args.items() for item in pair)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "cns.csv").exists()
+
+
+class TestSignedFlagValues:
+    """A value that starts with "-" and is not a plain decimal parses after
+    --d-slope and --force-threshold in both spellings."""
+
+    @pytest.mark.parametrize("slope", ["-1.5e-05", "-1e-05", "-0.5"])
+    def test_d_slope(self, tmp_path, slope):
+        csvs = []
+        for spelling in (["--d-slope", slope], [f"--d-slope={slope}"]):
+            assert run(["cns", "--xi", 0.02, "--c", 9.92, *spelling, "--regimes", "log",
+                        "--out-dir", tmp_path, "--out", "cns.csv"]) == 0
+            meta = json.loads((tmp_path / "cns.meta.json").read_text())
+            assert meta["d_slope"] == float(slope)
+            csvs.append((tmp_path / "cns.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_force_threshold(self, tmp_path):
+        model = make_model(tmp_path, grid=8)
+        csvs = []
+        for spelling in (["--force-threshold", "-inf"], ["--force-threshold=-inf"]):
+            assert run(["simulate", "--model", model, "--identity-encoder", "--n", 4,
+                        "--regime", "const:0.1", "--trials", 200, *spelling,
+                        "--out-dir", tmp_path, "--out", "f.csv"]) == 0
+            csvs.append((tmp_path / "f.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].split(b"\n")[1].split(b",")[2] == b"-inf"
+
+    def test_a_flag_is_not_taken_for_a_value(self, capsys):
+        # only numbers are joined: a missing value is still an error
+        with pytest.raises(SystemExit) as exc:
+            run(["cns", "--xi", 0.02, "--c", 9.92, "--d-slope", "--regimes", "log"])
+        assert exc.value.code == 2
+        assert "--d-slope" in capsys.readouterr().err
 
 
 class TestCurveWorkflow:
@@ -801,7 +837,7 @@ class TestParserReuse:
         assert capsys.readouterr().out.startswith("log: cns=6\n")
 
     def test_fresh_process_writes_the_same_bytes(self, tmp_path):
-        # the README cns example whose rows are 46657, 47446 and 85185
+        # the README cns example whose rows are 46518, 46657 and 84783
         argv = [argv for argv, _ in TestReadmeExamples.transcripts() if argv[1:2] == ["cns"]][-1]
         argv = [*argv[1:], "--out-dir", str(tmp_path)]
         src_dir = str(Path(cli.__file__).resolve().parents[1])
@@ -810,7 +846,7 @@ class TestParserReuse:
         names = ("cns.csv", "cns.meta.json")
         fresh = [(tmp_path / name).read_bytes() for name in names]
         assert [row.split(b",")[2] for row in fresh[0].splitlines()[1:]] == [
-            b"46657", b"47446", b"85185"]
+            b"46518", b"46657", b"84783"]
         for _ in range(2):
             for name in names:
                 (tmp_path / name).unlink()

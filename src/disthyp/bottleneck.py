@@ -15,22 +15,23 @@ data-processing constant of (X, Y) is at most 1 (Anantharam, Gohari, Kamath
 & Nair 2013).  solve_envelope grows beta from 2 until a solution's rate
 passes the largest query rate, then sweeps SWEEP_POINTS betas down to 1
 with warm starts; each query rate is then bisected in log beta between the
-solutions that bracket it (_bisect), to BISECT_RTOL.  RESTARTS (4) random
-restarts guard the sweep against local optima, and the reported curve is
-the upper concave envelope of every solution found.  The restart chains run
-in lockstep as one stacked iterate, each with its own stopping rule.  The
-iteration is accelerated by SQUAREM (Varadhan & Roland 2008): every third
-step extrapolates the last three iterates in log space, and the result is
-kept only if one map step from it does not raise the objective, so the
-objective still falls monotonically.  The stopping rule (the objective
-changes by less than OBJ_TOL between consecutive iterates) and the cap of
-MAX_ITERS (1000) map evaluations per beta-solve are those of the plain
-iteration.  These constants are the whole solver configuration; they are
-no parameters, and each solve reads them when it is called.  Each map
-evaluation works from the logs of p(u) and p(u,y) that the previous one
-kept, and takes the objective from entropies (see _iterate).  A stack
-larger than MAX_STACK_ENTRIES is refused before it is built.  Chord points
-on the envelope are achievable by time sharing between the two endpoint
+solutions that bracket it (_bisect), to BISECT_RTOL.  Every beta-solve
+iterates one channel, from a near-identity start or warm-started from an
+earlier solution, so xi and dD/dR are a pure function of the model and
+the query rates; the reported curve is the upper concave envelope of
+every solution found.  The iteration is accelerated by SQUAREM (Varadhan
+& Roland 2008): every third step extrapolates the last three iterates in
+log space, and the result is kept only if one map step from it does not
+raise the objective, so the objective still falls monotonically.  The
+stopping rule (the objective changes by less than OBJ_TOL between
+consecutive iterates) and the cap of MAX_ITERS (1000) map evaluations per
+beta-solve are those of the plain iteration.  These constants are the
+whole solver configuration; they are no parameters, and each solve reads
+them when it is called.  Each map evaluation works from the logs of p(u)
+and p(u,y) that the previous one kept, and takes the objective from
+entropies (see _iterate).  A model whose solver arrays would exceed
+MAX_STACK_ENTRIES is refused before any is built.  Chord points on the
+envelope are achievable by time sharing between the two endpoint
 channels, so the envelope is a certified lower bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
@@ -46,14 +47,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import PROB_ATOL, JointPmf, mutual_information
-from . import rngstreams
 
-# A chain stops once its objective changes by less than this between
+# A beta-solve stops once its objective changes by less than this between
 # consecutive iterates.
 OBJ_TOL = 1e-10
-# Random start channels beside the near-identity one, so RESTARTS + 1 chains.
-RESTARTS = 4
-# Map evaluations allowed per beta-solve and chain.
+# Map evaluations allowed per beta-solve.
 MAX_ITERS = 1000
 # Betas in the descending sweep, from the grown beta down to 1.
 SWEEP_POINTS = 8
@@ -63,8 +61,8 @@ BISECT_RTOL = 1e-5
 # grows with beta (see _iterate): at 2^14 it is some 160 times that at
 # beta = 100, still below OBJ_TOL.
 BETA_MAX = 2.0 ** 14
-# The largest solver stack, in float64 entries: chains x max(|X|, |Y|) x
-# (|X|+1), the size of every whole-stack temporary (32 MiB each).
+# The largest solver array, in float64 entries: max(|X|, |Y|) x (|X|+1), the
+# size of the largest temporary (32 MiB each), so |X| = |Y| <= 2047.
 MAX_STACK_ENTRIES = 1 << 22
 
 
@@ -118,12 +116,6 @@ class TestChannel:
         return cls(mat)
 
     @classmethod
-    def random(cls, nx: int, nu: int, rng: np.random.Generator) -> "TestChannel":
-        mat = rng.random((nx, nu)) + 1e-3
-        mat /= mat.sum(axis=1, keepdims=True)
-        return cls(mat)
-
-    @classmethod
     def identity(cls, nx: int, nu: int) -> "TestChannel":
         mat = np.zeros((nx, nu))
         mat[np.arange(nx), np.arange(nx) % nu] = 1.0
@@ -168,14 +160,6 @@ def channel_information(p: JointPmf, channel: TestChannel) -> tuple[float, float
     return max(rate, 0.0), max(relevance, 0.0)
 
 
-def _chain_sumsq(a: np.ndarray) -> np.ndarray:
-    """Sum of squares of each chain of a stack, one dot per chain: a single
-    product over the stack may round a chain differently depending on how
-    many chains it holds."""
-    flat = a.reshape(len(a), 1, -1)
-    return (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
-
-
 _MOST_NEGATIVE = np.finfo(np.float64).min
 
 
@@ -189,19 +173,15 @@ def _xlogx(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
 
 
 def _iterate(p: JointPmf, beta: float, w: np.ndarray,
-             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating minimization of a stack of chains run in lockstep,
+             max_iters: int) -> tuple[np.ndarray, int, bool]:
+    """Alternating minimization from the channel ``w`` of shape (|X|, |U|),
     accelerated by SQUAREM extrapolation (Varadhan & Roland 2008).
 
-    ``w`` has shape (chains, |X|, |U|).  Returns the final stack with each
-    chain's iteration count and converged flag.  Every chain keeps its own
-    stopping rule |prev_obj - obj| < OBJ_TOL between consecutive iterates: a
-    chain that meets it is written back and dropped from the active stack,
-    so its channel is frozen while the others go on.  No operation mixes
-    chains (each norm and sum is one reduction per chain), so a chain's
-    iterates are the same whichever stack it runs in.
+    Returns the final channel, the number of map evaluations and whether
+    the stopping rule |prev_obj - obj| < OBJ_TOL between consecutive
+    iterates was met within ``max_iters``.
 
-    Every third step is extrapolated.  From the chain's last three iterates
+    Every third step is extrapolated.  From the last three iterates
     w0, w1, w2 it takes, in log space, r = log w1 - log w0 and
     v = log w2 - 2 log w1 + log w0, and steps to
     log w0 + 2 alpha r + alpha^2 v = log w2 + (alpha - 1)(2 r + (alpha + 1) v),
@@ -209,11 +189,11 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     alpha = 1 lands on w2.  An entry that is zero in any of the three
     iterates takes no part and stays at log w2.  One plain map step from
     there gives the candidate, which is kept only if its objective is not
-    above the current one; otherwise the chain stays at w2 and its next
-    step is the plain one, so the objective never rises.  Each chain's
-    step_max starts at 1, grows 4-fold when an accepted step was clamped to
-    it and shrinks 4-fold (not below 1) on a rejection.  ``iters`` and
-    ``max_iters`` count map evaluations, rejected candidates included.
+    above the current one; otherwise the iteration stays at w2 and its next
+    step is the plain one, so the objective never rises.  step_max starts
+    at 1, grows 4-fold when an accepted step was clamped to it and shrinks
+    4-fold (not below 1) on a rejection.  The evaluation count and
+    ``max_iters`` include rejected candidates.
 
     One map evaluation reads only the logs of the marginals p(u) and
     p(u,y) = sum_x P(x,y) w(u|x) of its source channel.  Since
@@ -223,10 +203,10 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
         log w'(u|x) = (1 - beta) log p(u) + beta sum_y p(y|x) log p(u,y) - log Z(x):
 
     the row constant -beta H(Y|X=x) and the log p(u) inside the KL cancel in
-    the per-row normalization.  With p(u,y) held as (chains, |Y|, |U|) the
-    sum over y is one batched matrix product.  A NaN or -inf entry of the
-    sum (0 * -inf, inf - inf) becomes -inf, so a dead cluster (p(u) = 0)
-    stays exactly zero at every beta, 0 and 1 included.
+    the per-row normalization.  With p(u,y) held as (|Y|, |U|) the sum over
+    y is one matrix product.  A NaN or -inf entry of the sum (0 * -inf,
+    inf - inf) becomes -inf, so a dead cluster (p(u) = 0) stays exactly zero
+    at every beta, 0 and 1 included.
 
     The objective I(U;X) - beta I(U;Y) comes from the same logs, as
     entropies: I(U;X) = sum_x p(x) sum_u w log w - sum_u p(u) log p(u) and
@@ -236,9 +216,8 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     it moves the objective by about 1e-13 (2e-13 at most), some 500 times
     below OBJ_TOL.  The new iterate's logs are carried into its
     own update, so no channel is validated or re-measured inside the loop.
-    A non-finite plain iterate makes its chain's objective non-finite,
-    which raises SolverError; a non-finite extrapolated candidate is
-    rejected.
+    A non-finite plain iterate makes the objective non-finite, which raises
+    SolverError; a non-finite extrapolated candidate is rejected.
     """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
@@ -246,13 +225,9 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     beta_pyx = beta * (p.probs / px[:, None])
     pyx_t = np.ascontiguousarray(p.probs.T)
     hy = p.entropy_y
-    out = np.empty_like(w)
-    iters = np.full(len(w), max_iters)
-    converged = np.zeros(len(w), dtype=bool)
-    active = np.arange(len(w))
-    step_max = np.ones(len(w))
+    step_max = 1.0
     history: list[np.ndarray] = []  # log-channels of this cycle's earlier iterates
-    prev_obj = [math.inf] * len(w)
+    prev_obj = math.inf
     # an overflowing extrapolation yields a non-finite candidate, which is rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logw = np.log(w)
@@ -262,6 +237,7 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
             extrapolate = len(history) == 2
             if extrapolate:
                 l0, l1 = history
+                history = []
                 r = l1 - l0
                 v = logw - l1
                 v -= r
@@ -269,90 +245,67 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
                 dead = ~np.isfinite(v)
                 r[dead] = 0.0
                 v[dead] = 0.0
-                alpha = np.clip(np.sqrt(_chain_sumsq(r)) / np.sqrt(_chain_sumsq(v)),
+                alpha = np.clip(np.sqrt(np.vdot(r, r)) / np.sqrt(np.vdot(v, v)),
                                 1.0, step_max)
                 # log w2 + (alpha - 1)(2 r + (alpha + 1) v), built in place in
                 # v: exactly log w2 where r = v = 0
-                v *= (alpha + 1.0)[:, None, None]
+                v *= alpha + 1.0
                 v += r
                 v += r
-                v *= (alpha - 1.0)[:, None, None]
+                v *= alpha - 1.0
                 v += logw
                 start = v
-                start -= start.max(axis=2, keepdims=True)
+                start -= start.max(axis=1, keepdims=True)
                 np.exp(start, out=start)
-                start /= start.sum(axis=2, keepdims=True)
+                start /= start.sum(axis=1, keepdims=True)
                 src_log_pu = np.log(px @ start)
                 src_log_puy = np.log(pyx_t @ start)
             else:
                 src_log_pu, src_log_puy = log_pu, log_puy
             new_logw = beta_pyx @ src_log_puy
-            new_logw += ((1.0 - beta) * src_log_pu)[:, None, :]
+            new_logw += (1.0 - beta) * src_log_pu
             # a dead cluster's 0 * -inf or inf - inf is NaN: make it -inf
             np.fmax(new_logw, -np.inf, out=new_logw)
-            new_logw -= new_logw.max(axis=2, keepdims=True)
+            new_logw -= new_logw.max(axis=1, keepdims=True)
             new_w = np.exp(new_logw)
-            z = new_w.sum(axis=2, keepdims=True)
+            z = new_w.sum(axis=1, keepdims=True)
             new_w /= z
             new_logw -= np.log(z)
             new_pu = px @ new_w
             new_puy = pyx_t @ new_w
             new_log_pu = np.log(new_pu)
             new_log_puy = np.log(new_puy)
-            neg_hux = (px @ _xlogx(new_w, new_logw)).sum(axis=1)
-            neg_hu = _xlogx(new_pu, new_log_pu).sum(axis=1)
-            neg_huy = _xlogx(new_puy, new_log_puy).reshape(len(new_puy), -1).sum(axis=1)
-            # I(U;X) - beta I(U;Y); a handful of chains: the stopping rule
-            # is cheaper on floats
-            obj = (neg_hux - beta * (neg_huy + hy) + (beta - 1.0) * neg_hu).tolist()
+            neg_hux = (px @ _xlogx(new_w, new_logw)).sum()
+            neg_hu = _xlogx(new_pu, new_log_pu).sum()
+            neg_huy = _xlogx(new_puy, new_log_puy).sum()
+            # I(U;X) - beta I(U;Y)
+            obj = float(neg_hux - beta * (neg_huy + hy) + (beta - 1.0) * neg_hu)
             if extrapolate:
                 # NaN compares False, so a non-finite candidate is rejected
-                moved = [o <= q for o, q in zip(obj, prev_obj)]
-                keep = np.array(moved)
-                step_max = np.where(keep, np.where(alpha == step_max, 4.0 * step_max, step_max),
-                                    np.maximum(step_max / 4.0, 1.0))
-                if not all(moved):
-                    back = ~keep
-                    for new, old in ((new_w, w), (new_logw, logw),
-                                     (new_log_pu, log_pu), (new_log_puy, log_puy)):
-                        new[back] = old[back]
-                    obj = [o if m else q for o, q, m in zip(obj, prev_obj, moved)]
-                history = []
+                if not obj <= prev_obj:
+                    step_max = max(step_max / 4.0, 1.0)
+                    continue
+                if alpha == step_max:
+                    step_max *= 4.0
+            elif not math.isfinite(obj):
+                raise SolverError(f"iterate went non-finite at beta={beta!r}, "
+                                  f"iteration {it}")
             else:
-                if not all(map(math.isfinite, obj)):
-                    chain = active[list(map(math.isfinite, obj)).index(False)]
-                    raise SolverError(f"iterate went non-finite at beta={beta!r}, "
-                                      f"iteration {it}, chain {chain}")
-                moved = [True] * len(obj)
                 history.append(logw)
             w, logw, log_pu, log_puy = new_w, new_logw, new_log_pu, new_log_puy
-            done = [m and abs(a - b) < OBJ_TOL for m, a, b in zip(moved, prev_obj, obj)]
-            if any(done):
-                done = np.array(done)
-                stopped = active[done]
-                out[stopped] = w[done]
-                iters[stopped] = it
-                converged[stopped] = True
-                if done.all():
-                    return out, iters, converged
-                go = ~done
-                active, w, logw, log_pu, log_puy = (
-                    active[go], w[go], logw[go], log_pu[go], log_puy[go])
-                step_max = step_max[go]
-                history = [h[go] for h in history]
-                obj = [o for o, stop in zip(obj, done) if not stop]
+            if abs(prev_obj - obj) < OBJ_TOL:
+                return w, it, True
             prev_obj = obj
-    out[active] = w
-    return out, iters, converged
+    return w, max_iters, False
 
 
-def _check_stack_size(p: JointPmf, chains: int) -> None:
-    """Refuse a solve whose stack would exceed MAX_STACK_ENTRIES."""
-    entries = chains * max(p.nx, p.ny) * (p.nx + 1)
+def _check_stack_size(p: JointPmf) -> None:
+    """Refuse a model whose solver arrays would exceed MAX_STACK_ENTRIES."""
+    entries = max(p.nx, p.ny) * (p.nx + 1)
     if entries > MAX_STACK_ENTRIES:
         raise SolverError(
-            f"{chains} chain(s) on a {p.nx}x{p.ny} model need {entries} entries per "
-            f"solver array, more than the cap of {MAX_STACK_ENTRIES}")
+            f"a {p.nx}x{p.ny} model needs {entries} entries per solver array, "
+            f"more than the cap of {MAX_STACK_ENTRIES}")
 
 
 def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None) -> IbSolution:
@@ -366,22 +319,17 @@ def ib_fixed_point(p: JointPmf, beta: float, init: TestChannel | None = None) ->
     """
     if beta < 0:
         raise SolverError(f"beta must be nonnegative, got {beta!r}")
-    _check_stack_size(p, 1)
+    _check_stack_size(p)
     if init is None:
         init = TestChannel.identity_plus_noise(p.nx, p.nx + 1)
     if init.nx != p.nx or init.nu != p.nx + 1:
         raise SolverError(
             f"init must have shape ({p.nx}, {p.nx + 1}), got ({init.nx}, {init.nu})"
         )
-    w, iters, converged = _iterate(p, float(beta), init.cond_probs[None], MAX_ITERS)
-    return _wrap_solution(p, w[0], float(beta), int(iters[0]), bool(converged[0]))
-
-
-def _wrap_solution(p: JointPmf, w: np.ndarray, beta: float,
-                   iters: int, converged: bool) -> IbSolution:
+    w, iters, converged = _iterate(p, float(beta), init.cond_probs, MAX_ITERS)
     channel = TestChannel(w)
     rate, relevance = channel_information(p, channel)
-    return IbSolution(channel, rate, relevance, beta, iters, converged)
+    return IbSolution(channel, rate, relevance, float(beta), iters, converged)
 
 
 def _anchor_solutions(p: JointPmf) -> list[IbSolution]:
@@ -409,6 +357,8 @@ class EnvelopePool:
 
     p: JointPmf
     solutions: list[IbSolution]
+    # always 0: the solver runs no restarts.  Kept for perfbench's
+    # ``--trace 1`` layer report, which reads it
     restarts_used: int = 0
     hull: list[int] = field(init=False, repr=False)
     hull_rates: np.ndarray = field(init=False, repr=False)
@@ -461,59 +411,40 @@ class EnvelopePool:
         return best
 
 
-def solve_envelope(p: JointPmf, r_max: float = math.inf,
-                   master_seed: int = 0) -> EnvelopePool:
+def solve_envelope(p: JointPmf, r_max: float = math.inf) -> EnvelopePool:
     """Sweep the trade-off curve up to rate r_max and return the solution pool.
 
-    Chain 0 starts from a near-identity channel and chains 1..RESTARTS from
-    random channels; each beta-solve runs for at most MAX_ITERS map
-    evaluations.  The chains run in lockstep as one stacked iterate, each
-    with its own stopping rule.  Beta first grows, by doubling from 2, each
-    solve from the start channels, until a solution's rate passes
-    min(r_max, H(X)) (by more than 1e-12, the witness slack), or its
-    relevance comes within OBJ_TOL of I(X;Y), or beta reaches BETA_MAX.
-    From that beta_hi a single sweep runs down SWEEP_POINTS geometric betas
-    to 1, every beta warm-started from the stack the previous one returned.
-    Sweeping from large beta to small tracks the nontrivial solution branch
-    from its stable side: ascending sweeps collapse to the trivial fixed
-    point below the critical beta and cannot leave it afterwards, losing the
-    whole small-rate part of the curve.
+    Each beta-solve is one ib_fixed_point call.  Beta first grows, by
+    doubling from 2, each solve from the near-identity channel, until a
+    solution's rate passes min(r_max, H(X)) (by more than 1e-12, the witness
+    slack), or its relevance comes within OBJ_TOL of I(X;Y), or beta reaches
+    BETA_MAX.  From that beta_hi a single sweep runs down SWEEP_POINTS
+    geometric betas to 1, every beta warm-started from the solution the
+    previous one returned.  Sweeping from large beta to small tracks the
+    nontrivial solution branch from its stable side: ascending sweeps
+    collapse to the trivial fixed point below the critical beta and cannot
+    leave it afterwards, losing the whole small-rate part of the curve.
 
-    The pool holds the two anchors, then the solutions chain by chain, each
-    chain in solve order; every solution keeps its |X|+1 clusters.  The
-    number of restarts is fixed: it never escalates, so the pool's
-    restarts_used is RESTARTS.  A stack of RESTARTS + 1 chains larger than
-    MAX_STACK_ENTRIES is refused before any start channel is built.
+    The pool holds the two anchors, then the solutions in solve order;
+    every solution keeps its |X|+1 clusters.  A model too large for
+    MAX_STACK_ENTRIES is refused before the start channel is built.
     """
-    _check_stack_size(p, RESTARTS + 1)
-    starts = [TestChannel.identity_plus_noise(p.nx, p.nx + 1)]
-    for chain_id in range(1, RESTARTS + 1):
-        rng = rngstreams.stream(master_seed, rngstreams.PURPOSE_SOLVER, chain_id)
-        starts.append(TestChannel.random(p.nx, p.nx + 1, rng))
-    stack = np.stack([start.cond_probs for start in starts])
-    chains: list[list[IbSolution]] = [[] for _ in starts]
-
-    def solve(beta: float, w: np.ndarray) -> np.ndarray:
-        w, iters, converged = _iterate(p, beta, w, MAX_ITERS)
-        for chain, wk, n, ok in zip(chains, w, iters, converged):
-            chain.append(_wrap_solution(p, wk, beta, int(n), bool(ok)))
-        return w
-
+    _check_stack_size(p)
+    start = TestChannel.identity_plus_noise(p.nx, p.nx + 1)
+    solutions = _anchor_solutions(p)
     target = min(r_max, p.entropy_x) + 1e-12
     mi = mutual_information(p)
     beta = 2.0
     while True:
-        w = solve(beta, stack)
-        if beta >= BETA_MAX or any(chain[-1].rate > target or
-                                   chain[-1].relevance >= mi - OBJ_TOL for chain in chains):
+        sol = ib_fixed_point(p, beta, start)
+        solutions.append(sol)
+        if beta >= BETA_MAX or sol.rate > target or sol.relevance >= mi - OBJ_TOL:
             break
         beta *= 2.0
     for beta in np.geomspace(beta, 1.0, SWEEP_POINTS)[1:].tolist():
-        w = solve(beta, w)
-    solutions = _anchor_solutions(p)
-    for chain in chains:
-        solutions.extend(chain)
-    return EnvelopePool(p, solutions, restarts_used=RESTARTS)
+        sol = ib_fixed_point(p, beta, sol.channel)
+        solutions.append(sol)
+    return EnvelopePool(p, solutions)
 
 
 def _bisect(pool: EnvelopePool, r: float) -> float:
@@ -569,13 +500,22 @@ def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float
     curve: envelope vertices are actual channels and chord points are
     time-sharing combinations of the two endpoint channels.  The witness is
     the best single channel with rate <= r; its (rate, relevance) can be
-    reproduced exactly via channel_information.
+    reproduced exactly via channel_information.  ``master_seed`` is unused,
+    as the solver draws no random numbers; it stays because perfbench's
+    workloads pass it.
     """
     if not (math.isfinite(r) and r >= 0):
         raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
-    pool = solve_envelope(p, r, master_seed=master_seed)
+    pool = solve_envelope(p, _sweep_rate(p, [r]))
     _bisect(pool, r)
     return pool.value_at(r), pool.witness_at(r)
+
+
+def _sweep_rate(p: JointPmf, rates) -> float:
+    """The largest query rate below H(X), or 0 if there is none.  Every rate
+    at or above H(X) reads the top of the envelope, which the identity
+    anchor reaches, and _bisect gives it slope 0, so no beta grows for it."""
+    return max((float(r) for r in rates if r < p.entropy_x), default=0.0)
 
 
 def _check_rate_grid(r_grid) -> np.ndarray:
@@ -593,8 +533,7 @@ def _check_rate_grid(r_grid) -> np.ndarray:
 class ExponentCurve:
     """Rate grid with exponent, distortion, and distortion slope columns.
 
-    build_curve fills ``diagnostics`` from its solution pool: ``restarts``
-    (restarts_used, which is RESTARTS), the pool's ``solutions``, its
+    build_curve fills ``diagnostics`` with its solution pool's counters:
     ``beta_solves``, their ``iterations`` (map evaluations) and the
     ``unconverged`` ones, stopped at MAX_ITERS.
     """
@@ -622,20 +561,20 @@ class ExponentCurve:
 def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
-    One envelope solve up to the grid's last rate is shared by all grid
-    points, and each point is then bisected at its own beta (_bisect),
-    which also gives dD/dR there.  The envelope's vertices rise with rate,
-    so xi is nondecreasing.  D is defined as H(Y) - xi, so the log-loss
-    identity holds by construction.
+    One envelope solve up to the grid's last rate below H(X) is shared by
+    all grid points, and each point is then bisected at its own beta
+    (_bisect), which also gives dD/dR there.  The envelope's vertices rise
+    with rate, so xi is nondecreasing.  D is defined as H(Y) - xi, so the
+    log-loss identity holds by construction.  ``master_seed`` is unused, as
+    the solver draws no random numbers; it stays because perfbench's
+    workloads pass it.
     """
     r = _check_rate_grid(r_grid)
-    pool = solve_envelope(p, float(r[-1]), master_seed=master_seed)
+    pool = solve_envelope(p, _sweep_rate(p, r))
     d_slope = np.array([_bisect(pool, float(point)) for point in r])
     xi = np.array([pool.value_at(float(point)) for point in r])
     mi = mutual_information(p)
     if np.any(xi > np.minimum(r, mi) + 1e-9):
         raise SolverError("solver produced xi above min(R, I(X;Y)); model or solver is broken")
     d = p.entropy_y - xi
-    diagnostics = {"restarts": pool.restarts_used, "solutions": len(pool.solutions),
-                   **pool.solver_counters()}
-    return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), diagnostics)
+    return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), pool.solver_counters())

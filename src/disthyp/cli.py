@@ -173,7 +173,7 @@ def cmd_model(args) -> int:
 def cmd_exponent(args) -> int:
     p = _load_model(args.model)
     per_unit = LN2 if args.units == "bits" else 1.0  # nats per unit of --rates
-    curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit, master_seed=args.seed)
+    curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit)
     path = _out_path(args, args.out)
     _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
                       for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
@@ -336,7 +336,8 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="master seed; echoed into all outputs (default 0)")
+                        help="master seed; only simulate draws from it, every "
+                             "command echoes it into its sidecar (default 0)")
     common.add_argument("--out-dir", default=".", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(

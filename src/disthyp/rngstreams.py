@@ -21,7 +21,6 @@ CHUNK_TRIALS = 1 << 14
 PURPOSE_CALIBRATE = 1
 PURPOSE_H0 = 2
 PURPOSE_H1 = 3
-PURPOSE_SOLVER = 4
 
 
 def stream(master_seed: int, *ids: int) -> np.random.Generator:

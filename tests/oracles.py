@@ -131,7 +131,7 @@ def plain_ib_points(probs: np.ndarray, starts, betas, iters: int,
     """(rate, relevance) of every plain-map solution of a descending sweep.
 
     Each start is warm-started from beta to beta down the grid, as the
-    solver's chains are; the corners (0, 0) and (H(X), I(X;Y)) of the
+    solver's sweep is; the corners (0, 0) and (H(X), I(X;Y)) of the
     constant and identity channels are included.
     """
     probs = np.asarray(probs, dtype=np.float64)

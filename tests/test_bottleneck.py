@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import disthyp as d
-from disthyp import bottleneck as bn, rngstreams
+from disthyp import bottleneck as bn
 
 import oracles
 
@@ -16,6 +16,14 @@ SYM = np.array([[0.4, 0.1], [0.1, 0.4]])
 @pytest.fixture(scope="module")
 def sym_model():
     return d.JointPmf.from_probs(SYM)
+
+
+@pytest.fixture(scope="module")
+def readme_model():
+    return d.calibrate_correlation(0.08, 32, 32)[1]
+
+
+README_RATES = np.linspace(0.01, 0.25, 7) * math.log(2.0)
 
 
 def three_by_two_model():
@@ -29,21 +37,21 @@ def objective_after(p, beta, budget):
     """I(U;X) - beta I(U;Y) after at most ``budget`` map evaluations from
     ib_fixed_point's default start."""
     start = bn.TestChannel.identity_plus_noise(p.nx, p.nx + 1).cond_probs
-    w, _, _ = bn._iterate(p, beta, start[None], budget)
-    rate, relevance = bn.channel_information(p, bn.TestChannel(w[0]))
+    w, _, _ = bn._iterate(p, beta, start, budget)
+    rate, relevance = bn.channel_information(p, bn.TestChannel(w))
     return rate - beta * relevance
 
 
 class TestConfiguration:
     def test_no_public_function_takes_a_solver_setting(self):
-        # RESTARTS and MAX_ITERS are the configuration; _iterate keeps its budget
+        # MAX_ITERS is the configuration; _iterate keeps its budget
         public = [fn for name, fn in inspect.getmembers(bn, inspect.isfunction)
                   if fn.__module__ == bn.__name__ and not name.startswith("_")]
         assert {fn.__name__ for fn in public} >= {
             "ib_fixed_point", "solve_envelope", "exponent_at_rate", "build_curve"}
         for fn in public:
             assert not {"restarts", "max_iters"} & inspect.signature(fn).parameters.keys()
-        assert (bn.RESTARTS, bn.MAX_ITERS) == (4, 1000)
+        assert bn.MAX_ITERS == 1000
 
 
 class TestTestChannel:
@@ -102,7 +110,7 @@ class TestFixedPoint:
         # the loop itself must stop there, not hand a NaN channel back
         init = bn.TestChannel.identity_plus_noise(2, 3).cond_probs.copy()
         with pytest.raises(bn.SolverError):
-            bn._iterate(sym_model, math.inf, init[None], max_iters=1)
+            bn._iterate(sym_model, math.inf, init, max_iters=1)
 
     def test_rejects_wrong_init_shape(self, sym_model):
         with pytest.raises(bn.SolverError, match="init"):
@@ -118,71 +126,18 @@ class TestFixedPoint:
             assert rel == pytest.approx(sol.relevance, abs=1e-10)
 
 
-class TestLockstep:
-    """Chains stacked into one iterate run exactly as each does alone."""
-
-    @pytest.fixture(params=["sym", "three_by_two"])
-    def model(self, request, sym_model):
-        return sym_model if request.param == "sym" else three_by_two_model()
-
-    @staticmethod
-    def stack(p):
-        # near-identity, random, and the constant channel, which is a fixed
-        # point and stops at once while the other two go on
-        nx, nu = p.nx, p.nx + 1
-        return np.stack([bn.TestChannel.identity_plus_noise(nx, nu).cond_probs,
-                         bn.TestChannel.random(nx, nu, np.random.default_rng(7)).cond_probs,
-                         bn.TestChannel.constant(nx, nu).cond_probs])
-
-    @pytest.mark.parametrize("beta", [0.5, 5.0, 50.0])
-    @pytest.mark.parametrize("max_iters", [1000, 20])
-    def test_each_chain_matches_its_one_chain_run(self, model, beta, max_iters):
-        stack = self.stack(model)
-        w, iters, converged = bn._iterate(model, beta, stack, max_iters)
-        assert w.shape == stack.shape
-        assert iters[2] == 2 and converged[2]
-        for k in range(len(stack)):
-            alone, n, ok = bn._iterate(model, beta, stack[k:k + 1], max_iters)
-            assert (iters[k], converged[k]) == (n[0], ok[0])
-            assert np.max(np.abs(w[k] - alone[0])) <= 1e-12
-
-    def test_chains_stop_on_their_own(self, model):
-        # the cap cuts the two moving chains off but not the constant one;
-        # a chain is flagged converged only if it meets OBJ_TOL within the cap
-        # (on sym the random chain meets it at exactly the 10th evaluation)
-        stack = self.stack(model)
-        _, iters, converged = bn._iterate(model, 5.0, stack, 10)
-        _, uncapped, _ = bn._iterate(model, 5.0, stack, 1000)
-        assert iters.tolist() == [10, 10, 2]
-        assert uncapped[0] > 10 and uncapped[2] == 2
-        assert converged.tolist() == (uncapped <= 10).tolist()
-
-    def test_restarts_leave_chain_zero_alone(self, model, monkeypatch):
-        monkeypatch.setattr(bn, "RESTARTS", 0)
-        alone = bn.solve_envelope(model)
-        monkeypatch.setattr(bn, "RESTARTS", 3)
-        stacked = bn.solve_envelope(model)
-        # anchors, then chain 0's sweep: the pool is chain-major
-        assert len(stacked.solutions) == 2 + 4 * (len(alone.solutions) - 2)
-        for a, b in zip(alone.solutions, stacked.solutions):
-            assert np.array_equal(a.channel.cond_probs, b.channel.cond_probs)
-            assert (a.rate, a.relevance, a.beta, a.iterations, a.converged) == \
-                (b.rate, b.relevance, b.beta, b.iterations, b.converged)
-
-
 def gauss8():
     return d.discretized_gaussian(0.5, 8, 8)
 
 
 def chain_betas(pool):
-    """The betas chain 0 was solved at, in order: the pool holds the two
-    anchors, then RESTARTS + 1 equal runs of sweep solutions."""
-    per_chain = (len(pool.solutions) - 2) // (bn.RESTARTS + 1)
-    return [s.beta for s in pool.solutions[2:2 + per_chain]]
+    """The betas solve_envelope solved at, in order: the pool holds the two
+    anchors, then one solution per beta."""
+    return [s.beta for s in pool.solutions[2:]]
 
 
 def swept_betas(pool):
-    """The descending warm-started sweep: chain 0's betas from the largest on."""
+    """The descending warm-started sweep: the betas from the largest on."""
     betas = chain_betas(pool)
     return betas[betas.index(max(betas)):]
 
@@ -209,7 +164,7 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("name", ["dsbs", "gauss8"])
     def test_envelope_support_dominates_the_plain_map(self, name):
-        # same starts, descending sweep and stopping rule, plain steps only.
+        # same start, descending sweep and stopping rule, plain steps only.
         # The check is on the envelope's support line at each swept slope
         # 1/beta, the quantity each beta-solve optimizes; the chord value at
         # a fixed rate also moves with where a vertex stops along the curve,
@@ -217,9 +172,7 @@ class TestAcceleration:
         p = d.JointPmf.from_probs(SYM) if name == "dsbs" else gauss8()
         nu = p.nx + 1
         starts = [bn.TestChannel.identity_plus_noise(p.nx, nu).cond_probs]
-        starts += [bn.TestChannel.random(p.nx, nu, rngstreams.stream(
-            0, rngstreams.PURPOSE_SOLVER, k)).cond_probs for k in range(1, 5)]
-        pool = bn.solve_envelope(p, master_seed=0)
+        pool = bn.solve_envelope(p)
         swept = swept_betas(pool)
         assert len(swept) == bn.SWEEP_POINTS
         rates, rels = oracles.plain_ib_points(p.probs, starts, swept, 1000, 1e-10)
@@ -244,13 +197,13 @@ class TestAcceleration:
         # (up to rounding: the norms sum the extra zeros in another order)
         p = gauss8()
         w = bn.TestChannel.identity_plus_noise(p.nx, p.nx).cond_probs
-        alone, n_alone, _ = bn._iterate(p, 5.0, w[None], 60)
+        alone, n_alone, _ = bn._iterate(p, 5.0, w, 60)
         for col in (p.nx, 3):
             padded = np.insert(w, col, 0.0, axis=1)
-            out, iters, _ = bn._iterate(p, 5.0, padded[None], 60)
-            assert iters[0] == n_alone[0] > 3  # extrapolated steps were taken
-            assert np.all(out[0][:, col] == 0.0)
-            assert np.max(np.abs(np.delete(out[0], col, axis=1) - alone[0])) <= 1e-7
+            out, iters, _ = bn._iterate(p, 5.0, padded, 60)
+            assert iters == n_alone > 3  # extrapolated steps were taken
+            assert np.all(out[:, col] == 0.0)
+            assert np.max(np.abs(np.delete(out, col, axis=1) - alone)) <= 1e-7
 
     def test_capped_solves_converge(self):
         # the plain map stops 5 of these 200 beta-solves at the 1000 cap
@@ -259,7 +212,7 @@ class TestAcceleration:
 
 
 class TestMapStep:
-    """One evaluation of the lockstep iteration is one plain map step."""
+    """One evaluation of the accelerated iteration is one plain map step."""
 
     @pytest.mark.parametrize("name", sorted(TestAcceleration.MODELS))
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, 50.0])
@@ -271,15 +224,15 @@ class TestMapStep:
         dead = np.insert(bn.TestChannel.identity_plus_noise(p.nx, p.nx).cond_probs,
                          1, 0.0, axis=1)
         for w in (full, dead):
-            got, iters, _ = bn._iterate(p, beta, w[None], 1)
-            assert iters[0] == 1
+            got, iters, _ = bn._iterate(p, beta, w, 1)
+            assert iters == 1
             want = oracles.plain_ib(p.probs, beta, w, 1)
-            assert np.max(np.abs(got[0] - want)) <= 1e-12
-        assert np.all(got[0][:, 1] == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(got[:, 1] == 0.0)
 
 
 class TestStackCap:
-    """Solves whose stacked iterate would exceed the cap fail before any
+    """Models whose solver arrays would exceed the cap fail before any
     channel is built."""
 
     @staticmethod
@@ -292,20 +245,18 @@ class TestStackCap:
         finally:
             tracemalloc.stop()
 
-    def test_too_many_restarts(self, sym_model, monkeypatch):
-        monkeypatch.setattr(bn, "RESTARTS", 10**7)
-        peak = self.peak_bytes(lambda: bn.solve_envelope(sym_model))
-        assert peak < 1 << 20
-
     def test_too_wide_a_model(self):
-        # 2048 x 2049 entries for one chain, just over the cap
+        # 2048 x 2049 entries, just over the cap; 2047 x 2048 is the widest
+        # model it admits
         p = d.JointPmf.from_probs(np.full((2048, 2), 1 / 4096))
         assert self.peak_bytes(lambda: bn.ib_fixed_point(p, 1.0)) < 1 << 20
+        assert self.peak_bytes(lambda: bn.solve_envelope(p)) < 1 << 20
+        bn._check_stack_size(d.JointPmf.from_probs(np.full((2047, 2), 1 / 4094)))
 
 
 class TestEnvelope:
     def test_envelope_monotone_and_concave(self, sym_model):
-        pool = bn.solve_envelope(sym_model, master_seed=1)
+        pool = bn.solve_envelope(sym_model)
         grid = np.linspace(0.0, 1.2, 40)
         vals = np.array([pool.value_at(float(r)) for r in grid])
         assert np.all(np.diff(vals) >= -1e-12)
@@ -387,31 +338,27 @@ class TestCurve:
         curve = d.build_curve(sym_model, np.linspace(0.1, 0.9, 5), master_seed=3)
         assert curve.fingerprint == sym_model.fingerprint()
         diag = curve.diagnostics
-        # the seed is an input, echoed by the CLI sidecar; the restarts are the pool's
-        assert set(diag) == {"restarts", "solutions", "beta_solves", "iterations",
-                             "unconverged"}
-        assert diag["restarts"] == bn.RESTARTS
+        # the seed is an input, echoed by the CLI sidecar; the counters are the pool's
+        assert set(diag) == {"beta_solves", "iterations", "unconverged"}
         assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
-        assert diag["beta_solves"] == diag["solutions"] - 2  # the two anchors
 
     def test_counters_report_capped_solves(self, monkeypatch):
         # with a cap of 10 evaluations most beta-solves on this 4x4 Gaussian
         # stop at the cap, and each of those spends all 10
         p = d.discretized_gaussian(0.8, 4, 4)
-        monkeypatch.setattr(bn, "RESTARTS", 1)
         with monkeypatch.context() as m:
             m.setattr(bn, "MAX_ITERS", 10)
             pool = bn.solve_envelope(p)
         counters = pool.solver_counters()
         solves = [s for s in pool.solutions if math.isfinite(s.beta)]
         # growth doubles beta from 2 to the largest, then the sweep runs
-        # SWEEP_POINTS betas down to 1; both chains solve every one of them
+        # SWEEP_POINTS betas down to 1, one solve each
         betas = chain_betas(pool)
         top = betas.index(max(betas))
         assert betas[:top + 1] == [2.0 ** k for k in range(1, top + 2)]
         assert np.allclose(betas[top:], np.geomspace(max(betas), 1.0, bn.SWEEP_POINTS),
                            rtol=1e-15, atol=0)
-        assert counters["beta_solves"] == len(solves) == 2 * len(betas)
+        assert counters["beta_solves"] == len(solves) == len(betas)
         assert counters["unconverged"] == sum(s.iterations == 10 and not s.converged
                                               for s in solves) > 0
         assert counters["iterations"] == sum(s.iterations for s in solves)
@@ -422,8 +369,7 @@ class TestCurve:
         swept = len(pool.solutions) - 2
         for r in rates:
             bn._bisect(pool, float(r))
-        assert curve.diagnostics == {"restarts": 1, "solutions": len(pool.solutions),
-                                     **pool.solver_counters()}
+        assert curve.diagnostics == pool.solver_counters()
         # at least one bisection solve per rate, on top of the sweep
         assert curve.diagnostics["beta_solves"] >= swept + 3
 
@@ -461,12 +407,12 @@ class TestCurve:
         xi_zero, _ = d.exponent_at_rate(sym_model, 0.0)
         assert xi_zero <= 1e-6
 
-    def test_seed_changes_nothing_material(self, sym_model):
-        # different master seeds explore differently but land on the same
-        # envelope within solver tolerance
-        a, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=1)
-        b, _ = d.exponent_at_rate(sym_model, 0.3, master_seed=2)
-        assert a == pytest.approx(b, abs=1e-4)
+    def test_seed_changes_nothing_material(self, readme_model):
+        # the solver draws no random numbers: the seed moves no byte
+        a = d.build_curve(readme_model, README_RATES, master_seed=1)
+        b = d.build_curve(readme_model, README_RATES, master_seed=2)
+        assert a.xi.tobytes() == b.xi.tobytes()
+        assert a.d_slope.tobytes() == b.d_slope.tobytes()
 
 
 # xi at the README curve's 7 rates as the 40-point beta grid with
@@ -477,17 +423,35 @@ GRID_README_XI = (0.001015507560238674, 0.004956996410059371, 0.0087307215567803
 
 
 class TestReadmeCurve:
-    def test_bisection_never_loses_to_the_grid(self):
+    def test_bisection_never_loses_to_the_grid(self, readme_model):
         # the README model and rates: every xi at least the grid's, no solve
         # stopped at the cap, and every witness within its rate budget
-        _, p = d.calibrate_correlation(0.08, 32, 32)
-        rates = np.linspace(0.01, 0.25, 7) * math.log(2.0)
-        curve = d.build_curve(p, rates)
+        p = readme_model
+        curve = d.build_curve(p, README_RATES)
         assert np.all(curve.xi >= np.array(GRID_README_XI) - 1e-9)
         assert curve.diagnostics["unconverged"] == 0
-        for r in rates:
+        for r in README_RATES:
             _, witness = d.exponent_at_rate(p, float(r))
             assert witness.rate <= r + 1e-12
+
+    @pytest.mark.parametrize("at", ["H(X)", "3.0"])
+    def test_rates_from_hx_on_grow_no_beta(self, readme_model, at, monkeypatch):
+        # the identity anchor answers every rate >= H(X) exactly, so both
+        # entry points sweep as for rate 0, bisect nothing and cap no solve
+        p = readme_model
+        r = p.entropy_x if at == "H(X)" else float(at)
+        anchor = bn.channel_information(p, bn.TestChannel.identity(p.nx, p.nx + 1))[1]
+        pools = []
+        solve = bn.solve_envelope
+        monkeypatch.setattr(bn, "solve_envelope",
+                            lambda *args: pools.append(solve(*args)) or pools[-1])
+        xi, _ = d.exponent_at_rate(p, r)
+        curve = d.build_curve(p, [r])
+        assert xi == curve.xi[0] == anchor
+        assert curve.d_slope[0] == 0.0
+        rate_zero = solve(p, 0.0).solver_counters()
+        assert rate_zero["unconverged"] == 0
+        assert [pool.solver_counters() for pool in pools] == [rate_zero, rate_zero]
 
 
 class TestAsymmetricModels:

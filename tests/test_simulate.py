@@ -203,7 +203,7 @@ class TestQuantizedModel:
         if block_len <= 2:
             # the solver's witness: a dense 3 x 4 channel, every cell above
             # 0.01, so no row is one-hot
-            witness = d.exponent_at_rate(p, 0.3)[1].channel
+            witness = d.exponent_at_rate(p, 0.05)[1].channel
             assert np.all(witness.cond_probs > 0.01)
             encoders.append(s.Encoder(witness, block_len))
         for enc in encoders:

@@ -23,9 +23,9 @@ every solution found.  The iteration is accelerated by SQUAREM (Varadhan
 & Roland 2008): every third step extrapolates the last three iterates in
 log space, and the result is kept only if one map step from it does not
 raise the objective, so the objective still falls monotonically.  The
-stopping rule (the objective changes by less than OBJ_TOL between
-consecutive iterates) and the cap of MAX_ITERS (1000) map evaluations per
-beta-solve are those of the plain iteration.  These constants are the
+stopping rule (a plain step changes the objective by less than OBJ_TOL)
+and the cap of MAX_ITERS (1000) map evaluations per beta-solve are those
+of the plain iteration.  These constants are the
 whole solver configuration; they are no parameters, and each solve reads
 them when it is called.  Each map evaluation works from the logs of p(u)
 and p(u,y) that the previous one kept, and takes the objective from
@@ -58,11 +58,11 @@ SWEEP_POINTS = 8
 # A bisection stops once its bracket's betas are within this ratio of 1.
 BISECT_RTOL = 1e-5
 # The largest beta the growth reaches.  The cancellation in the objective
-# grows with beta (see _iterate): at 2^14 it is some 160 times that at
+# grows with beta (see _iterate): at 2^14 it is some 240 times that at
 # beta = 100, still below OBJ_TOL.
 BETA_MAX = 2.0 ** 14
-# The largest solver array, in float64 entries: max(|X|, |Y|) x (|X|+1), the
-# size of the largest temporary (32 MiB each), so |X| = |Y| <= 2047.
+# The largest solver array, in float64 entries: max(|X|, |Y|+1) x (|X|+1),
+# the size of the largest temporary (32 MiB each), so |X| = |Y| <= 2047.
 MAX_STACK_ENTRIES = 1 << 22
 
 
@@ -178,61 +178,68 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
     accelerated by SQUAREM extrapolation (Varadhan & Roland 2008).
 
     Returns the final channel, the number of map evaluations and whether
-    the stopping rule |prev_obj - obj| < OBJ_TOL between consecutive
-    iterates was met within ``max_iters``.
+    the stopping rule |prev_obj - obj| < OBJ_TOL across a plain step was
+    met within ``max_iters``.  An accepted candidate's change measures its
+    extrapolation, not one map step, so it never stops the iteration.
 
     Every third step is extrapolated.  From the last three iterates
     w0, w1, w2 it takes, in log space, r = log w1 - log w0 and
     v = log w2 - 2 log w1 + log w0, and steps to
-    log w0 + 2 alpha r + alpha^2 v = log w2 + (alpha - 1)(2 r + (alpha + 1) v),
+    log w0 + 2 alpha r + alpha^2 v = log w2 + 2 (alpha - 1) r + (alpha^2 - 1) v,
     renormalized per row, with alpha = |r| / |v| clamped to [1, step_max];
-    alpha = 1 lands on w2.  An entry that is zero in any of the three
-    iterates takes no part and stays at log w2.  One plain map step from
-    there gives the candidate, which is kept only if its objective is not
-    above the current one; otherwise the iteration stays at w2 and its next
-    step is the plain one, so the objective never rises.  step_max starts
-    at 1, grows 4-fold when an accepted step was clamped to it and shrinks
-    4-fold (not below 1) on a rejection.  The evaluation count and
-    ``max_iters`` include rejected candidates.
+    alpha = 1 lands on w2, and 0/0 gives NaN, whose candidate is rejected.
+    An entry that is zero in any of the three iterates takes no part and
+    stays at log w2.  One plain map step from there gives the candidate,
+    which is kept only if its objective is not above the current one;
+    otherwise the iteration stays at w2 and its next step is the plain one,
+    so the objective never rises.  step_max starts at 1, grows 4-fold when
+    an accepted step was clamped to it and shrinks 4-fold (not below 1) on
+    a rejection; rejections count as evaluations.
 
-    One map evaluation reads only the logs of the marginals p(u) and
-    p(u,y) = sum_x P(x,y) w(u|x) of its source channel.  Since
-    sum_y p(y|x) = 1, the update w'(u|x) ~ p(u) exp(-beta KL(p(y|x)||p(y|u)))
-    is
+    One map evaluation reads only log m, the logs of the stacked marginals
+    m = [p(u); p(u,y)] of its source channel: one product of the
+    (|Y|+1) x |X| operator [p(x); P(x,y)^T] with the channel.  As
+    sum_y p(y|x) = 1, the update w'(u|x) ~ p(u) exp(-beta KL(p(y|x)||p(y|u))) is
 
         log w'(u|x) = (1 - beta) log p(u) + beta sum_y p(y|x) log p(u,y) - log Z(x):
 
     the row constant -beta H(Y|X=x) and the log p(u) inside the KL cancel in
-    the per-row normalization.  With p(u,y) held as (|Y|, |U|) the sum over
-    y is one matrix product.  A NaN or -inf entry of the sum (0 * -inf,
-    inf - inf) becomes -inf, so a dead cluster (p(u) = 0) stays exactly zero
-    at every beta, 0 and 1 included.
+    the per-row normalization.  Its first two terms are one product of the
+    |X| x (|Y|+1) operator [1 - beta, beta p(y|x)] with log m, and row sums
+    are products with a ones vector.  A NaN or -inf entry of the product
+    (0 * -inf, inf - inf) becomes -inf, so a dead cluster (p(u) = 0) stays
+    exactly zero at every beta, 0 and 1 included.
 
     The objective I(U;X) - beta I(U;Y) comes from the same logs, as
     entropies: I(U;X) = sum_x p(x) sum_u w log w - sum_u p(u) log p(u) and
-    I(U;Y) = sum p(u,y) log p(u,y) - sum_u p(u) log p(u) + H(Y), with exact
+    I(U;Y) = sum p(u,y) log p(u,y) - sum_u p(u) log p(u) + H(Y).  That is
+    one weighted sum of w log w, one of m log m and -beta H(Y), with exact
     zeros contributing nothing and a NaN staying NaN.  The cancellation
-    between the entropies grows with beta: on the README model at beta = 100
-    it moves the objective by about 1e-13 (2e-13 at most), some 500 times
-    below OBJ_TOL.  The new iterate's logs are carried into its
-    own update, so no channel is validated or re-measured inside the loop.
-    A non-finite plain iterate makes the objective non-finite, which raises
-    SolverError; a non-finite extrapolated candidate is rejected.
+    between the terms grows with beta: on the README model it moves the
+    objective by at most 7e-14 at beta = 100 and 1.7e-11 at BETA_MAX, 6
+    times below OBJ_TOL.  No channel is validated or re-measured inside the
+    loop.  A non-finite plain iterate makes the objective non-finite, which
+    raises SolverError; a non-finite extrapolated candidate is rejected.
     """
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
     px = p.x_marginal
-    beta_pyx = beta * (p.probs / px[:, None])
-    pyx_t = np.ascontiguousarray(p.probs.T)
-    hy = p.entropy_y
+    nx, nu = w.shape
+    marg = np.vstack((px, p.probs.T))
+    update = np.hstack((np.full((nx, 1), 1.0 - beta), beta * (p.probs / px[:, None])))
+    ones = np.ones((nu, 1))
+    # the objective's weights on w log w and on m log m
+    w_weights = np.repeat(px[:, None], nu, axis=1)
+    m_weights = np.full((p.ny + 1, nu), -beta)
+    m_weights[0] = beta - 1.0
+    beta_hy = beta * p.entropy_y
     step_max = 1.0
     history: list[np.ndarray] = []  # log-channels of this cycle's earlier iterates
     prev_obj = math.inf
     # an overflowing extrapolation yields a non-finite candidate, which is rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logw = np.log(w)
-        log_pu = np.log(px @ w)
-        log_puy = np.log(pyx_t @ w)
+        log_m = np.log(marg @ w)
         for it in range(1, max_iters + 1):
             extrapolate = len(history) == 2
             if extrapolate:
@@ -241,45 +248,37 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
                 r = l1 - l0
                 v = logw - l1
                 v -= r
-                # v is finite only where all three iterates are
-                dead = ~np.isfinite(v)
-                r[dead] = 0.0
-                v[dead] = 0.0
-                alpha = np.clip(np.sqrt(np.vdot(r, r)) / np.sqrt(np.vdot(v, v)),
-                                1.0, step_max)
-                # log w2 + (alpha - 1)(2 r + (alpha + 1) v), built in place in
-                # v: exactly log w2 where r = v = 0
-                v *= alpha + 1.0
+                vv = np.vdot(v, v)
+                if not math.isfinite(vv):  # v is finite only where all three iterates are
+                    dead = ~np.isfinite(v)
+                    r[dead] = v[dead] = 0.0
+                    vv = np.vdot(v, v)
+                alpha = min(max(np.sqrt(np.vdot(r, r)) / np.sqrt(vv), 1.0), step_max)
+                # built in place in v: exactly log w2 where r = v = 0
+                v *= alpha * alpha - 1.0
+                r *= 2.0 * (alpha - 1.0)
                 v += r
-                v += r
-                v *= alpha - 1.0
                 v += logw
                 start = v
                 start -= start.max(axis=1, keepdims=True)
                 np.exp(start, out=start)
-                start /= start.sum(axis=1, keepdims=True)
-                src_log_pu = np.log(px @ start)
-                src_log_puy = np.log(pyx_t @ start)
+                start /= start @ ones
+                src_log_m = np.log(marg @ start)
             else:
-                src_log_pu, src_log_puy = log_pu, log_puy
-            new_logw = beta_pyx @ src_log_puy
-            new_logw += (1.0 - beta) * src_log_pu
+                src_log_m = log_m
+            new_logw = update @ src_log_m
             # a dead cluster's 0 * -inf or inf - inf is NaN: make it -inf
             np.fmax(new_logw, -np.inf, out=new_logw)
             new_logw -= new_logw.max(axis=1, keepdims=True)
             new_w = np.exp(new_logw)
-            z = new_w.sum(axis=1, keepdims=True)
+            z = new_w @ ones
             new_w /= z
             new_logw -= np.log(z)
-            new_pu = px @ new_w
-            new_puy = pyx_t @ new_w
-            new_log_pu = np.log(new_pu)
-            new_log_puy = np.log(new_puy)
-            neg_hux = (px @ _xlogx(new_w, new_logw)).sum()
-            neg_hu = _xlogx(new_pu, new_log_pu).sum()
-            neg_huy = _xlogx(new_puy, new_log_puy).sum()
+            new_m = marg @ new_w
+            new_log_m = np.log(new_m)
             # I(U;X) - beta I(U;Y)
-            obj = float(neg_hux - beta * (neg_huy + hy) + (beta - 1.0) * neg_hu)
+            obj = float(np.vdot(w_weights, _xlogx(new_w, new_logw))
+                        + np.vdot(m_weights, _xlogx(new_m, new_log_m)) - beta_hy)
             if extrapolate:
                 # NaN compares False, so a non-finite candidate is rejected
                 if not obj <= prev_obj:
@@ -292,8 +291,8 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
                                   f"iteration {it}")
             else:
                 history.append(logw)
-            w, logw, log_pu, log_puy = new_w, new_logw, new_log_pu, new_log_puy
-            if abs(prev_obj - obj) < OBJ_TOL:
+            w, logw, log_m = new_w, new_logw, new_log_m
+            if not extrapolate and abs(prev_obj - obj) < OBJ_TOL:
                 return w, it, True
             prev_obj = obj
     return w, max_iters, False
@@ -301,7 +300,7 @@ def _iterate(p: JointPmf, beta: float, w: np.ndarray,
 
 def _check_stack_size(p: JointPmf) -> None:
     """Refuse a model whose solver arrays would exceed MAX_STACK_ENTRIES."""
-    entries = max(p.nx, p.ny) * (p.nx + 1)
+    entries = max(p.nx, p.ny + 1) * (p.nx + 1)
     if entries > MAX_STACK_ENTRIES:
         raise SolverError(
             f"a {p.nx}x{p.ny} model needs {entries} entries per solver array, "
@@ -469,25 +468,26 @@ def _bisect(pool: EnvelopePool, r: float) -> float:
     above r, r lies where the relevance has reached I(X;Y) or past the
     rates of beta <= BETA_MAX, and the slope is 0.
     """
-    def standing(beta: float) -> IbSolution:
-        objs = [sol.rate - beta * sol.relevance for sol in pool.solutions]
-        return pool.solutions[int(np.argmin(objs))]
-
-    betas = sorted({sol.beta for sol in pool.solutions if 1.0 < sol.beta < math.inf})
-    hi = next((beta for beta in betas if standing(beta).rate > r + 1e-12), None)
-    if hi is None:
+    sols = pool.solutions
+    betas = sorted({sol.beta for sol in sols if 1.0 < sol.beta < math.inf})
+    rates, rels = np.array([(sol.rate, sol.relevance) for sol in sols]).T
+    # the solution standing for each pool beta
+    held = np.argmin(rates - np.array(betas)[:, None] * rels, axis=1)
+    above = np.flatnonzero(rates[held] > r + 1e-12).tolist()
+    if not above:
         return 0.0
-    lo = max((beta for beta in betas if beta < hi), default=1.0)
-    seed = first = standing(hi)
+    hi, lo = betas[above[0]], (betas[above[0] - 1] if above[0] else 1.0)
+    seed = first = sols[held[above[0]]]
     while hi > lo * (1.0 + BISECT_RTOL):
         mid = math.sqrt(lo * hi)
-        pool.solutions.append(ib_fixed_point(pool.p, mid, seed.channel))
-        held = standing(mid)
+        sols.append(ib_fixed_point(pool.p, mid, seed.channel))
+        rates, rels = np.append(rates, sols[-1].rate), np.append(rels, sols[-1].relevance)
+        held = sols[int(np.argmin(rates - mid * rels))]
         if held.rate > r + 1e-12:
             hi, seed = mid, held
         else:
             lo = mid
-    pool.solutions.append(ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
+    sols.append(ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
     pool.refresh()
     return -1.0 / math.sqrt(lo * hi)
 

@@ -144,6 +144,33 @@ def plain_ib_points(probs: np.ndarray, starts, betas, iters: int,
     return rates, rels
 
 
+def bisect_reference(pool, r: float) -> float:
+    """bottleneck._bisect with the standing solution found by a loop over
+    the pool at every beta, as a list of objectives: the same arithmetic,
+    so the pool and the slope must come out bit for bit the same."""
+    def standing(beta: float):
+        objs = [sol.rate - beta * sol.relevance for sol in pool.solutions]
+        return pool.solutions[int(np.argmin(objs))]
+
+    betas = sorted({sol.beta for sol in pool.solutions if 1.0 < sol.beta < math.inf})
+    hi = next((beta for beta in betas if standing(beta).rate > r + 1e-12), None)
+    if hi is None:
+        return 0.0
+    lo = max((beta for beta in betas if beta < hi), default=1.0)
+    seed = first = standing(hi)
+    while hi > lo * (1.0 + bottleneck.BISECT_RTOL):
+        mid = math.sqrt(lo * hi)
+        pool.solutions.append(bottleneck.ib_fixed_point(pool.p, mid, seed.channel))
+        held = standing(mid)
+        if held.rate > r + 1e-12:
+            hi, seed = mid, held
+        else:
+            lo = mid
+    pool.solutions.append(bottleneck.ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
+    pool.refresh()
+    return -1.0 / math.sqrt(lo * hi)
+
+
 def greedy_upper_hull(rates: np.ndarray, rels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper concave hull by repeated steepest-segment selection."""
     hx = [float(rates[0])]
@@ -360,7 +387,7 @@ def interval_reference(xi: float, d_slope: float, c: float, eps: float,
 # concentration constant.  These are recorded inputs, printed by an earlier
 # solver that took dD/dR from central differences on the grid; `disthyp
 # exponent` now prints xi up to 6e-5 higher and the slope -1/beta of its
-# bisection, which moves the README's cns values (46518, 46657 and 84783 at
+# bisection, which moves the README's cns values (46519, 46657 and 84783 at
 # the last point, not 46657, 47446 and 85185).  The cells below stay as
 # fixed inputs of the scan's tests.
 README_CURVE = (

@@ -846,7 +846,7 @@ class TestParserReuse:
         assert capsys.readouterr().out.startswith("log: cns=6\n")
 
     def test_fresh_process_writes_the_same_bytes(self, tmp_path):
-        # the README cns example whose rows are 46518, 46657 and 84782
+        # the README cns example whose rows are 46519, 46657 and 84783
         argv = [argv for argv, _ in TestReadmeExamples.transcripts() if argv[1:2] == ["cns"]][-1]
         argv = [*argv[1:], "--out-dir", str(tmp_path)]
         src_dir = str(Path(cli.__file__).resolve().parents[1])
@@ -855,7 +855,7 @@ class TestParserReuse:
         names = ("cns.csv", "cns.meta.json")
         fresh = [(tmp_path / name).read_bytes() for name in names]
         assert [row.split(b",")[2] for row in fresh[0].splitlines()[1:]] == [
-            b"46518", b"46657", b"84782"]
+            b"46519", b"46657", b"84783"]
         for _ in range(2):
             for name in names:
                 (tmp_path / name).unlink()

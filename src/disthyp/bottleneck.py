@@ -14,18 +14,21 @@ own beta, and every beta <= 1 gives the trivial channel: the strong
 data-processing constant of (X, Y) is at most 1 (Anantharam, Gohari, Kamath
 & Nair 2013).  solve_envelope grows beta from 2 until a solution's rate
 passes the largest query rate, then sweeps SWEEP_POINTS betas down to 1
-with warm starts; each query rate is then bisected in log beta between the
-solutions that bracket it (_bisect), to BISECT_RTOL.  Every beta-solve
-iterates one channel, from a near-identity start or warm-started from an
-earlier solution, so xi and dD/dR are a pure function of the model and
-the query rates; the reported curve is the upper concave envelope of
-every solution found.  The iteration is accelerated by SQUAREM (Varadhan
-& Roland 2008): every third step extrapolates the last three iterates in
-log space, and the result is kept only if one map step from it does not
-raise the objective, so the objective still falls monotonically.  The
-stopping rule (a plain step changes the objective by less than OBJ_TOL)
-and the cap of MAX_ITERS (1000) map evaluations per beta-solve are those
-of the plain iteration.  These constants are the
+with warm starts; each query rate is then found in log beta between the
+solutions that bracket it, to BISECT_RTOL, by a regula falsi with the
+Illinois rule whose steps never fall below the bracket's midpoint
+(_bisect).  Once every rate has its search, one more solve per rate, at
+the slope of the envelope's chord over it, can only raise the envelope
+there (_solve_on_chord).  Every beta-solve iterates one channel, from a
+near-identity start or warm-started from an earlier solution, so xi and
+dD/dR are a pure function of the model and the query rates; the reported
+curve is the upper concave envelope of every solution found.  The iteration is accelerated
+by SQUAREM (Varadhan & Roland 2008): every third step extrapolates the
+last three iterates in log space, and the result is kept only if one map
+step from it does not raise the objective, so the objective still falls
+monotonically.  The stopping rule (a plain step changes the objective by
+less than OBJ_TOL) and the cap of MAX_ITERS (1000) map evaluations per
+beta-solve are those of the plain iteration.  These constants are the
 whole solver configuration; they are no parameters, and each solve reads
 them when it is called.  Each map evaluation works from the logs of p(u)
 and p(u,y) that the previous one kept, and takes the objective from
@@ -55,7 +58,8 @@ OBJ_TOL = 1e-10
 MAX_ITERS = 1000
 # Betas in the descending sweep, from the grown beta down to 1.
 SWEEP_POINTS = 8
-# A bisection stops once its bracket's betas are within this ratio of 1.
+# The search at a query rate stops once its bracket's betas are within
+# this ratio of 1.
 BISECT_RTOL = 1e-5
 # The largest beta the growth reaches.  The cancellation in the objective
 # grows with beta (see _iterate): at 2^14 it is some 240 times that at
@@ -359,6 +363,9 @@ class EnvelopePool:
     # always 0: the solver runs no restarts.  Kept for perfbench's
     # ``--trace 1`` layer report, which reads it
     restarts_used: int = 0
+    # the solves spent on query rates: _bisect's, its last solves included,
+    # and _solve_on_chord's
+    rate_solves: int = 0
     hull: list[int] = field(init=False, repr=False)
     hull_rates: np.ndarray = field(init=False, repr=False)
     hull_rels: np.ndarray = field(init=False, repr=False)
@@ -391,14 +398,16 @@ class EnvelopePool:
         return float(np.interp(r, self.hull_rates, self.hull_rels))
 
     def solver_counters(self) -> dict:
-        """Beta-solves, their map evaluations and how many stopped at the cap.
+        """Beta-solves, their map evaluations, how many stopped at the cap
+        and how many of them were spent on query rates.
 
         The two anchors, which carry beta = inf, are not solves.
         """
         solves = [s for s in self.solutions if math.isfinite(s.beta)]
         return {"beta_solves": len(solves),
                 "iterations": sum(s.iterations for s in solves),
-                "unconverged": sum(not s.converged for s in solves)}
+                "unconverged": sum(not s.converged for s in solves),
+                "rate_solves": self.rate_solves}
 
     def witness_at(self, r: float) -> IbSolution:
         best = None
@@ -446,25 +455,45 @@ def solve_envelope(p: JointPmf, r_max: float = math.inf) -> EnvelopePool:
     return EnvelopePool(p, solutions)
 
 
+def _next_log_beta(x_lo: float, x_hi: float, f_lo: float, f_hi: float) -> float:
+    """The next log beta inside the bracket (x_lo, x_hi), whose ends carry
+    f = rate - r: the regula falsi point, raised to the midpoint if it lies
+    below it, so no step lands farther from the upper end than bisection's.
+    A secant that is undefined (f_hi == f_lo, a NaN) or not strictly inside
+    the bracket gives the midpoint."""
+    mid = 0.5 * (x_lo + x_hi)
+    try:
+        x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+    except ZeroDivisionError:
+        return mid
+    # NaN compares False
+    return max(x, mid) if x_lo < x < x_hi else mid
+
+
 def _bisect(pool: EnvelopePool, r: float) -> float:
-    """Solve at rate r by bisection in log beta; return dD/dR there.
+    """Solve at rate r by a safeguarded secant in log beta; return dD/dR there.
 
     At any beta the pool's solution with the least objective
     I(U;X) - beta I(U;Y) stands for that beta, and beta is above r if that
     solution's rate passes r by more than 1e-12, the witness slack.  The
     bracket is the least pool beta above r and the largest pool beta below
-    it, or 1 if there is none: every beta <= 1 gives the trivial channel.
-    Each step solves at the geometric mean with ib_fixed_point,
-    warm-started from the solution standing for the bracket's upper end,
-    the stable side (see solve_envelope), and moves the end on its side of
-    r.  It stops once the ends are within a ratio 1 + BISECT_RTOL.  Near
-    the critical beta, where the map contracts slowly, a solve that starts
-    close to its fixed point meets the stopping rule some 1e-4 nats of rate
-    away from it (on the DSBS at R = 0.01), so no late step lands near r;
-    one last solve, at the final bracket's geometric mean and from the
-    bracket's first upper solution, starts far enough away to get there.
-    Every solution enters the pool, whose hull is refreshed.  The slope is
-    -1/beta at the final bracket's geometric mean.  If no pool beta is
+    it, or 1 if there is none: every beta <= 1 gives the trivial channel,
+    of rate 0.  Each end carries f = (rate of its standing solution) - r.
+    Each step solves at the point _next_log_beta gives, the regula falsi
+    point in log beta but never below the log-midpoint, with
+    ib_fixed_point, warm-started from the solution standing for the
+    bracket's upper end, the stable side (see solve_envelope), and moves
+    the end on its side of r.  When the same end moves twice in a row the
+    other end's f is halved (the Illinois rule, Dowell & Jarratt 1971), so
+    neither end sticks.  It stops once the ends are within a ratio
+    1 + BISECT_RTOL.  Near the critical beta, where the map contracts
+    slowly, a solve that starts close to its fixed point meets the
+    stopping rule some 1e-4 nats of rate away from it (on the DSBS at
+    R = 0.01), so no late step lands near r; one last solve, at the final
+    bracket's geometric mean and from the bracket's first upper solution,
+    starts far enough away to get there.  Every solution enters the pool,
+    whose hull is refreshed, and counts in its ``rate_solves``.  The slope
+    is -1/beta at the final bracket's geometric mean.  If no pool beta is
     above r, r lies where the relevance has reached I(X;Y) or past the
     rates of beta <= BETA_MAX, and the slope is 0.
     """
@@ -476,31 +505,68 @@ def _bisect(pool: EnvelopePool, r: float) -> float:
     above = np.flatnonzero(rates[held] > r + 1e-12).tolist()
     if not above:
         return 0.0
-    hi, lo = betas[above[0]], (betas[above[0] - 1] if above[0] else 1.0)
-    seed = first = sols[held[above[0]]]
+    k = above[0]
+    hi, lo = betas[k], (betas[k - 1] if k else 1.0)
+    seed = first = sols[held[k]]
+    f_hi, f_lo = seed.rate - r, (sols[held[k - 1]].rate if k else 0.0) - r
+    moved = 0  # the end the last step moved: +1 upper, -1 lower
     while hi > lo * (1.0 + BISECT_RTOL):
-        mid = math.sqrt(lo * hi)
-        sols.append(ib_fixed_point(pool.p, mid, seed.channel))
+        beta = math.exp(_next_log_beta(math.log(lo), math.log(hi), f_lo, f_hi))
+        sols.append(ib_fixed_point(pool.p, beta, seed.channel))
+        pool.rate_solves += 1
         rates, rels = np.append(rates, sols[-1].rate), np.append(rels, sols[-1].relevance)
-        held = sols[int(np.argmin(rates - mid * rels))]
+        held = sols[int(np.argmin(rates - beta * rels))]
         if held.rate > r + 1e-12:
-            hi, seed = mid, held
+            hi, seed, f_hi = beta, held, held.rate - r
+            if moved == 1:
+                f_lo /= 2.0
+            moved = 1
         else:
-            lo = mid
+            lo, f_lo = beta, held.rate - r
+            if moved == -1:
+                f_hi /= 2.0
+            moved = -1
     sols.append(ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
+    pool.rate_solves += 1
     pool.refresh()
     return -1.0 / math.sqrt(lo * hi)
+
+
+def _solve_on_chord(pool: EnvelopePool, r: float) -> None:
+    """One solve at the slope of the envelope's chord over r, from a vertex.
+
+    It comes after _bisect, once the pool holds the solutions near r.  The
+    chord's two vertices share the objective I(U;X) - beta_c I(U;Y) at
+    beta_c = 1/slope.  The iteration never raises the objective, so a solve
+    at beta_c warm-started from a vertex ends on or above the chord's line,
+    and the envelope at r can only rise.  It rises where r lies inside a
+    jump of the solution branch, on a long chord whose lower vertex the
+    warm starts near r do not reach.  The start is the lower vertex, or the
+    upper one if the lower is the constant anchor, a fixed point at every
+    beta; none if r is a vertex, or if both are anchors.
+    """
+    i = int(np.searchsorted(pool.hull_rates, r))
+    if not 0 < i < len(pool.hull) or pool.hull_rates[i] == r:
+        return
+    lower, upper = (pool.solutions[j] for j in pool.hull[i - 1:i + 1])
+    start = lower if math.isfinite(lower.beta) else upper
+    # positive: each vertex lies above the one before (see refresh)
+    slope = (upper.relevance - lower.relevance) / (upper.rate - lower.rate)
+    if math.isfinite(start.beta) and 1.0 / slope <= BETA_MAX:
+        pool.solutions.append(ib_fixed_point(pool.p, 1.0 / slope, start.channel))
+        pool.rate_solves += 1
+        pool.refresh()
 
 
 def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float, IbSolution]:
     """Best exponent at rate budget r (nats) and the channel witnessing it.
 
-    The value is read off the concave envelope of all solutions, the
-    bisection's at r included, so it is a certified lower bound on the true
-    curve: envelope vertices are actual channels and chord points are
-    time-sharing combinations of the two endpoint channels.  The witness is
-    the best single channel with rate <= r; its (rate, relevance) can be
-    reproduced exactly via channel_information.  ``master_seed`` is unused,
+    The value is read off the concave envelope of all solutions, those
+    _bisect and _solve_on_chord find at r included, so it is a certified
+    lower bound on the true curve: envelope vertices are actual channels
+    and chord points are time-sharing combinations of the two endpoint
+    channels.  The witness is the best single channel with rate <= r; its
+    (rate, relevance) can be reproduced exactly via channel_information.  ``master_seed`` is unused,
     as the solver draws no random numbers; it stays because perfbench's
     workloads pass it.
     """
@@ -508,6 +574,7 @@ def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float
         raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
     pool = solve_envelope(p, _sweep_rate(p, [r]))
     _bisect(pool, r)
+    _solve_on_chord(pool, r)
     return pool.value_at(r), pool.witness_at(r)
 
 
@@ -534,8 +601,9 @@ class ExponentCurve:
     """Rate grid with exponent, distortion, and distortion slope columns.
 
     build_curve fills ``diagnostics`` with its solution pool's counters:
-    ``beta_solves``, their ``iterations`` (map evaluations) and the
-    ``unconverged`` ones, stopped at MAX_ITERS.
+    ``beta_solves``, their ``iterations`` (map evaluations), the
+    ``unconverged`` ones, stopped at MAX_ITERS, and the ``rate_solves``
+    spent on the grid's rates.
     """
 
     r: np.ndarray
@@ -562,16 +630,20 @@ def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
     One envelope solve up to the grid's last rate below H(X) is shared by
-    all grid points, and each point is then bisected at its own beta
-    (_bisect), which also gives dD/dR there.  The envelope's vertices rise
-    with rate, so xi is nondecreasing.  D is defined as H(Y) - xi, so the
-    log-loss identity holds by construction.  ``master_seed`` is unused, as
-    the solver draws no random numbers; it stays because perfbench's
-    workloads pass it.
+    all grid points, and each point is then found at its own beta
+    (_bisect), which also gives dD/dR there.  Then each point gets its
+    chord solve (_solve_on_chord), after every search, since a later
+    point's solves can open a chord over an earlier one.  The envelope's
+    vertices rise with rate, so xi is nondecreasing.  D is defined as
+    H(Y) - xi, so the log-loss identity holds by construction.
+    ``master_seed`` is unused, as the solver draws no random numbers; it
+    stays because perfbench's workloads pass it.
     """
     r = _check_rate_grid(r_grid)
     pool = solve_envelope(p, _sweep_rate(p, r))
     d_slope = np.array([_bisect(pool, float(point)) for point in r])
+    for point in r:
+        _solve_on_chord(pool, float(point))
     xi = np.array([pool.value_at(float(point)) for point in r])
     mi = mutual_information(p)
     if np.any(xi > np.minimum(r, mi) + 1e-9):

@@ -146,11 +146,16 @@ def plain_ib_points(probs: np.ndarray, starts, betas, iters: int,
 
 def bisect_reference(pool, r: float) -> float:
     """bottleneck._bisect with the standing solution found by a loop over
-    the pool at every beta, as a list of objectives: the same arithmetic,
-    so the pool and the slope must come out bit for bit the same."""
+    the pool at every beta, as a list of objectives, and the secant step
+    written out in place: the same arithmetic, so the pool, its counters
+    and the slope must come out bit for bit the same."""
     def standing(beta: float):
         objs = [sol.rate - beta * sol.relevance for sol in pool.solutions]
         return pool.solutions[int(np.argmin(objs))]
+
+    def solve(beta: float, start) -> None:
+        pool.solutions.append(bottleneck.ib_fixed_point(pool.p, beta, start.channel))
+        pool.rate_solves += 1
 
     betas = sorted({sol.beta for sol in pool.solutions if 1.0 < sol.beta < math.inf})
     hi = next((beta for beta in betas if standing(beta).rate > r + 1e-12), None)
@@ -158,15 +163,33 @@ def bisect_reference(pool, r: float) -> float:
         return 0.0
     lo = max((beta for beta in betas if beta < hi), default=1.0)
     seed = first = standing(hi)
+    # rate - r at each end; beta = 1 is the trivial channel, of rate 0
+    f_hi = seed.rate - r
+    f_lo = (standing(lo).rate if lo > 1.0 else 0.0) - r
+    last_side = None
     while hi > lo * (1.0 + bottleneck.BISECT_RTOL):
-        mid = math.sqrt(lo * hi)
-        pool.solutions.append(bottleneck.ib_fixed_point(pool.p, mid, seed.channel))
-        held = standing(mid)
-        if held.rate > r + 1e-12:
-            hi, seed = mid, held
+        # regula falsi in log beta, never below the midpoint; the midpoint
+        # where the secant is undefined or leaves the bracket
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        x = mid = 0.5 * (x_lo + x_hi)
+        if f_hi != f_lo:
+            secant = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            if x_lo < secant < x_hi and secant > mid:
+                x = secant
+        beta = math.exp(x)
+        solve(beta, seed)
+        held = standing(beta)
+        side = "hi" if held.rate > r + 1e-12 else "lo"
+        if side == "hi":
+            hi, seed, f_hi = beta, held, held.rate - r
+            if last_side == "hi":  # Illinois: the end that stayed gives up half its f
+                f_lo /= 2.0
         else:
-            lo = mid
-    pool.solutions.append(bottleneck.ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
+            lo, f_lo = beta, held.rate - r
+            if last_side == "lo":
+                f_hi /= 2.0
+        last_side = side
+    solve(math.sqrt(lo * hi), first)
     pool.refresh()
     return -1.0 / math.sqrt(lo * hi)
 
@@ -387,7 +410,7 @@ def interval_reference(xi: float, d_slope: float, c: float, eps: float,
 # concentration constant.  These are recorded inputs, printed by an earlier
 # solver that took dD/dR from central differences on the grid; `disthyp
 # exponent` now prints xi up to 6e-5 higher and the slope -1/beta of its
-# bisection, which moves the README's cns values (46519, 46657 and 84783 at
+# bisection, which moves the README's cns values (46518, 46657 and 84782 at
 # the last point, not 46657, 47446 and 85185).  The cells below stay as
 # fixed inputs of the scan's tests.
 README_CURVE = (

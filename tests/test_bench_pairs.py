@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "item_us", "better": "lower"}, {"name": "ops_ok_frac", "better": "higher"}]
+
+
+def pairs(parent_us, change_us):
+    return [{"parent": {"metrics": {"item_us": b, "ops_ok_frac": 1.0}},
+             "change": {"metrics": {"item_us": c, "ops_ok_frac": 1.0}}}
+            for b, c in zip(parent_us, change_us)]
+
+
+def test_summary_counts_wins_and_ties():
+    summary = bench_pairs.summarize(pairs([10, 12, 14, 16, 18], [9, 12, 15, 8, 7]),
+                                    END_TO_END)
+    us = summary["item_us"]
+    # lower is better: the change wins pairs 1, 4 and 5, ties pair 2, loses pair 3
+    assert (us["pairs_won_by_change"], us["pairs_won_by_parent"]) == (3, 1)
+    # inclusive quartiles, as numpy's default percentile
+    assert us["parent"] == {"median": 14, "q1": 12, "q3": 16}
+    assert us["median_change_rel"] == pytest.approx((9 - 14) / 14)
+    ok = summary["ops_ok_frac"]
+    assert (ok["pairs_won_by_change"], ok["pairs_won_by_parent"], ok["median_change_rel"]) == \
+        (0, 0, 0.0)

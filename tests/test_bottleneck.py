@@ -355,12 +355,19 @@ class TestCurve:
         assert np.all(curve.d_slope <= 1e-6)
 
     def test_sidecar_carries_diagnostics(self, sym_model):
-        curve = d.build_curve(sym_model, np.linspace(0.1, 0.9, 5), master_seed=3)
+        rates = np.linspace(0.1, 0.9, 5)
+        curve = d.build_curve(sym_model, rates, master_seed=3)
         assert curve.fingerprint == sym_model.fingerprint()
         diag = curve.diagnostics
         # the seed is an input, echoed by the CLI sidecar; the counters are the pool's
-        assert set(diag) == {"beta_solves", "iterations", "unconverged"}
+        assert set(diag) == {"beta_solves", "iterations", "unconverged", "rate_solves"}
         assert 0 <= diag["unconverged"] <= diag["beta_solves"] <= diag["iterations"]
+        # each rate below H(X) takes at least one root-finding solve and the
+        # last, and at most one chord solve; the identity anchor answers the
+        # rest
+        below = int(np.sum(rates < sym_model.entropy_x))
+        assert below == 3
+        assert 2 * below <= diag["rate_solves"] < diag["beta_solves"]
 
     def test_counters_report_capped_solves(self, monkeypatch):
         # with a cap of 10 evaluations most beta-solves on this 4x4 Gaussian
@@ -389,9 +396,13 @@ class TestCurve:
         swept = len(pool.solutions) - 2
         for r in rates:
             bn._bisect(pool, float(r))
+        for r in rates:
+            bn._solve_on_chord(pool, float(r))
         assert curve.diagnostics == pool.solver_counters()
-        # at least one bisection solve per rate, on top of the sweep
+        # at least one root-finding solve per rate, on top of the sweep, and
+        # rate_solves counts those and the chord solves
         assert curve.diagnostics["beta_solves"] >= swept + 3
+        assert curve.diagnostics["rate_solves"] == curve.diagnostics["beta_solves"] - swept
 
     def test_rejects_bad_grids(self, sym_model):
         with pytest.raises(bn.SolverError):
@@ -450,6 +461,8 @@ class TestReadmeCurve:
         curve = d.build_curve(p, README_RATES)
         assert np.all(curve.xi >= np.array(GRID_README_XI) - 1e-9)
         assert curve.diagnostics["unconverged"] == 0
+        # plain bisection in log beta took 114 solves, 103 of them on the rates
+        assert curve.diagnostics["beta_solves"] <= 70
         for r in README_RATES:
             _, witness = d.exponent_at_rate(p, float(r))
             assert witness.rate <= r + 1e-12
@@ -466,6 +479,7 @@ class TestReadmeCurve:
                 assert bn._bisect(ours, float(r)) == oracles.bisect_reference(ref, float(r))
             assert [(s.rate, s.relevance, s.beta) for s in ours.solutions] == \
                 [(s.rate, s.relevance, s.beta) for s in ref.solutions]
+            assert ours.solver_counters() == ref.solver_counters()
 
     @pytest.mark.parametrize("at", ["H(X)", "3.0"])
     def test_rates_from_hx_on_grow_no_beta(self, readme_model, at, monkeypatch):
@@ -485,6 +499,155 @@ class TestReadmeCurve:
         rate_zero = solve(p, 0.0).solver_counters()
         assert rate_zero["unconverged"] == 0
         assert [pool.solver_counters() for pool in pools] == [rate_zero, rate_zero]
+
+
+def record_solves(monkeypatch):
+    """The (beta, start channel) of every later ib_fixed_point call, in order."""
+    calls = []
+    solve = bn.ib_fixed_point
+    monkeypatch.setattr(bn, "ib_fixed_point",
+                        lambda p, beta, init: calls.append((beta, init)) or solve(p, beta, init))
+    return calls
+
+
+class TestSecantStep:
+    """The root finding in _bisect: its step rule, _next_log_beta, and the
+    solves it makes."""
+
+    def test_keeps_a_secant_above_the_midpoint(self):
+        # f crosses zero 3/4 of the way up
+        assert bn._next_log_beta(0.0, 1.0, -3.0, 1.0) == 0.75
+
+    def test_raises_a_secant_below_the_midpoint(self):
+        # f crosses zero 1/4 of the way up
+        assert bn._next_log_beta(0.0, 1.0, -1.0, 3.0) == 0.5
+
+    @pytest.mark.parametrize("f_lo, f_hi", [
+        (0.5, 0.5), (-0.0, 0.0),          # equal f: the float division is guarded
+        (math.nan, 1.0), (-1.0, math.nan),
+        (1.0, 2.0), (-2.0, -1.0),         # same sign: the secant leaves the bracket
+        (0.0, 1.0), (-1.0, 0.0),          # on an end, not strictly inside
+    ])
+    def test_falls_back_to_the_midpoint(self, f_lo, f_hi):
+        assert bn._next_log_beta(1.0, 2.0, f_lo, f_hi) == 1.5
+
+    def test_stays_in_the_upper_half(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            x_lo, x_hi = np.sort(rng.uniform(0.0, 10.0, 2)).tolist()
+            f_lo, f_hi = -rng.exponential(), rng.exponential()
+            x = bn._next_log_beta(x_lo, x_hi, f_lo, f_hi)
+            assert 0.5 * (x_lo + x_hi) <= x < x_hi
+
+    def test_every_solve_starts_on_the_stable_side(self, readme_model, monkeypatch):
+        # replay each rate's bracket from the recorded solves: every
+        # root-finding solve lies inside its bracket, at or above its
+        # log-midpoint, warm-started from the solution standing at the upper
+        # end; the last is at the final bracket's geometric mean, from the
+        # first upper solution
+        pool = bn.solve_envelope(readme_model, float(README_RATES[-1]))
+        calls = record_solves(monkeypatch)
+
+        def standing(beta, upto):
+            objs = [s.rate - beta * s.relevance for s in pool.solutions[:upto]]
+            return pool.solutions[int(np.argmin(objs))]
+
+        above_mid = 0
+        for r in README_RATES.tolist():
+            start, calls[:] = len(pool.solutions), []
+            slope = bn._bisect(pool, r)
+            betas = sorted({s.beta for s in pool.solutions[:start] if 1.0 < s.beta < math.inf})
+            hi = next(b for b in betas if standing(b, start).rate > r + 1e-12)
+            lo = max((b for b in betas if b < hi), default=1.0)
+            seed = first = standing(hi, start)
+            assert len(calls) >= 2
+            for i, (beta, init) in enumerate(calls[:-1]):
+                mid = 0.5 * (math.log(lo) + math.log(hi))
+                assert lo < beta < hi
+                assert math.log(beta) >= mid - 1e-12
+                above_mid += math.log(beta) > mid + 1e-12
+                assert init is seed.channel
+                held = standing(beta, start + i + 1)
+                if held.rate > r + 1e-12:
+                    hi, seed = beta, held
+                else:
+                    lo = beta
+            assert hi <= lo * (1.0 + bn.BISECT_RTOL)
+            beta, init = calls[-1]
+            assert beta == math.sqrt(lo * hi) and init is first.channel
+            assert slope == -1.0 / beta
+        # the secant, not only the midpoint, places solves
+        assert above_mid > 0
+
+def random_joint(seed, index):
+    """Joint ``index`` of the Dirichlet(0.7) draws from default_rng(seed),
+    |X| and |Y| each in 2..12."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        nx, ny = rng.integers(2, 13, size=2)
+        probs = rng.dirichlet(np.full(nx * ny, 0.7)).reshape(nx, ny)
+    return d.JointPmf.from_probs(probs)
+
+
+class TestChordSolve:
+    """_solve_on_chord: one solve per query rate at the slope of the
+    envelope's chord over it."""
+
+    def test_solves_at_the_chord_slope_from_its_lower_vertex(self, monkeypatch):
+        p = random_joint(1234, 93)
+        rates = (np.linspace(0.05, 0.95, 6) * p.entropy_x).tolist()
+        pool = bn.solve_envelope(p, rates[-1])
+        for r in rates:
+            bn._bisect(pool, r)
+        calls = record_solves(monkeypatch)
+        rose = 0
+        for r in rates:
+            i = int(np.searchsorted(pool.hull_rates, r))
+            lower, upper = (pool.solutions[j] for j in pool.hull[i - 1:i + 1])
+            assert lower.rate < r < upper.rate and math.isfinite(lower.beta)
+            before, count, calls[:] = pool.value_at(r), pool.rate_solves, []
+            bn._solve_on_chord(pool, r)
+            beta, init = calls[0]
+            assert len(calls) == 1 and pool.rate_solves == count + 1
+            assert beta == 1.0 / ((upper.relevance - lower.relevance) / (upper.rate - lower.rate))
+            assert init is lower.channel
+            # the solve never raises the objective it starts from, so it ends
+            # on or above the chord's line, and xi at r never falls
+            new = pool.solutions[-1]
+            assert new.rate - beta * new.relevance <= lower.rate - beta * lower.relevance + 1e-15
+            assert pool.value_at(r) >= before
+            rose += pool.value_at(r) > before + 1e-9
+        assert rose > 0
+
+    def test_no_solve_at_a_vertex_or_between_anchors(self, sym_model):
+        pool = bn.EnvelopePool(sym_model, bn._anchor_solutions(sym_model))
+        for r in (0.0, 0.3, sym_model.entropy_x, 2.0):
+            bn._solve_on_chord(pool, r)
+        assert len(pool.solutions) == 2 and pool.rate_solves == 0
+
+    def test_starts_from_the_upper_vertex_over_the_constant_anchor(self, sym_model,
+                                                                    monkeypatch):
+        # one solve at beta 4 on the DSBS: the chord from the constant
+        # anchor to it has no solve at its lower end
+        pool = bn.EnvelopePool(sym_model, bn._anchor_solutions(sym_model)
+                               + [bn.ib_fixed_point(sym_model, 4.0)])
+        assert pool.hull[:2] == [0, 2]
+        calls = record_solves(monkeypatch)
+        bn._solve_on_chord(pool, 0.5 * pool.hull_rates[1])
+        assert [init for _, init in calls] == [pool.solutions[2].channel]
+
+    @pytest.mark.parametrize("seed, index, k, xi", [(1234, 51, 2, 0.25759437173905486),
+                                                    (1234, 93, 2, 0.25670127733163006),
+                                                    (999, 78, 3, 0.32198613970259443)])
+    def test_jump_points_keep_the_bisection_value(self, seed, index, k, xi):
+        # rates inside a jump of the solution branch, in a 6-rate curve; xi
+        # is what plain bisection in log beta read there.  The secant alone
+        # read 2.04e-6 less on (1234, 93) and 3.7e-5 less on (999, 78),
+        # where the chord opens only with the next rate's solves, so its
+        # chord solve must come after every search
+        p = random_joint(seed, index)
+        curve = d.build_curve(p, np.linspace(0.05, 0.95, 6) * p.entropy_x)
+        assert curve.xi[k] >= xi - 1e-7
 
 
 class TestAsymmetricModels:

@@ -163,7 +163,7 @@ class TestExponentCommand:
         assert meta["seed"] == 9 and meta["units"] == "bits"
         diag = meta["diagnostics"]
         # the solver's counters, and nothing constant by construction
-        assert set(diag) == {"beta_solves", "iterations", "unconverged"}
+        assert set(diag) == {"beta_solves", "iterations", "unconverged", "rate_solves"}
         summary = capsys.readouterr().out.strip().split("\n")[-1]
         assert summary.endswith(f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
 
@@ -846,7 +846,7 @@ class TestParserReuse:
         assert capsys.readouterr().out.startswith("log: cns=6\n")
 
     def test_fresh_process_writes_the_same_bytes(self, tmp_path):
-        # the README cns example whose rows are 46519, 46657 and 84783
+        # the README cns example whose rows are 46518, 46657 and 84782
         argv = [argv for argv, _ in TestReadmeExamples.transcripts() if argv[1:2] == ["cns"]][-1]
         argv = [*argv[1:], "--out-dir", str(tmp_path)]
         src_dir = str(Path(cli.__file__).resolve().parents[1])
@@ -855,7 +855,7 @@ class TestParserReuse:
         names = ("cns.csv", "cns.meta.json")
         fresh = [(tmp_path / name).read_bytes() for name in names]
         assert [row.split(b",")[2] for row in fresh[0].splitlines()[1:]] == [
-            b"46519", b"46657", b"84783"]
+            b"46518", b"46657", b"84782"]
         for _ in range(2):
             for name in names:
                 (tmp_path / name).unlink()

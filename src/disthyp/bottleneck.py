@@ -19,23 +19,25 @@ solutions that bracket it, to BISECT_RTOL, by a regula falsi with the
 Illinois rule whose steps never fall below the bracket's midpoint
 (_bisect).  Once every rate has its search, one more solve per rate, at
 the slope of the envelope's chord over it, can only raise the envelope
-there (_solve_on_chord).  Every beta-solve iterates one channel, from a
-near-identity start or warm-started from an earlier solution, so xi and
-dD/dR are a pure function of the model and the query rates; the reported
-curve is the upper concave envelope of every solution found.  The iteration is accelerated
-by SQUAREM (Varadhan & Roland 2008): every third step extrapolates the
-last three iterates in log space, and the result is kept only if one map
-step from it does not raise the objective, so the objective still falls
-monotonically.  The stopping rule (a plain step changes the objective by
-less than OBJ_TOL) and the cap of MAX_ITERS (1000) map evaluations per
-beta-solve are those of the plain iteration.  These constants are the
-whole solver configuration; they are no parameters, and each solve reads
-them when it is called.  Each map evaluation works from the logs of p(u)
-and p(u,y) that the previous one kept, and takes the objective from
-entropies (see _iterate).  A model whose solver arrays would exceed
-MAX_STACK_ENTRIES is refused before any is built.  Chord points on the
-envelope are achievable by time sharing between the two endpoint
-channels, so the envelope is a certified lower bound on xi.
+there (_solve_on_chord).  _solve_rates runs these steps for both
+build_curve and exponent_at_rate.  Every beta-solve iterates one channel,
+from a near-identity start or warm-started from an earlier solution, so xi
+and dD/dR are a pure function of the model and the query rates; the
+reported curve is the upper concave envelope of every solution found.  The
+iteration is accelerated by SQUAREM (Varadhan & Roland 2008): every third
+step extrapolates the last three iterates in log space, and the result is
+kept only if one map step from it does not raise the objective, so the
+objective still falls monotonically.  The stopping rule (a plain step
+changes the objective by less than OBJ_TOL) and the cap of MAX_ITERS
+(1000) map evaluations per beta-solve are those of the plain iteration.
+These constants are the whole solver configuration; they are no
+parameters, and each solve reads them when it is called.  Each map
+evaluation works from the logs of p(u) and p(u,y) that the previous one
+kept, and takes the objective from entropies (see _iterate).  A model
+whose solver arrays would exceed MAX_STACK_ENTRIES is refused before any
+is built.  Chord points on the envelope are achievable by time sharing
+between the two endpoint channels, so the envelope is a certified lower
+bound on xi.
 
 Two exact channels are always injected as anchor solutions: the constant
 channel at (0, 0) and the identity channel at (H(X), I(X;Y)).  They pin the
@@ -410,13 +412,10 @@ class EnvelopePool:
                 "rate_solves": self.rate_solves}
 
     def witness_at(self, r: float) -> IbSolution:
-        best = None
-        for sol in self.solutions:
-            if sol.rate <= r + 1e-12 and (best is None or sol.relevance > best.relevance):
-                best = sol
-        if best is None:  # r < 0 is rejected upstream; rate-0 anchor always qualifies
-            best = self.solutions[0]
-        return best
+        """The most relevant solution of rate <= r (+1e-12): at r >= 0 the
+        constant anchor, of rate 0, always qualifies."""
+        return max((sol for sol in self.solutions if sol.rate <= r + 1e-12),
+                   key=lambda sol: sol.relevance)
 
 
 def solve_envelope(p: JointPmf, r_max: float = math.inf) -> EnvelopePool:
@@ -558,33 +557,6 @@ def _solve_on_chord(pool: EnvelopePool, r: float) -> None:
         pool.refresh()
 
 
-def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float, IbSolution]:
-    """Best exponent at rate budget r (nats) and the channel witnessing it.
-
-    The value is read off the concave envelope of all solutions, those
-    _bisect and _solve_on_chord find at r included, so it is a certified
-    lower bound on the true curve: envelope vertices are actual channels
-    and chord points are time-sharing combinations of the two endpoint
-    channels.  The witness is the best single channel with rate <= r; its
-    (rate, relevance) can be reproduced exactly via channel_information.  ``master_seed`` is unused,
-    as the solver draws no random numbers; it stays because perfbench's
-    workloads pass it.
-    """
-    if not (math.isfinite(r) and r >= 0):
-        raise SolverError(f"rate budget must be finite and nonnegative, got {r!r}")
-    pool = solve_envelope(p, _sweep_rate(p, [r]))
-    _bisect(pool, r)
-    _solve_on_chord(pool, r)
-    return pool.value_at(r), pool.witness_at(r)
-
-
-def _sweep_rate(p: JointPmf, rates) -> float:
-    """The largest query rate below H(X), or 0 if there is none.  Every rate
-    at or above H(X) reads the top of the envelope, which the identity
-    anchor reaches, and _bisect gives it slope 0, so no beta grows for it."""
-    return max((float(r) for r in rates if r < p.entropy_x), default=0.0)
-
-
 def _check_rate_grid(r_grid) -> np.ndarray:
     """The rate grid as a float array, if it is 1-d and nonempty, finite,
     nonnegative and strictly increasing."""
@@ -594,6 +566,44 @@ def _check_rate_grid(r_grid) -> np.ndarray:
     if not (np.all(np.isfinite(r)) and r[0] >= 0 and np.all(np.diff(r) > 0)):
         raise SolverError("rate grid must be finite, nonnegative and strictly increasing")
     return r
+
+
+def _solve_rates(p: JointPmf, r_grid) -> tuple[EnvelopePool, np.ndarray, np.ndarray]:
+    """The solution pool, xi and dD/dR at each rate of a grid (nats).
+
+    One envelope solve up to the grid's last rate below H(X) is shared by
+    all rates: a rate at or above H(X) reads the top of the envelope, which
+    the identity anchor reaches.  Each rate is then found at its own beta
+    (_bisect), which also gives dD/dR there, and then gets its chord solve
+    (_solve_on_chord), after every search, since a later rate's solves can
+    open a chord over an earlier one.  An xi above min(R, I(X;Y)) + 1e-9
+    breaks the certified direction and raises SolverError.
+    """
+    r = _check_rate_grid(r_grid)
+    below = r[r < p.entropy_x]
+    pool = solve_envelope(p, float(below[-1]) if below.size else 0.0)
+    d_slope = np.array([_bisect(pool, float(point)) for point in r])
+    for point in r:
+        _solve_on_chord(pool, float(point))
+    xi = np.array([pool.value_at(float(point)) for point in r])
+    if np.any(xi > np.minimum(r, mutual_information(p)) + 1e-9):
+        raise SolverError("solver produced xi above min(R, I(X;Y)); model or solver is broken")
+    return pool, xi, d_slope
+
+
+def exponent_at_rate(p: JointPmf, r: float, master_seed: int = 0) -> tuple[float, IbSolution]:
+    """Best exponent at rate budget r (nats) and the channel witnessing it.
+
+    The value is build_curve's xi on the grid [r], from the same solves
+    (_solve_rates): a certified lower bound on the true curve, as envelope
+    vertices are actual channels and chord points time-sharing
+    combinations of the two endpoint channels.  The witness is the best
+    single channel with rate <= r; channel_information reproduces its
+    (rate, relevance) exactly.  ``master_seed`` is unused, as the solver
+    draws no random numbers; it stays because perfbench's workloads pass it.
+    """
+    pool, xi, _ = _solve_rates(p, [r])
+    return float(xi[0]), pool.witness_at(r)
 
 
 @dataclass(frozen=True)
@@ -629,24 +639,13 @@ class ExponentCurve:
 def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     """Evaluate the exponent curve on a rate grid (nats).
 
-    One envelope solve up to the grid's last rate below H(X) is shared by
-    all grid points, and each point is then found at its own beta
-    (_bisect), which also gives dD/dR there.  Then each point gets its
-    chord solve (_solve_on_chord), after every search, since a later
-    point's solves can open a chord over an earlier one.  The envelope's
+    xi and dD/dR come from _solve_rates, the solves exponent_at_rate also
+    runs, and the curve's diagnostics from its pool.  The envelope's
     vertices rise with rate, so xi is nondecreasing.  D is defined as
     H(Y) - xi, so the log-loss identity holds by construction.
     ``master_seed`` is unused, as the solver draws no random numbers; it
     stays because perfbench's workloads pass it.
     """
-    r = _check_rate_grid(r_grid)
-    pool = solve_envelope(p, _sweep_rate(p, r))
-    d_slope = np.array([_bisect(pool, float(point)) for point in r])
-    for point in r:
-        _solve_on_chord(pool, float(point))
-    xi = np.array([pool.value_at(float(point)) for point in r])
-    mi = mutual_information(p)
-    if np.any(xi > np.minimum(r, mi) + 1e-9):
-        raise SolverError("solver produced xi above min(R, I(X;Y)); model or solver is broken")
-    d = p.entropy_y - xi
-    return ExponentCurve(r, xi, d, d_slope, p.fingerprint(), pool.solver_counters())
+    pool, xi, d_slope = _solve_rates(p, r_grid)
+    return ExponentCurve(r_grid, xi, p.entropy_y - xi, d_slope, p.fingerprint(),
+                         pool.solver_counters())

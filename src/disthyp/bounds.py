@@ -123,9 +123,10 @@ def _check_size(regime: TypeIRegime, n: int) -> None:
 def _check_slope_and_c(d_slope: float, c: float) -> None:
     if not (math.isfinite(d_slope) and d_slope <= 1e-6):
         raise RegimeSpecError(f"d_slope must be finite and nonpositive, got {d_slope!r}")
-    if not (math.isfinite(c) and c > 0):
+    # the converse takes 4c (see _interval): inf times a zero slack is NaN
+    if not (math.isfinite(4.0 * c) and c > 0):
         raise RegimeSpecError(
-            f"concentration constant must be finite and positive, got {c!r}")
+            f"concentration constant must be positive with 4c finite, got {c!r}")
 
 
 def _check_point(curve_point: tuple[float, float], c: float) -> tuple[float, float]:

@@ -165,24 +165,21 @@ def lloyd_max(points, weights, levels: int) -> Encoder:
 
 @dataclass(frozen=True)
 class QuantizedModel:
-    """Exact block laws of (code, Y-block) under both hypotheses.
+    """Exact block law of (code, Y-block) under both hypotheses, as the
+    sampler draws it.
 
-    ``class_h0``, ``class_h1`` and ``class_lr`` are the same law merged over
-    cells with tied log-ratios: per class, the summed masses and the
-    log-ratio of its first cell, with classes in the order of their first
-    cell.  The sampler draws from them; ``flat()`` keeps the cell-level law.
+    ``h0`` is the null table, kept for its shape and size: the ``simulate``
+    sidecar reports its cells and codes.  ``class_h0``, ``class_h1`` and
+    ``class_lr`` are the law merged over cells with tied log-ratios: per
+    class, the summed masses under each hypothesis and the log-ratio of
+    its first cell, with classes in the order of their first cell.
     """
 
     h0: np.ndarray
-    h1: np.ndarray
-    log_ratios: np.ndarray
     block_len: int
     class_h0: np.ndarray
     class_h1: np.ndarray
     class_lr: np.ndarray
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.h0.ravel(), self.h1.ravel(), self.log_ratios.ravel()
 
 
 def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
@@ -230,7 +227,9 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
 
     Codes that W never produces carry no mass and are dropped first.  The
     alternative table is pushed, not re-multiplied from the null table's
-    marginals; the two agree up to rounding for every W, as tests assert.
+    marginals; the two agree up to rounding for every W.  Tests compare the
+    null table and the classes with those merged from oracles.block_tables,
+    which sums every (x-block, code-block) pair.
     The push sums over x in x order (einsum), so a one-hot W adds each
     code's rows exactly as a loop over x would; a BLAS product W^T P
     rounds differently on large grids.
@@ -248,11 +247,11 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
     for name, table in (("H0", h0), ("H1", h1)):
         if abs(table.sum() - 1.0) > 1e-9:
             raise SimulationError(f"{name} quantized table sums to {table.sum()!r}")
-    log_ratios = np.log(h0) - np.log(h1)
-    classes = _merge_tied_cells(h0.ravel(), h1.ravel(), log_ratios.ravel())
-    for arr in (h0, h1, log_ratios) + classes:
+    lr = np.log(h0) - np.log(h1)
+    classes = _merge_tied_cells(h0.ravel(), h1.ravel(), lr.ravel())
+    for arr in (h0,) + classes:
         arr.setflags(write=False)
-    return QuantizedModel(h0, h1, log_ratios, enc.block_len, *classes)
+    return QuantizedModel(h0, enc.block_len, *classes)
 
 
 # --------------------------------------------------------------------------

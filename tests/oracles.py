@@ -527,6 +527,13 @@ def block_tables(p, enc: simulate.Encoder) -> tuple[np.ndarray, np.ndarray]:
     return h0[used], h1[used]
 
 
+def cell_law(p, enc: simulate.Encoder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell-level law of block_tables: masses under P^l and Q^l and
+    log-ratios ln(P/Q), flattened in cell order."""
+    h0, h1 = block_tables(p, enc)
+    return h0.ravel(), h1.ravel(), (np.log(h0) - np.log(h1)).ravel()
+
+
 def table_mutual_information(table: np.ndarray) -> float:
     """I between the row and column variables of a 2-d joint table (nats)."""
     rows = table.sum(axis=1, keepdims=True)

@@ -153,8 +153,9 @@ def test_exact_np_equivalence():
         eps = float(rng.uniform(0.05, 0.4))
         probs = np.maximum(rng.dirichlet(np.ones(nx * ny)), 5e-3).reshape(nx, ny)
         p = d.JointPmf.from_probs(probs / probs.sum())
-        qm = d.quantized_model(p, d.Encoder(d.TestChannel.identity(nx, nx)))
-        pmf0, pmf1, lr = qm.flat()
+        enc = d.Encoder(d.TestChannel.identity(nx, nx))
+        qm = d.quantized_model(p, enc)
+        pmf0, pmf1, lr = oracles.cell_law(p, enc)
         values, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
         t = oracles.exact_threshold(values, p0, eps)
         exact1, exact2 = oracles.exact_error_probs(values, p0, p1, t)

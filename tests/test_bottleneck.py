@@ -327,6 +327,25 @@ class TestEnvelope:
             with pytest.raises(bn.SolverError):
                 d.exponent_at_rate(sym_model, bad)
 
+    def test_xi_above_min_rate_and_mi_is_refused(self, sym_model, monkeypatch):
+        # an envelope that reads above min(R, I(X;Y)) breaks the certified
+        # direction: both entry points refuse it past the 1e-9 tolerance,
+        # below H(X) where R binds and above it where I(X;Y) does, and
+        # answer at the tolerance itself
+        mi = d.mutual_information(sym_model)
+        for excess, refused in ((2e-9, True), (1e-9, False)):
+            monkeypatch.setattr(bn.EnvelopePool, "value_at",
+                                lambda self, r, e=excess: min(r, mi) + e)
+            for r in (0.1, sym_model.entropy_x + 0.5):
+                if refused:
+                    with pytest.raises(bn.SolverError, match="above min"):
+                        d.build_curve(sym_model, [r])
+                    with pytest.raises(bn.SolverError, match="above min"):
+                        d.exponent_at_rate(sym_model, r)
+                else:
+                    assert d.build_curve(sym_model, [r]).xi[0] == min(r, mi) + excess
+                    assert d.exponent_at_rate(sym_model, r)[0] == min(r, mi) + excess
+
     def test_exponent_at_rate_against_mrs_gerber(self, sym_model):
         # SYM is a doubly symmetric binary source with crossover 0.2, whose
         # curve is known in closed form; the envelope must sit just below it,
@@ -638,13 +657,16 @@ class TestChordSolve:
 
     @pytest.mark.parametrize("seed, index, k, xi", [(1234, 51, 2, 0.25759437173905486),
                                                     (1234, 93, 2, 0.25670127733163006),
-                                                    (999, 78, 3, 0.32198613970259443)])
+                                                    (999, 78, 3, 0.32198613970259443),
+                                                    (999, 140, 2, 0.21735922157056906)])
     def test_jump_points_keep_the_bisection_value(self, seed, index, k, xi):
-        # rates inside a jump of the solution branch, in a 6-rate curve; xi
-        # is what plain bisection in log beta read there.  The secant alone
-        # read 2.04e-6 less on (1234, 93) and 3.7e-5 less on (999, 78),
-        # where the chord opens only with the next rate's solves, so its
-        # chord solve must come after every search
+        # rates inside a jump of the solution branch, in a 6-rate curve.  On
+        # the first three xi is what plain bisection in log beta read there;
+        # the secant alone read 2.04e-6 less on (1234, 93) and 3.7e-5 less
+        # on (999, 78), where the chord opens only with the next rate's
+        # solves, so its chord solve must come after every search.  On
+        # (999, 140) xi is the secant's with its last solve at the final
+        # bracket's geometric mean; without that solve it reads 3.35e-6 less
         p = random_joint(seed, index)
         curve = d.build_curve(p, np.linspace(0.05, 0.95, 6) * p.entropy_x)
         assert curve.xi[k] >= xi - 1e-7

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ class TestGapBounds:
         for c in (0.0, math.nan, math.inf):
             with pytest.raises(b.RegimeSpecError, match="positive"):
                 b.gap_bounds(b.TypeIRegime("poly", 1.0), 100, 0.0, c)
+
+    def test_rejects_c_whose_converse_slack_overflows(self):
+        # 4c overflows above float max / 4; where the slack rounds to 1 the
+        # converse took inf * 0 and lb_prob read NaN.  The largest c that
+        # passes still gives a probability at the size that broke
+        reg = b.TypeIRegime.parse("superpoly:0.5")
+        for c in (4.5e307, sys.float_info.max):
+            with pytest.raises(b.RegimeSpecError, match="4c finite"):
+                b.feasibility_interval((0.02, 0.0), c, reg, 10 ** 20)
+            with pytest.raises(b.RegimeSpecError, match="4c finite"):
+                b.critical_sample_size((0.02, 0.0), c, reg, 1e-5)
+            with pytest.raises(b.RegimeSpecError, match="4c finite"):
+                b.gap_bounds(b.TypeIRegime("poly", 1.0), 100, 0.0, c)
+        rep = b.feasibility_interval((0.02, 0.0), 4.49e307, reg, 10 ** 20)
+        assert rep.valid_lb and rep.lb_prob == 0.0
 
 
 class TestFeasibilityInterval:
@@ -559,7 +575,7 @@ class TestDsbsOptimum:
 
     def test_oracle_matches_enumeration(self):
         enc = d.Encoder(d.TestChannel.identity(2, 2))
-        pmf0, pmf1, lr = d.quantized_model(self.DSBS, enc).flat()
+        pmf0, pmf1, lr = oracles.cell_law(self.DSBS, enc)
         for n in range(1, 7):
             _, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
             for eps in (0.01, 0.05, 0.1, 0.3, 0.5):

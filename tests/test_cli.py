@@ -197,6 +197,20 @@ class TestBoundsCommand:
         assert "error: unknown regime 'polynomial'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, args", [
+        ("bounds", ["--regime", "superpoly:0.5", "--n-grid", "5,100000000000000000000"]),
+        ("cns", ["--regimes", "superpoly:0.5"]),
+    ])
+    def test_c_whose_converse_slack_overflows(self, tmp_path, capsys, command, args):
+        # 4c overflows: refused before any row, where the bounds table used to
+        # end in "invariant violated" with lb_prob NaN at the larger size
+        assert run([command, "--xi", 0.02, "--c", 4.5e307, *args,
+                    "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: concentration constant must be positive with 4c finite, "
+                       "got 4.5e+307\n")
+        assert not list(tmp_path.iterdir())
+
     def test_xi_requires_c(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["bounds", "--xi", 0.7, "--regime", "poly:1",

@@ -145,10 +145,13 @@ class TestLloydMax:
 
 class TestQuantizedModel:
     def test_identity_encoder_reproduces_tables(self):
+        # the DSBS cells tie in two classes, ln(0.4/0.25) on the diagonal
         p = sym_model()
         qm = s.quantized_model(p, identity(2))
         assert np.array_equal(qm.h0, p.probs)
-        assert np.allclose(qm.h1, 0.25, atol=1e-15)
+        assert np.allclose(qm.class_h0, [0.8, 0.2], rtol=0, atol=1e-15)
+        assert np.allclose(qm.class_h1, [0.5, 0.5], rtol=0, atol=1e-15)
+        assert np.allclose(qm.class_lr, np.log([1.6, 0.4]), rtol=0, atol=1e-15)
         assert qm.block_len == 1
 
     def test_alternative_is_product_of_null_marginals(self):
@@ -158,10 +161,15 @@ class TestQuantizedModel:
         for l in (1, 2, 3):
             enc = oracles.random_map(3, l, 3, rng)
             qm = s.quantized_model(p, enc)
+            # with Q the product of the null table's marginals, the mean
+            # log-ratio is I(U;Y) under P and minus D(Q || P) under Q
             outer = np.outer(qm.h0.sum(axis=1), qm.h0.sum(axis=0))
-            assert np.allclose(qm.h1, outer, atol=1e-12)
+            lautum = float((outer * (np.log(outer) - np.log(qm.h0))).sum())
+            assert float(qm.class_h0 @ qm.class_lr) == pytest.approx(
+                oracles.table_mutual_information(qm.h0), rel=0, abs=1e-12)
+            assert float(qm.class_h1 @ qm.class_lr) == pytest.approx(-lautum, rel=0, abs=1e-12)
             assert qm.h0.sum() == pytest.approx(1.0, abs=1e-12)
-            assert qm.h1.sum() == pytest.approx(1.0, abs=1e-12)
+            assert qm.class_h1.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_data_processing_on_quantized_information(self):
         p = sym_model()
@@ -217,21 +225,22 @@ class TestQuantizedModel:
 
     @staticmethod
     def assert_matches_enumeration(p, enc):
-        """Same cells as summing every (x-block, code-block) pair: bit for
-        bit at block length 1, within 1e-15 above it, and the same
-        log-ratio classes."""
+        """Same null table and same log-ratio classes as summing every
+        (x-block, code-block) pair: bit for bit at block length 1, within
+        1e-15 per cell above it."""
         qm = s.quantized_model(p, enc)
-        want0, want1 = oracles.block_tables(p, enc)
+        want0, _ = oracles.block_tables(p, enc)
+        want = s._merge_tied_cells(*oracles.cell_law(p, enc))
+        got = (qm.class_h0, qm.class_h1, qm.class_lr)
         if enc.block_len == 1:
             assert qm.h0.tobytes() == want0.tobytes()
-            assert qm.h1.tobytes() == want1.tobytes()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert qm.h0.shape == want0.shape
         assert np.allclose(qm.h0, want0, rtol=0, atol=1e-15)
-        assert np.allclose(qm.h1, want1, rtol=0, atol=1e-15)
-        want_lr = np.log(want0) - np.log(want1)
-        want = s._merge_tied_cells(want0.ravel(), want1.ravel(), want_lr.ravel())
         assert qm.class_lr.size == want[2].size
         assert np.allclose(qm.class_lr, want[2], rtol=0, atol=1e-13)
+        for cls, want_cls in zip(got[:2], want[:2]):
+            assert np.allclose(cls, want_cls, rtol=0, atol=1e-15)
         return qm
 
     def test_block_length_cap(self):
@@ -263,7 +272,7 @@ class TestWitnessScheme:
         sol = d.exponent_at_rate(p, rate)[1]
         qm = s.quantized_model(p, s.Encoder(sol.channel))
         assert qm.h0.shape == (sol.channel.nu, p.ny)
-        kl = float((qm.h0 * qm.log_ratios).sum())
+        kl = float((qm.class_h0 * qm.class_lr).sum())
         assert kl == pytest.approx(sol.relevance, rel=0, abs=1e-12)
         assert oracles.table_mutual_information(qm.h0) == pytest.approx(
             sol.relevance, rel=0, abs=1e-12)
@@ -307,7 +316,7 @@ class TestLogRatioClasses:
         p = d.JointPmf.from_probs(rng.dirichlet(np.ones(12)).reshape(3, 4))
         for enc in (identity(3), oracles.code_map([0, 1, 0])):
             qm = s.quantized_model(p, enc)
-            pmf0, pmf1, lr = qm.flat()
+            pmf0, pmf1, lr = oracles.cell_law(p, enc)
             assert np.unique(lr).size == lr.size
             for cls, cell in ((qm.class_h0, pmf0), (qm.class_h1, pmf1),
                               (qm.class_lr, lr)):
@@ -324,8 +333,9 @@ class TestLogRatioClasses:
     @pytest.mark.parametrize("grid, block_len, classes",
                              [(32, 1, 64), (16, 2, 528)])
     def test_readme_tables_merge_symmetric_ties(self, grid, block_len, classes):
-        qm = readme_table(grid, block_len)
-        pmf0, pmf1, lr = qm.flat()
+        p, enc = readme_model(grid, block_len)
+        qm = s.quantized_model(p, enc)
+        pmf0, pmf1, lr = oracles.cell_law(p, enc)
         assert qm.class_lr.size == classes < lr.size
         # every cell lies within the tolerance of its class's log-ratio, and
         # the class masses are the sums over those cells
@@ -340,7 +350,7 @@ class TestLogRatioClasses:
     def test_dsbs_class_law_equals_cell_law(self, n):
         qm = s.quantized_model(sym_model(), identity(2))
         assert qm.class_lr.size == 2
-        self.assert_same_law(qm, n)
+        self.assert_same_law(qm, oracles.cell_law(sym_model(), identity(2)), n)
 
     def test_tied_lloyd_table_class_law_equals_cell_law(self):
         # symmetric Gaussian grid, 2 levels: cell (c, y) ties with (1-c, 7-y)
@@ -349,11 +359,11 @@ class TestLogRatioClasses:
         qm = s.quantized_model(p, scalar)
         assert qm.class_lr.size == 8 < qm.h0.size
         for n in (1, 2, 3):
-            self.assert_same_law(qm, n)
+            self.assert_same_law(qm, oracles.cell_law(p, scalar), n)
 
     @staticmethod
-    def assert_same_law(qm, n):
-        cells = oracles.statistic_atoms(*qm.flat(), n, n)
+    def assert_same_law(qm, cell_law, n):
+        cells = oracles.statistic_atoms(*cell_law, n, n)
         classes = oracles.statistic_atoms(qm.class_h0, qm.class_h1, qm.class_lr, n, n)
         tol = 1e-12 * max(1.0, np.abs(qm.class_lr).max())
         for side in (1, 2):
@@ -580,7 +590,7 @@ class TestEstimateErrors:
     def test_exact_law_within_confidence_band(self):
         p = sym_model()
         qm = s.quantized_model(p, identity(2))
-        pmf0, pmf1, lr = qm.flat()
+        pmf0, pmf1, lr = oracles.cell_law(p, identity(2))
         for n, eps in ((2, 0.2), (3, 0.1)):
             values, p0, p1 = oracles.statistic_atoms(pmf0, pmf1, lr, n, n)
             t = oracles.exact_threshold(values, p0, eps)

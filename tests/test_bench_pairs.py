@@ -29,3 +29,12 @@ def test_summary_counts_wins_and_ties():
     ok = summary["ops_ok_frac"]
     assert (ok["pairs_won_by_change"], ok["pairs_won_by_parent"], ok["median_change_rel"]) == \
         (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("inherited,want", [(None, "src"), ("", "src"), ("lib", "src:lib")])
+def test_tier1_puts_src_before_the_inherited_path(monkeypatch, inherited, want):
+    if inherited is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    assert bench_pairs.tier1_env()["PYTHONPATH"] == want

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -760,6 +761,66 @@ class TestDeterminism:
                         "--out-dir", tmp_path / sub, "--out", "c.csv"]) == 0
         assert ((tmp_path / "a" / "c.csv").read_bytes()
                 == (tmp_path / "b" / "c.csv").read_bytes())
+
+
+class TestArtifactRewrite:
+    """Artifacts are rewritten in place: a run over a longer earlier run's
+    files leaves the bytes that the same run writes into an empty directory."""
+
+    CASES = {
+        "model": (["--target-mi-nats", 0.08, "--grid", 12], ["--rho", 0.6, "--grid", 4],
+                  "model.json"),
+        "exponent": (["--rates", "0.05,0.1,0.2", "--units", "nats"],
+                     ["--rates", "0.05", "--units", "nats"], "curve.csv"),
+        "bounds": (["--xi", 0.05, "--c", 1.3, "--regime", "const:0.1", "--n-grid", "2,10,100"],
+                   ["--xi", 0.05, "--c", 1.3, "--regime", "const:0.1", "--n-grid", "2"],
+                   "bounds.csv"),
+        "cns": (["--xi", 0.7, "--c", 1.92, "--regimes", "log,poly:1", "--cap", 30],
+                ["--xi", 0.7, "--c", 1.92, "--regimes", "log", "--cap", 30], "cns.csv"),
+        "simulate": (["--identity-encoder", "--n", 4, "--regime", "const:0.1", "--trials", 200,
+                      "--force-threshold", 0.123456789],
+                     ["--identity-encoder", "--n", 4, "--regime", "const:0.1", "--trials", 200,
+                      "--force-threshold", "inf"], "sim.csv"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_shorter_rewrite_equals_a_fresh_write(self, tmp_path, command):
+        longer, shorter, name = self.CASES[command]
+        if command in ("exponent", "simulate"):
+            model = ["--model", make_model(tmp_path / "in", grid=8)]
+            longer, shorter = model + longer, model + shorter
+        out = tmp_path / "out"
+        paths = (out / name, out / (Path(name).stem + ".meta.json"))
+
+        def written(args):
+            assert run([command, *args, "--out-dir", out]) == 0
+            return [path.read_bytes() for path in paths]
+
+        first = written(longer)
+        second = written(shorter)
+        assert all(len(new) < len(old) for old, new in zip(first, second))
+        for path in paths:
+            path.unlink()
+        assert written(shorter) == second
+
+    def test_writes_onto_a_device(self):
+        cli._write_text(Path(os.devnull), "regime,delta,cns\n")
+
+    def test_symlink_rewrites_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("a longer earlier artifact\n", encoding="utf-8")
+        link.symlink_to(target)
+        cli._write_text(link, "n\n1\n")
+        assert link.is_symlink() and target.read_bytes() == b"n\n1\n"
+
+    def test_modes_match_path_write_text(self, tmp_path):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli._write_text(ours, "n\n")
+        theirs.write_text("n\n", encoding="utf-8")
+        assert ours.stat().st_mode == theirs.stat().st_mode
+        ours.chmod(0o600)
+        cli._write_text(ours, "n\n1\n")
+        assert stat.S_IMODE(ours.stat().st_mode) == 0o600
 
 
 class TestReadmeExamples:

@@ -44,7 +44,8 @@ SEED_BASE = 200
 # ten pairs: a speed claim needs the change to win nine of them
 PAIRS = 10
 TIER1_RUNS = 2
-TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+TIER1 = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+         "python -m pytest -q --continue-on-collection-errors")
 
 
 def git(*args: str) -> str:
@@ -98,8 +99,15 @@ def bench_run(tree: Path, work: Path, workload: str, seed: int, seconds: int) ->
     return record, prefixed(lines, "machine ")
 
 
+def tier1_env() -> dict:
+    """This process's environment with ``src`` put before any inherited
+    ``PYTHONPATH``, as TIER1 spells it."""
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"src:{inherited}" if inherited else "src"}
+
+
 def tier1_run(tree: Path, work: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": "src"}
+    env = tier1_env()
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=fresh_copy(tree, work), env=env, capture_output=True, text=True)

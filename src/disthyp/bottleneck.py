@@ -628,8 +628,8 @@ class ExponentCurve:
         xi = np.asarray(self.xi, dtype=np.float64)
         if np.any(np.diff(xi) < -1e-12):
             raise SolverError("xi must be nondecreasing along the grid")
-        if np.any(self.d_slope > 1e-6):
-            raise SolverError("distortion slope must be nonpositive (within 1e-6)")
+        if np.any(self.d_slope > 0.0):
+            raise SolverError("distortion slope must be nonpositive")
         for name in ("r", "xi", "d", "d_slope"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)

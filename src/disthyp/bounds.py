@@ -1,8 +1,9 @@
 """Finite-length feasibility bounds for the Type II error probability.
 
-Given a curve point (xi, d_slope) = (xi(R), dD/dR at R) and the model's
-concentration constant c, this module evaluates, for a Type I budget
-sequence eps_n in one of the regimes const, log, poly and superpoly:
+Given a curve point (xi, d_slope) = (xi(R), dD/dR at R), with d_slope <= 0
+as the solver gives it, and the model's concentration constant c, this
+module evaluates, for a Type I budget sequence eps_n in one of the regimes
+const, log, poly and superpoly:
 
 * the closed-form four-regime gap bounds on  -(1/n) log beta_n - xi(R),
 * an explicit probability interval [lb_prob, ub_prob] around the nominal
@@ -26,11 +27,11 @@ All logarithms are natural; rates and exponents are in nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-_E = math.e
 # Regime-1 threshold constant in the h-selection rule sqrt(2 eps) >= K ln(1/eps)/n.
 K_REGIME = 1.0
 # The CNS scan evaluates n in chunks of _CHUNK sizes; its screen holds one
@@ -51,9 +52,10 @@ class RegimeSpecError(ValueError):
 
 
 # Per regime spelling: the open interval its parameter lies in (None: it
-# takes no parameter) and the first n at which eps_n is an error level.
-_REGIMES = {"const": ((0.0, 1.0), 1), "log": (None, 3),
-            "poly": ((0.0, math.inf), 1), "superpoly": ((0.0, 1.0), 1)}
+# takes no parameter), the first n at which eps_n is an error level, and
+# the first n at which its gap bounds are defined (None: it has none).
+_REGIMES = {"const": ((0.0, 1.0), 1, None), "log": (None, 3, 16),
+            "poly": ((0.0, math.inf), 1, 2), "superpoly": ((0.0, 1.0), 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -100,28 +102,20 @@ class TypeIRegime:
     def label(self) -> str:
         return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
 
-    @property
-    def gap_case(self) -> str | None:
-        """Which closed-form gap case applies, if any."""
-        if self.kind == "log":
-            return "i"
-        if self.kind == "poly":
-            return "ii" if self.param < 2.0 else "iii"
-        if self.kind == "superpoly":
-            return "iv"
-        return None
-
 
 def _check_size(regime: TypeIRegime, n: int) -> None:
-    """Raise RegimeDomainError where eps_n is undefined."""
+    """Raise RegimeDomainError where eps_n is undefined, or where n lies
+    beyond float64, in which every size is evaluated."""
     first = _REGIMES[regime.kind][1]
     if n < first:
         raise RegimeDomainError(
             f"eps_n of the {regime.kind} regime is undefined at n = {n} (needs n >= {first})")
+    if n > sys.float_info.max:
+        raise RegimeDomainError(f"n may not exceed {sys.float_info.max!r}, the float64 range")
 
 
 def _check_slope_and_c(d_slope: float, c: float) -> None:
-    if not (math.isfinite(d_slope) and d_slope <= 1e-6):
+    if not (math.isfinite(d_slope) and d_slope <= 0.0):
         raise RegimeSpecError(f"d_slope must be finite and nonpositive, got {d_slope!r}")
     # the converse takes 4c (see _interval): inf times a zero slack is NaN
     if not (math.isfinite(4.0 * c) and c > 0):
@@ -174,40 +168,38 @@ def eps_at(regime: TypeIRegime, n: int) -> float:
 def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[float, float]:
     """Closed-form (lower, upper) bounds on -(1/n) log beta_n - xi(R).
 
-    Four cases keyed by the budget sequence; residual o(1) terms are set to
-    zero, so the lower bound can be negative at small n and is reported as
-    written.  Constant budgets are not covered (use feasibility_interval).
+    The budget sequence picks the case: log, poly with p < 2, poly with
+    p >= 2, or superpoly.  The first three share one lower bound in
+    ln(1/eps_n).  Residual o(1) terms are set to zero, so the lower bound
+    can be negative at small n and is reported as written.  Constant
+    budgets are not covered (use feasibility_interval).
     """
     _check_slope_and_c(d_slope, c)
-    case = regime.gap_case
-    if case is None:
+    kind, p = regime.kind, regime.param
+    first = _REGIMES[kind][2]
+    if first is None:
         raise RegimeSpecError(
             "gap bounds cover log/poly/superpoly budgets only; "
             "use feasibility_interval for const budgets")
-    if case == "i":
-        if n <= math.ceil(_E ** _E) - 1:
-            raise RegimeDomainError(
-                f"log gap bounds need ln(ln(n)) > 0, i.e. n >= 16; got {n}")
-        ln_n = math.log(n)
-        lnln_n = math.log(ln_n)
-        lower = (d_slope / 6.0 - math.sqrt(2.0 * lnln_n) * c / ln_n) * (ln_n / n ** (1.0 / 3.0))
-        upper = (16.0 * c + lnln_n * math.sqrt(ln_n) / n) / math.sqrt(ln_n)
-        return lower, upper
-    if n < 2:
-        raise RegimeDomainError(f"gap bounds need ln(n) > 0, i.e. n >= 2; got {n}")
+    if n < first:
+        raise RegimeDomainError(f"{kind} gap bounds need n >= {first}; got {n}")
+    _check_size(regime, n)
     ln_n = math.log(n)
-    p = regime.param
-    if case == "ii":
-        lower = (d_slope / 6.0 - math.sqrt(2.0 * p * ln_n) * c / ln_n) * (ln_n / n ** (1.0 / 3.0))
-        upper = (16.0 * c + p * ln_n / n ** (1.0 - p / 2.0)) / n ** (p / 2.0)
+    if kind == "superpoly":
+        lower = (((1.0 - p) / 6.0 * d_slope - math.sqrt(2.0) * c / ln_n)
+                 * (ln_n / n ** ((1.0 - p) / 3.0)))
+        upper = (8.0 * math.sqrt(2.0) * c * math.sqrt(math.exp(-(float(n) ** p)) * n * n + 1.0)
+                 / ln_n + 2.0) * (ln_n / n)
         return lower, upper
-    if case == "iii":
-        lower = (d_slope / 6.0 - math.sqrt(2.0 * p * ln_n) * c / ln_n) * (ln_n / n ** (1.0 / 3.0))
-        upper = (8.0 * math.sqrt(2.0) * c * math.sqrt(n ** (2.0 - p) + 1.0) / ln_n + 2.0) * (ln_n / n)
-        return lower, upper
-    lower = ((1.0 - p) / 6.0 * d_slope - math.sqrt(2.0) * c / ln_n) * (ln_n / n ** ((1.0 - p) / 3.0))
-    upper = (8.0 * math.sqrt(2.0) * c * math.sqrt(math.exp(-(float(n) ** p)) * n * n + 1.0) / ln_n
-             + 2.0) * (ln_n / n)
+    log_inv_eps = math.log(ln_n) if kind == "log" else p * ln_n
+    lower = (d_slope / 6.0 - math.sqrt(2.0 * log_inv_eps) * c / ln_n) * (ln_n / n ** (1.0 / 3.0))
+    if kind == "log":
+        upper = (16.0 * c + log_inv_eps * math.sqrt(ln_n) / n) / math.sqrt(ln_n)
+    elif p < 2.0:
+        upper = (16.0 * c + log_inv_eps / n ** (1.0 - p / 2.0)) / n ** (p / 2.0)
+    else:
+        upper = ((8.0 * math.sqrt(2.0) * c * math.sqrt(n ** (2.0 - p) + 1.0) / ln_n + 2.0)
+                 * (ln_n / n))
     return lower, upper
 
 
@@ -264,9 +256,8 @@ def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime
     * l(n) is nondecreasing, so n l(n) <= b l(b), and with the first point
       delta_tilde(n) >= c sqrt(2 L(a) / (b l(b)));
     * on the integers g rises up to l = 3 and falls after it, so its minimum
-      over [l(a), l(b)] is min(g(l(a)), g(l(b))).  With d_slope <= 0 let g*
-      be that minimum; _check_slope_and_c admits 0 < d_slope <= 1e-6, and
-      there g* is g's maximum ln(3)/6.  Either way d_slope g(l(n)) <= d_slope g*.
+      over [l(a), l(b)] is min(g(l(a)), g(l(b))) =: g*, and as d_slope <= 0,
+      d_slope g(l(n)) <= d_slope g*.
 
     So ub_exponent(n) <= E = xi + d_slope g* - c sqrt(2 L(a) / (b l(b))),
     ub_prob(n) >= exp(-b max(E, 0)) and nominal(n) = exp(-n xi) <= exp(-a xi).
@@ -279,8 +270,7 @@ def _chunk_clears_delta(xi: float, d_slope: float, c: float, regime: TypeIRegime
     with np.errstate(all="ignore"):
         _, log_inv_eps, block_l = _budget(regime, np.stack([a, b]))
         slope_term = d_slope * np.log(block_l) / (2.0 * block_l)
-        slope_max = d_slope * np.log(3.0) / 6.0 if d_slope > 0 else slope_term.max(axis=0)
-        e_bar = xi + slope_max - c * np.sqrt(2.0 * log_inv_eps[0] / (b * block_l[1]))
+        e_bar = xi + slope_term.max(axis=0) - c * np.sqrt(2.0 * log_inv_eps[0] / (b * block_l[1]))
         ub_min = np.exp(-b * np.maximum(e_bar, 0.0))
         nominal_max = np.exp(-a * xi)
         return np.isfinite(e_bar) & (

@@ -192,16 +192,15 @@ def cmd_exponent(args) -> int:
     path = _out_path(args, args.out)
     _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
                       for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
-    c = dist.c_constant(p)
-    _write_sidecar(path, _config_echo(args, c_nats=c, fingerprint=curve.fingerprint,
+    stats = dist.divergence_stats(p)
+    _write_sidecar(path, _config_echo(args, c_nats=stats.c_const, fingerprint=curve.fingerprint,
                                       diagnostics=curve.diagnostics))
-    mi = dist.mutual_information(p)
     for i in range(len(curve.r)):
         print(f"R={float(curve.r[i]) / per_unit:.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
     diag = curve.diagnostics
-    print(f"curve {path}: {len(curve.r)} points, I(X;Y)={mi:.6f} nats, c={c:.6f}, "
-          f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
+    print(f"curve {path}: {len(curve.r)} points, I(X;Y)={stats.mi:.6f} nats, "
+          f"c={stats.c_const:.6f}, unconverged {diag['unconverged']}/{diag['beta_solves']}")
     return 0
 
 
@@ -354,6 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed; only simulate draws from it, every "
                              "command echoes it into its sidecar (default 0)")
     common.add_argument("--out-dir", default=".", help="output directory (default .)")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--xi", type=float, required=True,
+                       help="exponent xi(R) at the operating rate (nats): "
+                            "the xi_nats column of an exponent curve")
+    point.add_argument("--c", type=float, required=True,
+                       help="concentration constant (nats): c_nats in the "
+                            "exponent or model sidecar")
+    point.add_argument("--d-slope", type=float, default=0.0,
+                       help="distortion slope dD/dR at the rate, <= 0: the dD_dR "
+                            "column of an exponent curve (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="disthyp",
@@ -384,33 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", default="curve.csv", help="curve filename (default curve.csv)")
     pe.set_defaults(func=cmd_exponent)
 
-    for name, fn in (("bounds", cmd_bounds), ("cns", cmd_cns)):
-        px = sub.add_parser(name, parents=[common],
-                            help=f"evaluate {'feasibility intervals' if name == 'bounds' else 'critical sample sizes'}")
-        px.add_argument("--xi", type=float, required=True,
-                        help="exponent xi(R) at the operating rate (nats): "
-                             "the xi_nats column of an exponent curve")
-        px.add_argument("--c", type=float, required=True,
-                        help="concentration constant (nats): c_nats in the "
-                             "exponent or model sidecar")
-        px.add_argument("--d-slope", type=float, default=0.0,
-                        help="distortion slope dD/dR at the rate, <= 0: the dD_dR "
-                             "column of an exponent curve (default 0)")
-        if name == "bounds":
-            px.add_argument("--regime", required=True,
-                            help="const:<eps> | log | poly:<p> | superpoly:<p>")
-            px.add_argument("--n-grid", type=_int_list, required=True,
-                            help="comma-separated sample sizes")
-            px.add_argument("--out", default="bounds.csv")
-        else:
-            px.add_argument("--regimes", required=True,
-                            help="comma-separated regime specs")
-            px.add_argument("--delta", type=float, default=1e-5,
-                            help="interval tolerance (default 1e-5)")
-            px.add_argument("--cap", type=_positive_int, default=100_000,
-                            help="largest n to scan (default 100000)")
-            px.add_argument("--out", default="cns.csv")
-        px.set_defaults(func=fn)
+    pb = sub.add_parser("bounds", parents=[common, point], help="evaluate feasibility intervals")
+    pb.add_argument("--regime", required=True,
+                    help="const:<eps> | log | poly:<p> | superpoly:<p>")
+    pb.add_argument("--n-grid", type=_int_list, required=True,
+                    help="comma-separated sample sizes")
+    pb.add_argument("--out", default="bounds.csv")
+    pb.set_defaults(func=cmd_bounds)
+
+    pc = sub.add_parser("cns", parents=[common, point], help="evaluate critical sample sizes")
+    pc.add_argument("--regimes", required=True,
+                    help="comma-separated regime specs")
+    pc.add_argument("--delta", type=float, default=1e-5,
+                    help="interval tolerance (default 1e-5)")
+    pc.add_argument("--cap", type=_positive_int, default=100_000,
+                    help="largest n to scan (default 100000)")
+    pc.add_argument("--out", default="cns.csv")
+    pc.set_defaults(func=cmd_cns)
 
     ps = sub.add_parser("simulate", parents=[common],
                         help="Monte Carlo run of a quantize-then-test scheme")

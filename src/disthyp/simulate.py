@@ -296,6 +296,15 @@ def check_trials(name: str, trials: int) -> None:
         raise SimulationError(f"{name} = {trials} must lie in [1, {MAX_TRIALS}]")
 
 
+def blocks_per_trial(n: int, block_len: int) -> int:
+    """n // block_len, refused before anything is sampled unless n is a positive
+    multiple of block_len in at most 2^63 - 1 blocks, the most numpy's multinomial draws."""
+    if n < 1 or n % block_len or n // block_len > np.iinfo(np.int64).max:
+        raise SimulationError(f"n = {n} must be a positive multiple of block length "
+                              f"{block_len}, in at most 2^63 - 1 blocks")
+    return n // block_len
+
+
 def _sampling_threads() -> int:
     """The default number of sampling threads: the CPUs the process may use."""
     if hasattr(os, "sched_getaffinity"):
@@ -337,9 +346,7 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
     check_trials("cal_trials", cal_trials)
-    if n < 1 or n % qm.block_len:
-        raise SimulationError(f"n = {n} must be a positive multiple of block "
-                              f"length {qm.block_len}")
+    k = blocks_per_trial(n, qm.block_len)
     if cal_trials < 100.0 / eps:
         warnings.warn(
             f"cal_trials = {cal_trials} is small for eps = {eps}; "
@@ -351,7 +358,7 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
         start = span[0] * rngstreams.CHUNK_TRIALS
         stats[start:start + span[1]] = chunk
 
-    _map_chunks(keep, qm.class_h0, qm.class_lr, n // qm.block_len, n, cal_trials,
+    _map_chunks(keep, qm.class_h0, qm.class_lr, k, n, cal_trials,
                 seed, rngstreams.PURPOSE_CALIBRATE, workers)
     stats.sort()
     allowed = int(math.floor(eps * cal_trials + 1e-9))
@@ -406,10 +413,7 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     if math.isnan(t):
         raise SimulationError("threshold t must not be NaN")
     check_trials("trials", trials)
-    if n < 1 or n % qm.block_len:
-        raise SimulationError(f"n = {n} must be a positive multiple of block "
-                              f"length {qm.block_len}")
-    k = n // qm.block_len
+    k = blocks_per_trial(n, qm.block_len)
     k1 = sum(_map_chunks(lambda _, s0: int((s0 <= t).sum()), qm.class_h0, qm.class_lr,
                          k, n, trials, seed, rngstreams.PURPOSE_H0, workers))
     k2 = sum(_map_chunks(lambda _, s1: int((s1 > t).sum()), qm.class_h1, qm.class_lr,

@@ -8,7 +8,8 @@ SPEC = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "item_us", "better": "lower"}, {"name": "ops_ok_frac", "better": "higher"}]
+END_TO_END = [{"name": "item_us", "better": "lower", "bound": 0.25},
+              {"name": "ops_ok_frac", "better": "higher", "bound": 0.05}]
 
 
 def pairs(parent_us, change_us):
@@ -29,6 +30,19 @@ def test_summary_counts_wins_and_ties():
     ok = summary["ops_ok_frac"]
     assert (ok["pairs_won_by_change"], ok["pairs_won_by_parent"], ok["median_change_rel"]) == \
         (0, 0, 0.0)
+    # the parent's IQR, 4, is 29% of its median 14, above the bound of 25%
+    assert us["unresolved"] and not ok["unresolved"]
+
+
+@pytest.mark.parametrize("parent_us, change_us, unresolved", [
+    ([10, 12, 14, 16, 18], [10, 12, 14, 16, 18], True),  # IQR 4 > 0.25 * 14
+    ([20, 22, 24, 26, 28], [20, 22, 24, 26, 28], False),  # IQR 4 < 0.25 * 24
+    ([10, 12, 14, 16, 18], [5, 6, 7, 8, 9.9], False),  # every change run is faster
+    ([10, 12, 14, 16, 18], [5, 6, 7, 8, 10], True),  # one tie with the parent's fastest
+])
+def test_unresolved_where_the_parent_spread_exceeds_the_bound(parent_us, change_us, unresolved):
+    summary = bench_pairs.summarize(pairs(parent_us, change_us), END_TO_END)
+    assert summary["item_us"]["unresolved"] is unresolved
 
 
 @pytest.mark.parametrize("inherited,want", [(None, "src"), ("", "src"), ("lib", "src:lib")])

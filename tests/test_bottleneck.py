@@ -371,7 +371,7 @@ class TestCurve:
     def test_curve_monotonicity_and_slope_sign(self, sym_model):
         curve = d.build_curve(sym_model, np.linspace(0.02, 1.0, 8), master_seed=3)
         assert np.all(np.diff(curve.xi) >= -1e-12)
-        assert np.all(curve.d_slope <= 1e-6)
+        assert np.all(curve.d_slope <= 0.0)
 
     def test_sidecar_carries_diagnostics(self, sym_model):
         rates = np.linspace(0.1, 0.9, 5)
@@ -448,6 +448,13 @@ class TestCurve:
         with pytest.raises(bn.SolverError, match="finite, nonnegative"):
             bn.ExponentCurve(np.array([0.1, bad, 0.4]), cols, cols, -cols, "fp")
         bn.ExponentCurve(np.array([0.1, 0.2, 0.4]), cols, cols, -cols, "fp")
+
+    @pytest.mark.parametrize("slope", [1e-7, 1e-6, 0.5])
+    def test_curve_rejects_positive_slope(self, slope):
+        cols = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(bn.SolverError, match="nonpositive"):
+            bn.ExponentCurve(cols, cols, cols, np.array([-0.1, slope, 0.0]), "fp")
+        bn.ExponentCurve(cols, cols, cols, np.array([-0.1, -0.0, 0.0]), "fp")
 
     def test_boundary_identities(self, sym_model):
         mi = d.mutual_information(sym_model)

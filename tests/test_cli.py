@@ -212,6 +212,32 @@ class TestBoundsCommand:
                        "got 4.5e+307\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, args", [
+        ("bounds", ["--regime", "poly:1", "--n-grid", "100"]),
+        ("cns", ["--regimes", "poly:1"]),
+    ])
+    def test_positive_d_slope_is_an_error(self, tmp_path, capsys, command, args):
+        assert run([command, "--xi", 0.02, "--c", 9.9, "--d-slope", 1e-7, *args,
+                    "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: d_slope must be finite and nonpositive, got 1e-07\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid, rows", [(f"100,{10 ** 400}", 1), (f"{10 ** 400}", 0)],
+                             ids=["one-admissible", "none-admissible"])
+    def test_size_beyond_float64_is_skipped(self, tmp_path, capsys, grid, rows):
+        code = run(["bounds", "--xi", 0.02, "--c", 9.9, "--regime", "poly:1",
+                    "--n-grid", grid, "--out-dir", tmp_path, "--out", "b.csv"])
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipping n={10 ** 400}: n may not exceed "
+                              f"{sys.float_info.max!r}, the float64 range\n")
+        if rows:
+            assert code == 0
+            assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + rows
+        else:
+            assert code == 1 and err.endswith("error: no sample size in --n-grid is admissible\n")
+            assert not list(tmp_path.iterdir())
+
     def test_xi_requires_c(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["bounds", "--xi", 0.7, "--regime", "poly:1",
@@ -534,6 +560,20 @@ class TestSimulateCommand:
                     "--n", n, "--regime", regime, "--force-threshold", 0,
                     "--trials", 100, "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("n, message", [
+        (10 ** 400, "n may not exceed 1.7976931348623157e+308, the float64 range"),
+        (10 ** 20, "n = 100000000000000000000 must be a positive multiple of block length 1, "
+                   "in at most 2^63 - 1 blocks"),
+    ], ids=["beyond-float64", "beyond-int64-blocks"])
+    @pytest.mark.parametrize("threshold", [[], ["--force-threshold", 0]], ids=["", "forced"])
+    def test_huge_n_is_an_error(self, tmp_path, capsys, n, message, threshold):
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, "--levels", 2, "--n", n,
+                    "--regime", "const:0.1", "--trials", 10, *threshold,
+                    "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sim.csv").exists()
 
     def test_nan_threshold_rejected(self, tmp_path, capsys):

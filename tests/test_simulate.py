@@ -559,6 +559,23 @@ class TestCalibration:
         with pytest.raises(s.SimulationError, match="multiple"):
             s.estimate_errors(qm, 5, 0.0, 100, seed=0)
 
+    def test_blocks_fit_the_multinomial(self, monkeypatch):
+        # Generator.multinomial draws at most 2^63 - 1 blocks; one more
+        # ended in an OverflowError inside a sampling thread
+        most = 2 ** 63 - 1
+        assert s.blocks_per_trial(most, 1) == s.blocks_per_trial(2 * most, 2) == most
+
+        def sampled(*_):
+            raise AssertionError("a chunk was sampled")
+        monkeypatch.setattr(s, "_chunk_stats", sampled)
+        for enc, n in ((identity(2), most + 1), (identity(2), 10 ** 20),
+                       (identity(2).blockwise(2), 2 * most + 2)):
+            qm = s.quantized_model(sym_model(), enc)
+            with pytest.raises(s.SimulationError, match=r"2\^63 - 1"):
+                s.calibrate_threshold(qm, n, 0.1, 100, seed=0)
+            with pytest.raises(s.SimulationError, match=r"2\^63 - 1"):
+                s.estimate_errors(qm, n, 0.0, 100, seed=0)
+
     def test_input_validation(self):
         qm = s.quantized_model(sym_model(), identity(2))
         with pytest.raises(s.SimulationError):

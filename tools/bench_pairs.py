@@ -14,8 +14,9 @@ Pair i (1 to PAIRS) runs ``perfbench/run.py --workload W --seed <200 + i>
 ``BENCHMARK.json``, with S its ``run_seconds``: odd pairs run the parent
 first, even pairs the change first.  Each workload's summary gives, per
 end-to-end metric of ``BENCHMARK.json``, both sides' median and quartiles
-(inclusive method), the pairs each side won (ties count for neither) and
-the change's median relative to the parent's, once its pairs are done.
+(inclusive method), the pairs each side won (ties count for neither), the
+change's median relative to the parent's, and whether the metric is
+``unresolved`` (see ``summarize``), once its pairs are done.
 The Tier-1 command of ROADMAP.md then runs TIER1_RUNS times on each side,
 alternating the same way.  The file is rewritten after every pair, so an
 interrupted run keeps the pairs it finished.  Needs Python 3.10.12 or
@@ -123,7 +124,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quartiles, pairs won, relative median change."""
+    """Per end-to-end metric: both sides' quartiles, pairs won, relative median
+    change, and whether the comparison is unresolved: the parent's IQR exceeds
+    the metric's ``bound`` times the parent's median, so a regression within
+    the bound cannot be told from noise, unless every run of the change reads
+    better than every run of the parent."""
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -133,9 +138,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         worse = sum((c > b) if lower else (c < b) for b, c in zip(base, new))
         stats = {"parent": quartiles(base), "change": quartiles(new)}
         b, c = stats["parent"]["median"], stats["change"]["median"]
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+        separated = max(new) < min(base) if lower else min(new) > max(base)
         out[name] = {"better": spec["better"], **stats,
                      "pairs_won_by_change": better, "pairs_won_by_parent": worse,
-                     "median_change_rel": (c - b) / b if b else (0.0 if c == b else None)}
+                     "median_change_rel": (c - b) / b if b else (0.0 if c == b else None),
+                     "unresolved": spread > spec["bound"] * abs(b) and not separated}
     return out
 
 

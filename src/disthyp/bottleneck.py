@@ -351,31 +351,35 @@ def _anchor_solutions(p: JointPmf) -> list[IbSolution]:
 class EnvelopePool:
     """All solutions gathered for one model, with envelope evaluation.
 
-    ``refresh`` builds the upper concave envelope of the solutions'
-    (rate, relevance) points in one pass.  ``hull`` holds the indices of the
-    solutions at its vertices and ``hull_rates``/``hull_rels`` their
-    coordinates: the first vertex is at rate 0 (the constant anchor), rates
-    strictly increase and chord slopes strictly decrease.  Every vertex is a
-    solution in the pool, so every envelope point is attained by one channel
-    or by time sharing between the two channels at the ends of its chord.
+    ``hull`` and ``rate_solves`` are read off the list ``solutions`` each
+    time: a solution appended to it is in the envelope and counted from
+    then on.  ``rate_solves`` is the number of solutions added after
+    construction, the solves spent on query rates (_bisect's and
+    _solve_on_chord's).
     """
 
     p: JointPmf
     solutions: list[IbSolution]
-    # always 0: the solver runs no restarts.  Kept for perfbench's
-    # ``--trace 1`` layer report, which reads it
-    restarts_used: int = 0
-    # the solves spent on query rates: _bisect's, its last solves included,
-    # and _solve_on_chord's
-    rate_solves: int = 0
-    hull: list[int] = field(init=False, repr=False)
-    hull_rates: np.ndarray = field(init=False, repr=False)
-    hull_rels: np.ndarray = field(init=False, repr=False)
+    # the solver runs no restarts.  Kept for perfbench's ``--trace 1``
+    # layer report, which reads it
+    restarts_used = 0
+    _built_with: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.refresh()
+        self._built_with = len(self.solutions)
 
-    def refresh(self) -> None:
+    @property
+    def rate_solves(self) -> int:
+        return len(self.solutions) - self._built_with
+
+    def hull(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The upper concave envelope of the solutions' (rate, relevance)
+        points, built in one pass: the indices of the solutions at its
+        vertices, and their rates and relevances.  The first vertex is at
+        rate 0 (the constant anchor), rates strictly increase and chord
+        slopes strictly decrease.  Every vertex is a solution in the pool,
+        so every envelope point is attained by one channel or by time
+        sharing between the two channels at the ends of its chord."""
         rates = [s.rate for s in self.solutions]
         rels = [s.relevance for s in self.solutions]
         hull: list[int] = []
@@ -392,12 +396,11 @@ class EnvelopePool:
                     break
                 hull.pop()
             hull.append(i)
-        self.hull = hull
-        self.hull_rates = np.array([rates[i] for i in hull])
-        self.hull_rels = np.array([rels[i] for i in hull])
+        return hull, np.array([rates[i] for i in hull]), np.array([rels[i] for i in hull])
 
     def value_at(self, r: float) -> float:
-        return float(np.interp(r, self.hull_rates, self.hull_rels))
+        _, rates, rels = self.hull()
+        return float(np.interp(r, rates, rels))
 
     def solver_counters(self) -> dict:
         """Beta-solves, their map evaluations, how many stopped at the cap
@@ -490,8 +493,8 @@ def _bisect(pool: EnvelopePool, r: float) -> float:
     stopping rule some 1e-4 nats of rate away from it (on the DSBS at
     R = 0.01), so no late step lands near r; one last solve, at the final
     bracket's geometric mean and from the bracket's first upper solution,
-    starts far enough away to get there.  Every solution enters the pool,
-    whose hull is refreshed, and counts in its ``rate_solves``.  The slope
+    starts far enough away to get there.  Every solution is appended to
+    the pool, so it counts in ``rate_solves`` and the hull.  The slope
     is -1/beta at the final bracket's geometric mean.  If no pool beta is
     above r, r lies where the relevance has reached I(X;Y) or past the
     rates of beta <= BETA_MAX, and the slope is 0.
@@ -512,7 +515,6 @@ def _bisect(pool: EnvelopePool, r: float) -> float:
     while hi > lo * (1.0 + BISECT_RTOL):
         beta = math.exp(_next_log_beta(math.log(lo), math.log(hi), f_lo, f_hi))
         sols.append(ib_fixed_point(pool.p, beta, seed.channel))
-        pool.rate_solves += 1
         rates, rels = np.append(rates, sols[-1].rate), np.append(rels, sols[-1].relevance)
         held = sols[int(np.argmin(rates - beta * rels))]
         if held.rate > r + 1e-12:
@@ -526,8 +528,6 @@ def _bisect(pool: EnvelopePool, r: float) -> float:
                 f_hi /= 2.0
             moved = -1
     sols.append(ib_fixed_point(pool.p, math.sqrt(lo * hi), first.channel))
-    pool.rate_solves += 1
-    pool.refresh()
     return -1.0 / math.sqrt(lo * hi)
 
 
@@ -542,19 +542,19 @@ def _solve_on_chord(pool: EnvelopePool, r: float) -> None:
     jump of the solution branch, on a long chord whose lower vertex the
     warm starts near r do not reach.  The start is the lower vertex, or the
     upper one if the lower is the constant anchor, a fixed point at every
-    beta; none if r is a vertex, or if both are anchors.
+    beta; none if r is a vertex, or if both are anchors.  The chord is read
+    off the pool's hull, and the solve is appended to the pool.
     """
-    i = int(np.searchsorted(pool.hull_rates, r))
-    if not 0 < i < len(pool.hull) or pool.hull_rates[i] == r:
+    hull, rates, _ = pool.hull()
+    i = int(np.searchsorted(rates, r))
+    if not 0 < i < len(hull) or rates[i] == r:
         return
-    lower, upper = (pool.solutions[j] for j in pool.hull[i - 1:i + 1])
+    lower, upper = (pool.solutions[j] for j in hull[i - 1:i + 1])
     start = lower if math.isfinite(lower.beta) else upper
-    # positive: each vertex lies above the one before (see refresh)
+    # positive: each vertex lies above the one before (see hull)
     slope = (upper.relevance - lower.relevance) / (upper.rate - lower.rate)
     if math.isfinite(start.beta) and 1.0 / slope <= BETA_MAX:
         pool.solutions.append(ib_fixed_point(pool.p, 1.0 / slope, start.channel))
-        pool.rate_solves += 1
-        pool.refresh()
 
 
 def _check_rate_grid(r_grid) -> np.ndarray:

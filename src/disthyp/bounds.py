@@ -188,7 +188,8 @@ def gap_bounds(regime: TypeIRegime, n: int, d_slope: float, c: float) -> tuple[f
     if kind == "superpoly":
         lower = (((1.0 - p) / 6.0 * d_slope - math.sqrt(2.0) * c / ln_n)
                  * (ln_n / n ** ((1.0 - p) / 3.0)))
-        upper = (8.0 * math.sqrt(2.0) * c * math.sqrt(math.exp(-(float(n) ** p)) * n * n + 1.0)
+        # sqrt(e^{-n^p} n^2 + 1), without forming n^2, which overflows past 1e154
+        upper = (8.0 * math.sqrt(2.0) * c * math.hypot(n * math.exp(-0.5 * float(n) ** p), 1.0)
                  / ln_n + 2.0) * (ln_n / n)
         return lower, upper
     log_inv_eps = math.log(ln_n) if kind == "log" else p * ln_n

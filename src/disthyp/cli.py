@@ -37,20 +37,6 @@ from . import __version__, bottleneck, bounds, dist, rngstreams, simulate
 LN2 = math.log(2.0)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"grid needs at least 2 points per axis, got {text}")
-    return value
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -283,12 +269,11 @@ def cmd_simulate(args) -> int:
     cal_trials = args.cal_trials if args.cal_trials is not None else args.trials
     eps = bounds.eps_at(bounds.TypeIRegime.parse(args.regime), args.n)
     # calibration checks eps and its trials too, but --force-threshold skips
-    # it, and neither phase may sample before both counts are known to fit
+    # it; both counts are checked either way, before either phase samples
     if not (0.0 < eps < 1.0):
         raise simulate.SimulationError(f"eps must lie in (0, 1), got {eps!r}")
-    if args.force_threshold is None:
-        simulate.check_trials("cal_trials", cal_trials)
     simulate.check_trials("trials", args.trials)
+    simulate.check_trials("cal_trials", cal_trials)
 
     # the scheme's size is known from the flags: refuse it before the
     # quantizer's O(levels |X|^2) search or any channel is built
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target-mi-nats", type=float,
                        help="calibrate the correlation to this mutual information (nats)")
     group.add_argument("--rho", type=float, help="use this correlation directly")
-    pm.add_argument("--grid", type=_grid_size, required=True,
+    pm.add_argument("--grid", type=int, required=True,
                     help="points per axis (>= 2)")
     pm.add_argument("--out", default="model.json", help="model filename (default model.json)")
     pm.set_defaults(func=cmd_model)
@@ -406,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated regime specs")
     pc.add_argument("--delta", type=float, default=1e-5,
                     help="interval tolerance (default 1e-5)")
-    pc.add_argument("--cap", type=_positive_int, default=100_000,
+    pc.add_argument("--cap", type=int, default=100_000,
                     help="largest n to scan (default 100000)")
     pc.add_argument("--out", default="cns.csv")
     pc.set_defaults(func=cmd_cns)
@@ -415,17 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo run of a quantize-then-test scheme")
     ps.add_argument("--model", required=True, help="model JSON path")
     encoder = ps.add_mutually_exclusive_group(required=True)
-    encoder.add_argument("--levels", type=_positive_int,
+    encoder.add_argument("--levels", type=int,
                          help="scalar quantizer levels (Lloyd-Max on the X grid)")
     encoder.add_argument("--identity-encoder", action="store_true",
                          help="no compression: the detector sees X exactly")
-    ps.add_argument("--n", type=_positive_int, required=True, help="samples per trial")
+    ps.add_argument("--n", type=int, required=True, help="samples per trial")
     ps.add_argument("--regime", required=True,
                     help="Type I regime spec, const:<eps> for a fixed budget; "
                          "eps = eps_n(--n)")
-    ps.add_argument("--trials", type=_positive_int, default=100_000,
+    ps.add_argument("--trials", type=int, default=100_000,
                     help="evaluation trials (default 100000)")
-    ps.add_argument("--cal-trials", type=_positive_int,
+    ps.add_argument("--cal-trials", type=int,
                     help="calibration trials (default: same as --trials)")
     ps.add_argument("--force-threshold", type=float,
                     help="skip calibration and use this threshold (inf/-inf allowed)")

@@ -57,9 +57,10 @@ MAX_TABLE_CELLS = 16_384
 MAX_TRIALS = 1 << 27
 # Bytes of int64 class counts one sampling worker draws at a time.
 COUNT_BLOCK_BYTES = 1 << 19
-# Relative gap between sorted log-ratios above which a new class starts.
-# Ties in the README tables differ by at most 4 ulp; distinct values by at
-# least 1.8e-6.
+# Gap between sorted log-ratios above which a new class starts, relative
+# to max(1, max|lr|): the floor keeps rounding-level log-ratios near 0 in
+# one class.  Ties in the README tables differ by at most 4 ulp; distinct
+# values by at least 1.8e-6.
 CLASS_RTOL = 1e-12
 # Bumped whenever the same (seed, config) can draw different statistics;
 # version 2 samples log-ratio classes instead of table cells, version 3
@@ -186,12 +187,12 @@ def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
     """Class masses and log-ratios of flat cell arrays.
 
     Sorted log-ratios start a new class wherever the gap exceeds
-    CLASS_RTOL * max|lr|.  Each class keeps its first cell's log-ratio, and
-    classes keep the order of their first cell, so a table without ties
-    returns its arrays unchanged, bit for bit.
+    CLASS_RTOL * max(1, max|lr|).  Each class keeps its first cell's
+    log-ratio, and classes keep the order of their first cell, so a table
+    without ties returns its arrays unchanged, bit for bit.
     """
     order = np.argsort(lr, kind="stable")
-    gaps = np.diff(lr[order]) > CLASS_RTOL * np.abs(lr).max()
+    gaps = np.diff(lr[order]) > CLASS_RTOL * max(1.0, np.abs(lr).max())
     group = np.empty(lr.size, dtype=np.int64)
     group[order] = np.concatenate(([0], np.cumsum(gaps)))
     # renumber the groups (0..g-1 by value) in the order of their first cell

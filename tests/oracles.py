@@ -155,7 +155,6 @@ def bisect_reference(pool, r: float) -> float:
 
     def solve(beta: float, start) -> None:
         pool.solutions.append(bottleneck.ib_fixed_point(pool.p, beta, start.channel))
-        pool.rate_solves += 1
 
     betas = sorted({sol.beta for sol in pool.solutions if 1.0 < sol.beta < math.inf})
     hi = next((beta for beta in betas if standing(beta).rate > r + 1e-12), None)
@@ -190,7 +189,6 @@ def bisect_reference(pool, r: float) -> float:
                 f_hi /= 2.0
         last_side = side
     solve(math.sqrt(lo * hi), first)
-    pool.refresh()
     return -1.0 / math.sqrt(lo * hi)
 
 

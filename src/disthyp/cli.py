@@ -299,7 +299,7 @@ def cmd_simulate(args) -> int:
         t, saturated = cal.t, cal.saturated
         cal_chunks = len(rngstreams.chunk_spans(cal_trials))
     result = simulate.estimate_errors(qm, args.n, t, args.trials, args.seed)
-    chunks = cal_chunks + 2 * len(rngstreams.chunk_spans(args.trials))
+    chunks = cal_chunks + len(rngstreams.chunk_spans(args.trials))
 
     block_rows, block_bytes = simulate.count_block(qm.class_lr.size)
     path = _out_path(args, args.out)
@@ -309,6 +309,8 @@ def cmd_simulate(args) -> int:
     _write_sidecar(path, _config_echo(
         args, eps_n=eps, threshold_t=t, saturated=saturated,
         cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
+        evaluation_stream=result.evaluation_stream,
+        type1_interval=result.interval_kinds[0], type2_interval=result.interval_kinds[1],
         table_cells=qm.h0.size, sampled_classes=qm.class_lr.size, chunks=chunks,
         count_block_rows=block_rows, count_block_bytes=block_bytes,
         codebook_size=qm.h0.shape[0],
@@ -321,10 +323,10 @@ def cmd_simulate(args) -> int:
           f"CI=[{result.type2_ci[0]:.4g}, {result.type2_ci[1]:.4g}] "
           f"per-sample exponent {exponent:.4f} nats"
           + (" [threshold saturated]" if saturated else ""))
-    for name, hat, ci in (("type1", result.type1_hat, result.type1_ci),
-                          ("type2", result.type2_hat, result.type2_ci)):
+    for name, hat, ci, kind in zip(("type1", "type2"), (result.type1_hat, result.type2_hat),
+                                   (result.type1_ci, result.type2_ci), result.interval_kinds):
         if not (ci[0] <= hat <= ci[1]):
-            return _fail_invariant(f"{name} estimate inside its Wilson interval")
+            return _fail_invariant(f"{name} estimate inside its {kind} interval")
     return 0
 
 

@@ -27,9 +27,17 @@ streams.  Each chunk draws its class counts in row blocks of about
 COUNT_BLOCK_BYTES (see count_block), in trial order from the chunk's one
 stream, so a sampling worker holds one block, not a chunk's count matrix.
 Each trial's S is a row sum over its own counts, so its bits depend on
-neither the block split nor the BLAS thread count.  Evaluation keeps one
-error count per chunk; only calibration holds its whole sample, in one
-array that it sorts in place.
+neither the block split nor the BLAS thread count.  Evaluation keeps three
+sums per chunk; only calibration holds its whole sample, in one array that
+it sorts in place.
+
+Evaluation draws one stream, not one per hypothesis.  A trial's likelihood
+ratio is dP1/dP0 = e^{-nS}, so the null's trials also carry the Type II
+error, P1(S > t) = E0[1{S > t} e^{-nS}] (a change of measure; Siegmund
+1976), and the alternative's the Type I error, P0(S <= t) =
+E1[1{S <= t} e^{nS}].  The stream drawn is the one whose weights on the
+far side of t are at most 1: the null's when t >= 0, the alternative's
+when t < 0 (see estimate_errors).
 """
 
 from __future__ import annotations
@@ -62,8 +70,9 @@ COUNT_BLOCK_BYTES = 1 << 19
 CLASS_RTOL = 1e-12
 # Bumped whenever the same (seed, config) can draw different statistics;
 # version 2 samples log-ratio classes instead of table cells, version 3
-# sums S per row and builds block tables as Kronecker powers.
-SAMPLER_VERSION = 3
+# sums S per row and builds block tables as Kronecker powers, version 4
+# evaluates both errors on one stream, weighting the far side of t.
+SAMPLER_VERSION = 4
 # Normal quantiles at 0.975 and 0.995, kept as literals: NormalDist().inv_cdf
 # gives Z95 one ulp away, which would move the Wilson interval bytes.
 WILSON_Z95 = 1.959963984540054
@@ -391,36 +400,107 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def empirical_bernstein_interval(total: float, total_sq: float,
+                                 trials: int) -> tuple[float, float]:
+    """Two-sided 95% empirical-Bernstein interval on the mean of ``trials``
+    iid draws in [0, 1], from their sum and sum of squares (Maurer & Pontil
+    2009, Thm 4, at delta/2 = 0.025 per side): with L = ln(4/delta) and V
+    the unbiased sample variance, mean -+ (sqrt(2 V L / m) + 7 L / (3 (m - 1))),
+    clipped to [0, 1].  It covers the mean with probability at least 0.95
+    at every m; one draw bounds nothing, so m = 1 gives [0, 1]."""
+    if trials < 1:
+        raise SimulationError("trials must be >= 1")
+    if not 0.0 <= total <= trials:
+        raise SimulationError("total must lie in [0, trials]")
+    if trials == 1:
+        return 0.0, 1.0
+    mean = total / trials
+    # a sum of squares below total * mean is rounding: the variance is then 0
+    var = max(0.0, (total_sq - total * mean) / (trials - 1))
+    log_term = math.log(4.0 / 0.05)
+    half = (math.sqrt(2.0 * var * log_term / trials)
+            + 7.0 * log_term / (3.0 * (trials - 1)))
+    return max(0.0, mean - half), min(1.0, mean + half)
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Estimated error rates of one simulated test, with Wilson intervals."""
+    """Estimated error rates of one simulated test, with their intervals.
+
+    ``evaluation_stream`` names the hypothesis whose trials were drawn,
+    ``"h0"`` or ``"h1"``.  The error counted on that stream (Type I on the
+    null's, Type II on the alternative's) has a Wilson interval; the other
+    error is weighted by the likelihood ratio and has an empirical-Bernstein
+    interval (see estimate_errors).
+    """
 
     type1_hat: float
     type2_hat: float
     type1_ci: tuple[float, float]
     type2_ci: tuple[float, float]
+    evaluation_stream: str
+
+    @property
+    def interval_kinds(self) -> tuple[str, str]:
+        """The kinds of the Type I and Type II intervals, in that order."""
+        counted, weighted = "wilson", "empirical_bernstein"
+        return (counted, weighted) if self.evaluation_stream == "h0" else (weighted, counted)
 
 
 def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
                     seed: int, workers: int | None = None) -> SimResult:
-    """Monte Carlo Type I / Type II estimates for the region {S > t}.
+    """Monte Carlo Type I / Type II estimates for the region {S > t}, from
+    one stream of ``trials`` trials.
 
-    Type I counts null trials with S <= t; Type II counts alternative
-    trials with S > t.  Both get Wilson 95% intervals.  Degenerate
-    thresholds behave as expected: t = -inf accepts always (type2 = 1,
-    type1 = 0), t = +inf never.  A NaN t is rejected: every comparison
-    with it is false, so both error counts would read 0.
+    A trial's likelihood ratio is dP1/dP0 = e^{-nS}.  So for t >= 0 the
+    null's stream gives both errors: Type I counts its trials with S <= t,
+    and Type II = P1(S > t) = E0[1{S > t} e^{-nS}] = e^{-nt} E0[u], with
+    u = e^{-n(S - t)} where S > t and u = 0 elsewhere.  For t < 0 the
+    alternative's stream swaps the roles: Type II counts its trials with
+    S > t, and Type I = e^{nt} E1[u], with u = e^{n(S - t)} where S <= t.
+    Either way u lies in [0, 1], so its sums never underflow.  Nor is the
+    weighted estimate noisier than a plain count: a weight w = e^{-+nt} u
+    lies in [0, e^{-+nt}], so with mean b, E[w^2] <= e^{-+nt} b and
+    Var w <= b (e^{-+nt} - b) <= b (1 - b).
+
+    The counted error gets a Wilson 95% interval, the weighted one the
+    empirical-Bernstein 95% interval on u, scaled by e^{-+nt} <= 1.  Each
+    chunk returns (count, sum u, sum u^2), and the chunks are combined in
+    chunk order, so no result depends on the worker count.
+
+    Two limits.  The weight is exact up to CLASS_RTOL, as S's atoms are.
+    And the weighted estimate underflows to 0.0 where e^{-+nt} does, once
+    |nt| exceeds about 745.
+
+    Degenerate thresholds behave as expected: t = -inf accepts always
+    (type2 = 1, type1 = 0), t = +inf never (type1 = 1, type2 = 0).  A NaN
+    t is rejected: every comparison with it is false, so both error counts
+    would read 0.
     """
     if math.isnan(t):
         raise SimulationError("threshold t must not be NaN")
     check_trials("trials", trials)
     k = blocks_per_trial(n, qm.block_len)
-    k1 = sum(_map_chunks(lambda _, s0: int((s0 <= t).sum()), qm.class_h0, qm.class_lr,
-                         k, n, trials, seed, rngstreams.PURPOSE_H0, workers))
-    k2 = sum(_map_chunks(lambda _, s1: int((s1 > t).sum()), qm.class_h1, qm.class_lr,
-                         k, n, trials, seed, rngstreams.PURPOSE_H1, workers))
-    return SimResult(k1 / trials, k2 / trials,
-                     wilson_interval(k1, trials), wilson_interval(k2, trials))
+    null = t >= 0
+    # u = e^{sign n (S - t)} on the far side of t; the weighted error is e^{sign n t} E[u]
+    sign = -1.0 if null else 1.0
+
+    def summary(_, stats):
+        counted = stats <= t if null else stats > t
+        u = np.exp(sign * n * (stats[~counted] - t))
+        return int(counted.sum()), float(u.sum()), float((u * u).sum())
+
+    pmf, purpose = ((qm.class_h0, rngstreams.PURPOSE_H0) if null
+                    else (qm.class_h1, rngstreams.PURPOSE_H1))
+    # summed in chunk order, whichever thread drew each chunk
+    count, total, total_sq = map(sum, zip(*_map_chunks(
+        summary, pmf, qm.class_lr, k, n, trials, seed, purpose, workers)))
+    scale = math.exp(sign * n * t)
+    lo, hi = empirical_bernstein_interval(total, total_sq, trials)
+    counted = count / trials, wilson_interval(count, trials)
+    weighted = scale * total / trials, (scale * lo, scale * hi)
+    (type1, ci1), (type2, ci2) = (counted, weighted) if null else (weighted, counted)
+    return SimResult(type1, type2, ci1, ci2, "h0" if null else "h1")
 
 
 # --------------------------------------------------------------------------

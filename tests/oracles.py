@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from disthyp import bottleneck, bounds, dist, simulate
+from disthyp import bottleneck, bounds, dist, rngstreams, simulate
 
 
 def xlogx_sum(a: np.ndarray, axis=None) -> np.ndarray:
@@ -344,6 +344,58 @@ def exact_error_probs(values: np.ndarray, p0: np.ndarray, p1: np.ndarray,
     e1 = min(1.0, max(0.0, float(p0[below].sum())))
     e2 = min(1.0, max(0.0, float(p1[~below].sum())))
     return e1, e2
+
+
+def weighted_error_moments(values: np.ndarray, p0: np.ndarray, p1: np.ndarray,
+                           n: int, t: float) -> tuple[float, float, float]:
+    """Mean, variance and largest value of one trial's weight in the error
+    that simulate.estimate_errors reads off the far side of t, from the
+    exact law of S.
+
+    For t >= 0 a null trial weighs dP1/dP0 = e^{-nS} where S > t, so its
+    mean is P1(S > t); for t < 0 an alternative trial weighs e^{nS} where
+    S <= t, with mean P0(S <= t).  Either weight lies in [0, e^{-n|t|}].
+    """
+    if t >= 0:
+        far = values > t
+        weight, mass, top = np.exp(-n * values[far]), p0[far], math.exp(-n * t)
+    else:
+        far = values <= t
+        weight, mass, top = np.exp(n * values[far]), p1[far], math.exp(n * t)
+    mean = float((mass * weight).sum())
+    return mean, max(0.0, float((mass * weight * weight).sum()) - mean * mean), top
+
+
+def bernstein_radius(var: float, bound: float, trials: int, delta: float) -> float:
+    """r with P(|mean - mu| > r) <= delta for a mean of ``trials`` iid draws
+    of variance ``var``, each within ``bound`` of mu, by Bernstein's
+    inequality P(|mean - mu| >= r) <= 2 exp(-m r^2 / (2 var + 2 bound r / 3))
+    solved for r."""
+    log_term = math.log(2.0 / delta)
+    linear = bound * log_term / 3.0
+    return (linear + math.sqrt(linear * linear + 2.0 * trials * var * log_term)) / trials
+
+
+def plain_errors(qm: simulate.QuantizedModel, n: int, t: float, trials: int,
+                 seed: int) -> tuple[int, int]:
+    """Error counts of the region {S > t} by plain Monte Carlo on two
+    streams: null trials with S <= t and alternative trials with S > t.
+
+    Each chunk draws its whole count matrix at once from the stream that
+    simulate.estimate_errors draws from for the same hypothesis, so a
+    count here equals that estimator's count of the same error bit for bit.
+    """
+    k = n // qm.block_len
+    errors = []
+    for pmf, purpose, is_error in (
+            (qm.class_h0, rngstreams.PURPOSE_H0, lambda stat: stat <= t),
+            (qm.class_h1, rngstreams.PURPOSE_H1, lambda stat: stat > t)):
+        count = 0
+        for idx, size in rngstreams.chunk_spans(trials):
+            draws = rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=size)
+            count += int(is_error((draws * qm.class_lr).sum(axis=1) / n).sum())
+        errors.append(count)
+    return errors[0], errors[1]
 
 
 def exact_threshold(values: np.ndarray, p0: np.ndarray, eps: float) -> float:

@@ -146,6 +146,9 @@ def test_exact_np_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(6021)
     misses = 0
+    # per error kind: the counted error against its Wilson 99% interval, the
+    # weighted one against a 99% Bernstein radius from the exact second moment
+    side_misses = {"counted": 0, "weighted": 0}
     for k in range(200):
         nx = int(rng.integers(2, 5))
         ny = int(rng.integers(2, 5))
@@ -161,16 +164,24 @@ def test_exact_np_equivalence():
         exact1, exact2 = oracles.exact_error_probs(values, p0, p1, t)
         trials = 100_000
         res = d.estimate_errors(qm, n, t, trials, seed=60_000 + k)
-        k1 = round(res.type1_hat * trials)
-        k2 = round(res.type2_hat * trials)
-        lo1, hi1 = d.wilson_interval(k1, trials, z=d.simulate.WILSON_Z99)
-        lo2, hi2 = d.wilson_interval(k2, trials, z=d.simulate.WILSON_Z99)
-        if not (lo1 <= exact1 <= hi1 and lo2 <= exact2 <= hi2):
-            misses += 1
+        # index 0 is Type I, 1 Type II; the drawn stream counts its own error
+        hats, exact = (res.type1_hat, res.type2_hat), (exact1, exact2)
+        counted = 0 if res.evaluation_stream == "h0" else 1
+        lo, hi = d.wilson_interval(round(hats[counted] * trials), trials,
+                                   z=d.simulate.WILSON_Z99)
+        _, var, top = oracles.weighted_error_moments(values, p0, p1, n, t)
+        radius = oracles.bernstein_radius(var, top, trials, 0.01)
+        missed = {"counted": not lo <= exact[counted] <= hi,
+                  "weighted": abs(hats[1 - counted] - exact[1 - counted]) > radius}
+        for side, miss in missed.items():
+            side_misses[side] += miss
+        misses += any(missed.values())
     elapsed = time.perf_counter() - t0
     ok = misses <= 2 and elapsed < 600.0
     _report("simulator agrees with the exhaustive likelihood-ratio law",
-            ok, f"{200 - misses}/200 configs inside Wilson 99%, {elapsed:.1f}s")
+            ok, f"{200 - misses}/200 configs inside 99% bands; misses: "
+                f"{side_misses['counted']} counted (Wilson), "
+                f"{side_misses['weighted']} weighted (Bernstein), {elapsed:.1f}s")
 
 
 def test_centralized_second_order():

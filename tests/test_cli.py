@@ -475,11 +475,11 @@ class TestSimulateCommand:
         assert "preset" not in meta
         # the 12 x 12 Gaussian is symmetric under x <-> y and under negating
         # both, so its 144 cells tie in orbits of up to four: 42 classes
-        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 3
+        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 4
         assert meta["table_cells"] == 144
         assert meta["sampled_classes"] == 42
-        # one chunk each for calibration and both hypotheses
-        assert meta["chunks"] == 3
+        # one chunk for calibration and one for the evaluation stream
+        assert meta["chunks"] == 2
         assert ((meta["count_block_rows"], meta["count_block_bytes"])
                 == simulate.count_block(42) == (1560, 1560 * 42 * 8))
 
@@ -535,7 +535,20 @@ class TestSimulateCommand:
 
         meta = json.loads((tmp_path / "f.meta.json").read_text(), parse_constant=refuse)
         assert meta["force_threshold"] == meta["threshold_t"] == "inf"
-        assert meta["chunks"] == 2
+        assert meta["chunks"] == 1
+
+    @pytest.mark.parametrize("threshold, stream, kinds", [
+        ("0", "h0", ("wilson", "empirical_bernstein")),
+        ("-0.5", "h1", ("empirical_bernstein", "wilson"))])
+    def test_sidecar_names_stream_and_interval_kinds(self, tmp_path, threshold, stream, kinds):
+        # the drawn stream counts its own error (Wilson) and weighs the other
+        model = make_model(tmp_path, grid=8)
+        assert run(["simulate", "--model", model, "--identity-encoder", "--n", 4,
+                    "--regime", "const:0.1", "--trials", 200, "--force-threshold", threshold,
+                    "--out-dir", tmp_path]) == 0
+        meta = json.loads((tmp_path / "sim.meta.json").read_text())
+        assert meta["evaluation_stream"] == stream
+        assert (meta["type1_interval"], meta["type2_interval"]) == kinds
 
     def test_cal_trials_follow_trials(self, tmp_path):
         model = make_model(tmp_path, grid=8)
@@ -583,12 +596,12 @@ class TestSimulateCommand:
         assert not (tmp_path / "sim.csv").exists()
 
     def test_certain_type2_prints_zero_exponent(self, tmp_path, capsys):
-        # a near-independent model: every H1 trial is accepted, so type2_hat is 1
-        # and -ln(1)/n, which is -0.0, must print as 0.0000
+        # t = -inf accepts every H1 trial, so type2_hat is 1 and -ln(1)/n,
+        # which is -0.0, must print as 0.0000
         model = make_model(tmp_path, rho=-0.5, grid=3, name="neg.json")
         capsys.readouterr()
         assert run(["simulate", "--model", model, "--levels", 9, "--n", 2,
-                    "--regime", "const:0.5", "--trials", 100, "--cal-trials", 300,
+                    "--regime", "const:0.5", "--trials", 100, "--force-threshold", "-inf",
                     "--out-dir", tmp_path]) == 0
         out = capsys.readouterr().out
         assert "type2=1 " in out
@@ -674,8 +687,12 @@ class TestInvariantChecks:
          "feasibility condition holds at the reported cns"),
         (["simulate", "--identity-encoder", "--n", 4, "--regime", "const:0.1",
           "--trials", 200, "--force-threshold", 0], simulate, "wilson_interval",
-         lambda *_: (2.0, 3.0), "type1 estimate inside its Wilson interval"),
-    ], ids=["model", "bounds-order", "bounds-clamp", "cns", "simulate"])
+         lambda *_: (2.0, 3.0), "type1 estimate inside its wilson interval"),
+        (["simulate", "--identity-encoder", "--n", 4, "--regime", "const:0.1",
+          "--trials", 200, "--force-threshold", 0], simulate, "empirical_bernstein_interval",
+         lambda *_: (2.0, 3.0), "type2 estimate inside its empirical_bernstein interval"),
+    ], ids=["model", "bounds-order", "bounds-clamp", "cns", "simulate",
+            "simulate-bernstein"])
     def test_violation_exits_1(self, tmp_path, capsys, monkeypatch,
                                argv, module, name, fake, check):
         if argv[0] == "simulate":

@@ -459,7 +459,8 @@ class TestBlockedSampling:
         rows, nbytes = s.count_block(qm.class_lr.size)
         s.calibrate_threshold(qm, 50, 0.1, rngstreams.CHUNK_TRIALS + 300, seed=4, workers=2)
         s.estimate_errors(qm, 50, 0.0, 2000, seed=4)
-        assert sum(draw_sizes) == rngstreams.CHUNK_TRIALS + 300 + 2 * 2000
+        # calibration's sample, then the one evaluation stream
+        assert sum(draw_sizes) == rngstreams.CHUNK_TRIALS + 300 + 2000
         assert max(draw_sizes) == rows and nbytes <= s.COUNT_BLOCK_BYTES
 
     def test_blas_thread_count_moves_no_bit(self):
@@ -479,15 +480,39 @@ class TestBlockedSampling:
         assert len(digests) == 1
 
     def test_estimate_counts_errors_chunk_by_chunk(self):
+        self.check_estimate(0.04, "h0")
+
+    def test_estimate_weighs_type1_below_zero(self):
+        self.check_estimate(-0.05, "h1")
+
+    @staticmethod
+    def check_estimate(t, stream):
+        """The drawn stream's own error is a count; the other error is the
+        mean of its likelihood-ratio weights, recomputed here in one sum."""
         qm = readme_table(32, 1)
-        n, t, trials = 100, 0.04, 2 * rngstreams.CHUNK_TRIALS + 500
+        n, trials = 100, 2 * rngstreams.CHUNK_TRIALS + 500
         got = s.estimate_errors(qm, n, t, trials, seed=21, workers=2)
-        s0 = sample_stats(qm.class_h0, qm.class_lr, n, n, trials, 21, rngstreams.PURPOSE_H0)
-        s1 = sample_stats(qm.class_h1, qm.class_lr, n, n, trials, 21, rngstreams.PURPOSE_H1)
-        k1, k2 = int((s0 <= t).sum()), int((s1 > t).sum())
-        assert 0 < k1 < trials and 0 < k2 < trials
-        assert got == s.SimResult(k1 / trials, k2 / trials, s.wilson_interval(k1, trials),
-                                  s.wilson_interval(k2, trials))
+        null = stream == "h0"
+        pmf, purpose = ((qm.class_h0, rngstreams.PURPOSE_H0) if null
+                        else (qm.class_h1, rngstreams.PURPOSE_H1))
+        stats = sample_stats(pmf, qm.class_lr, n, n, trials, 21, purpose)
+        counted = stats <= t if null else stats > t
+        k = int(counted.sum())
+        # dP1/dP0 = e^{-nS} weighs the null's trials, dP0/dP1 = e^{nS} the alternative's
+        sign = -n if null else n
+        weights = np.exp(sign * stats[~counted])
+        assert 0 < k < trials and weights.size > 0
+        count_hat, count_ci, weight_hat, weight_ci = (
+            (got.type1_hat, got.type1_ci, got.type2_hat, got.type2_ci) if null
+            else (got.type2_hat, got.type2_ci, got.type1_hat, got.type1_ci))
+        assert got.evaluation_stream == stream
+        assert count_hat == k / trials and count_ci == s.wilson_interval(k, trials)
+        assert weight_hat == pytest.approx(math.fsum(weights) / trials, rel=1e-12)
+        u = np.exp(sign * (stats[~counted] - t))
+        lo, hi = s.empirical_bernstein_interval(math.fsum(u), math.fsum(u * u), trials)
+        scale = math.exp(sign * t)
+        assert weight_ci == pytest.approx((scale * lo, scale * hi), rel=1e-9)
+        assert weight_ci[0] < weight_hat < weight_ci[1]
 
 
 class TestCalibration:
@@ -625,19 +650,76 @@ class TestEstimateErrors:
             exact1, exact2 = oracles.exact_error_probs(values, p0, p1, t)
             trials = 100_000
             res = s.estimate_errors(qm, n, t, trials, seed=2024)
-            lo1, hi1 = s.wilson_interval(round(res.type1_hat * trials),
-                                         trials, z=s.WILSON_Z99)
-            lo2, hi2 = s.wilson_interval(round(res.type2_hat * trials),
-                                         trials, z=s.WILSON_Z99)
-            assert lo1 <= exact1 <= hi1
-            assert lo2 <= exact2 <= hi2
+            # index 0 is Type I, 1 Type II; the drawn stream counts its own error
+            hats, exact = (res.type1_hat, res.type2_hat), (exact1, exact2)
+            counted = 0 if res.evaluation_stream == "h0" else 1
+            lo, hi = s.wilson_interval(round(hats[counted] * trials), trials, z=s.WILSON_Z99)
+            assert lo <= exact[counted] <= hi
+            mean, var, top = oracles.weighted_error_moments(values, p0, p1, n, t)
+            assert mean == pytest.approx(exact[1 - counted], rel=1e-12, abs=1e-15)
+            radius = oracles.bernstein_radius(var, top, trials, 0.01)
+            assert abs(hats[1 - counted] - exact[1 - counted]) <= radius
 
-    def test_degenerate_thresholds(self):
+    def test_degenerate_thresholds(self, monkeypatch):
+        # one stream is drawn; no trial lies on the far side of an infinite t,
+        # and its scale e^{-n|t|} is 0: the weighted error and its interval are 0
         qm = s.quantized_model(sym_model(), identity(2))
+        seen = self.trace_chunks(monkeypatch)
+        certain = s.wilson_interval(1000, 1000)
         always = s.estimate_errors(qm, 4, -math.inf, 1000, seed=0)
-        assert always.type1_hat == 0.0 and always.type2_hat == 1.0
+        assert set(seen) == {rngstreams.PURPOSE_H1} and always.evaluation_stream == "h1"
+        assert (always.type1_hat, always.type1_ci) == (0.0, (0.0, 0.0))
+        assert (always.type2_hat, always.type2_ci) == (1.0, certain)
+        seen.clear()
         never = s.estimate_errors(qm, 4, math.inf, 1000, seed=0)
-        assert never.type1_hat == 1.0 and never.type2_hat == 0.0
+        assert set(seen) == {rngstreams.PURPOSE_H0} and never.evaluation_stream == "h0"
+        assert (never.type1_hat, never.type1_ci) == (1.0, certain)
+        assert (never.type2_hat, never.type2_ci) == (0.0, (0.0, 0.0))
+
+    def test_dsbs_type2_far_below_one_over_trials(self):
+        # DSBS identity scheme at n = 200: S is fixed by the agreement count K,
+        # Bin(n, 0.8) under P and Bin(n, 1/2) under Q.  At the largest cut
+        # with exact Type I error <= 0.1, the exact Type II error is ~1e-14,
+        # which a plain H1 stream of 20,000 trials reads as 0
+        n, eps, trials = 200, 0.1, 20_000
+        qm = s.quantized_model(sym_model(), identity(2))
+        agree, differ = math.log(0.4 / 0.25), math.log(0.1 / 0.25)
+        type1 = [math.fsum(math.comb(n, j) * 0.8 ** j * 0.2 ** (n - j) for j in range(k + 1))
+                 for k in range(n + 1)]
+        k = max(j for j in range(n + 1) if type1[j] <= eps)
+        stat = [(j * agree + (n - j) * differ) / n for j in (k, k + 1)]
+        t = 0.5 * (stat[0] + stat[1])  # between the atoms of K = k and K = k + 1
+        beta = math.fsum(math.comb(n, j) for j in range(k + 1, n + 1)) / 2 ** n
+        assert t > 0 and 1e-15 < beta < 1.0 / trials
+        res = s.estimate_errors(qm, n, t, trials, seed=8)
+        assert res.evaluation_stream == "h0"
+        assert res.type2_hat > 0
+        assert res.type2_ci[0] <= beta <= res.type2_ci[1]
+        assert res.type1_ci[0] <= type1[k] <= res.type1_ci[1]
+
+    def test_agrees_with_plain_two_stream_estimates(self):
+        # 20 seeded configs: the counted error is the plain count bit for bit,
+        # and where the plain stream sees enough errors (>= 100) of the
+        # weighted one, the two estimators' 95% intervals overlap
+        rng = np.random.default_rng(36)
+        trials, compared = 20_000, 0
+        for k in range(20):
+            nx, ny = (int(v) for v in rng.integers(2, 5, size=2))
+            probs = np.maximum(rng.dirichlet(np.ones(nx * ny)), 5e-3).reshape(nx, ny)
+            qm = s.quantized_model(d.JointPmf.from_probs(probs / probs.sum()), identity(nx))
+            n = int(rng.integers(2, 30))
+            t = float(rng.uniform(-0.3, 0.3))
+            res = s.estimate_errors(qm, n, t, trials, seed=3600 + k)
+            plain = oracles.plain_errors(qm, n, t, trials, seed=3600 + k)
+            hats, cis = (res.type1_hat, res.type2_hat), (res.type1_ci, res.type2_ci)
+            counted = 0 if res.evaluation_stream == "h0" else 1
+            assert hats[counted] == plain[counted] / trials
+            assert cis[counted] == s.wilson_interval(plain[counted], trials)
+            if plain[1 - counted] >= 100:
+                compared += 1
+                lo, hi = s.wilson_interval(plain[1 - counted], trials)
+                assert max(lo, cis[1 - counted][0]) <= min(hi, cis[1 - counted][1])
+        assert compared >= 10
 
     def test_seed_determinism_and_worker_invariance(self):
         qm = s.quantized_model(sym_model(), identity(2))
@@ -648,11 +730,9 @@ class TestEstimateErrors:
         other = s.estimate_errors(qm, 8, 0.0, 40_000, seed=6)
         assert other.type2_hat != base.type2_hat
 
-    @pytest.mark.parametrize("chunks,most", [(5, 3), (1, 1)])
-    def test_threads_bounded_by_cpus_and_chunks(self, monkeypatch, chunks, most):
-        # with 3 CPUs, 5 chunks share at most 3 threads and 1 chunk uses one
-        qm = s.quantized_model(sym_model(), identity(2))
-        monkeypatch.setattr(s, "_sampling_threads", lambda: 3)
+    @staticmethod
+    def trace_chunks(monkeypatch) -> dict:
+        """The threads that sampled chunks, by stream purpose."""
         seen = {}
         chunk_stats = s._chunk_stats
 
@@ -661,9 +741,20 @@ class TestEstimateErrors:
             return chunk_stats(*args)
 
         monkeypatch.setattr(s, "_chunk_stats", traced)
+        return seen
+
+    @pytest.mark.parametrize("chunks, most, t, purpose", [
+        (5, 3, 0.0, rngstreams.PURPOSE_H0), (1, 1, 0.0, rngstreams.PURPOSE_H0),
+        (5, 3, -0.5, rngstreams.PURPOSE_H1)], ids=["5-3", "1-1", "5-3-below-zero"])
+    def test_threads_bounded_by_cpus_and_chunks(self, monkeypatch, chunks, most, t, purpose):
+        # with 3 CPUs, 5 chunks share at most 3 threads and 1 chunk uses one;
+        # one stream is drawn, the null's for t >= 0 and the alternative's below
+        qm = s.quantized_model(sym_model(), identity(2))
+        monkeypatch.setattr(s, "_sampling_threads", lambda: 3)
+        seen = self.trace_chunks(monkeypatch)
         trials = (chunks - 1) * rngstreams.CHUNK_TRIALS + 1
-        s.estimate_errors(qm, 4, 0.0, trials, seed=0)
-        assert set(seen) == {rngstreams.PURPOSE_H0, rngstreams.PURPOSE_H1}
+        s.estimate_errors(qm, 4, t, trials, seed=0)
+        assert set(seen) == {purpose}
         assert all(1 <= len(ids) <= most for ids in seen.values())
 
 

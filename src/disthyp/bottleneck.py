@@ -116,8 +116,7 @@ class TestChannel:
         diag = 0.9
         mat = np.full((nx, nu), (1.0 - diag) / (nu - 1)) if nu > 1 else np.ones((nx, 1))
         if nu > 1:
-            for x in range(nx):
-                mat[x, x % nu] = diag
+            mat[np.arange(nx), np.arange(nx) % nu] = diag
             mat /= mat.sum(axis=1, keepdims=True)
         return cls(mat)
 

@@ -9,14 +9,16 @@ _cell spells every cell.  Each input has one flag: `exponent` reads its
 rate grid from --rates, in bits per sample unless --units nats is given,
 and `simulate` its Type I budget from --regime (const:<eps> is a fixed
 one).  The curve point that `bounds` and `cns` take (--xi, --d-slope, --c)
-and all CSV columns are always in nats.  No flag sets the sampling
-threads: the sampler picks them, and they move no output byte.  Every
-command is deterministic given its arguments, and the exit code is 0 only
-when the run's invariant checks pass.  The parser is built once per
-process, on the first call of main; later calls only parse, since each
-parse starts from a fresh namespace.  An artifact that exists already is
-overwritten in place and cut at its new length, so it holds the bytes a
-fresh file would, with no stale tail; no file is fsynced.
+and all CSV columns are always in nats.  A token that starts with one `-`
+after --d-slope or --force-threshold is that flag's value, so -1e-05 and
+-inf need no `=`.  No flag sets the sampling threads: the sampler picks
+them, and they move no output byte.  Every command is deterministic given
+its arguments, and the exit code is 0 only when the run's invariant
+checks pass.  The parser is built once per process, on the first call of
+main; later calls only parse, since each parse starts from a fresh
+namespace.  An artifact that exists already is overwritten in place and
+cut at its new length, so it holds the bytes a fresh file would, with no
+stale tail; no file is fsynced.
 """
 
 from __future__ import annotations
@@ -37,18 +39,16 @@ from . import __version__, bottleneck, bounds, dist, rngstreams, simulate
 LN2 = math.log(2.0)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _list_of(kind, noun: str):
+    """An argparse type for a comma-separated list of kind (empty parts
+    skipped); a bad part is refused as `expected comma-separated <noun>`."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from exc
+    return parse
 
 
 def _out_path(args, name: str) -> Path:
@@ -253,10 +253,10 @@ def cmd_cns(args) -> int:
         print(f"{regime.label}: cns={shown}")
     print(f"cns {path}: {len(sizes)} rows")
     for report in reports:
-        if report is not None:
-            gap = max(report.ub_prob - report.nominal, report.nominal - report.lb_prob)
-            if gap > args.delta:
-                return _fail_invariant("feasibility condition holds at the reported cns")
+        # the scan's rule: each side within delta, and a NaN side fails
+        if report is not None and not (report.ub_prob - report.nominal <= args.delta
+                                       and report.nominal - report.lb_prob <= args.delta):
+            return _fail_invariant("feasibility condition holds at the reported cns")
     return 0
 
 
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("exponent", parents=[common],
                         help="trace the exponent curve xi(R) on a rate grid")
     pe.add_argument("--model", required=True, help="model JSON path")
-    pe.add_argument("--rates", type=_float_list, required=True,
+    pe.add_argument("--rates", type=_list_of(float, "floats"), required=True,
                     help="comma-separated rate grid (in --units), strictly increasing")
     pe.add_argument("--units", choices=("bits", "nats"), default="bits",
                     help="unit of the rate grid and the printed rates (default bits)")
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bounds", parents=[common, point], help="evaluate feasibility intervals")
     pb.add_argument("--regime", required=True,
                     help="const:<eps> | log | poly:<p> | superpoly:<p>")
-    pb.add_argument("--n-grid", type=_int_list, required=True,
+    pb.add_argument("--n-grid", type=_list_of(int, "integers"), required=True,
                     help="comma-separated sample sizes")
     pb.add_argument("--out", default="bounds.csv")
     pb.set_defaults(func=cmd_bounds)
@@ -428,20 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 _SIGNED_FLAGS = ("--d-slope", "--force-threshold")
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """argv with every number that follows a _SIGNED_FLAGS flag joined to it
-    as --flag=value, so `--d-slope -1e-05` parses as `--d-slope=-1e-05`."""
+    """argv with every token that starts with a single - and follows a
+    _SIGNED_FLAGS flag joined to it as --flag=value, so `--d-slope -1e-05`
+    parses as `--d-slope=-1e-05`; the flag's type=float then judges it."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _SIGNED_FLAGS and _is_float(token):
+        if (out and out[-1] in _SIGNED_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -31,6 +31,8 @@ PROB_ATOL = 1e-12
 CALIBRATION_TOL = 1e-6
 # Largest nx * ny of a discretized Gaussian: 32 MiB per float64 grid array.
 MAX_GRID_CELLS = 1 << 22
+# A discretized Gaussian's grid spans [-SPAN_SIGMAS, SPAN_SIGMAS] on each axis.
+SPAN_SIGMAS = 4.0
 
 
 class DistributionError(ValueError):
@@ -134,7 +136,7 @@ class JointPmf:
         payload = {
             "x_labels": list(self.x_labels),
             "y_labels": list(self.y_labels),
-            "probs": [[float(v) for v in row] for row in self.probs],
+            "probs": self.probs.tolist(),
         }
         return json.dumps(payload, indent=2)
 
@@ -222,10 +224,9 @@ def divergence_stats(p: JointPmf) -> DivergenceStats:
 # Discretized bivariate Gaussian models
 # --------------------------------------------------------------------------
 
-def discretized_gaussian(correlation: float, nx: int, ny: int,
-                         span_sigmas: float = 4.0) -> JointPmf:
+def discretized_gaussian(correlation: float, nx: int, ny: int) -> JointPmf:
     """Standard bivariate normal with the given correlation, sampled on a
-    uniform nx-by-ny grid over [-span_sigmas, span_sigmas]^2 and renormalized.
+    uniform nx-by-ny grid over [-SPAN_SIGMAS, SPAN_SIGMAS]^2 and renormalized.
 
     Grid coordinates are kept as labels so quantizers can act on geometry.
     Correlations so extreme that a cell underflows to zero are rejected
@@ -234,10 +235,8 @@ def discretized_gaussian(correlation: float, nx: int, ny: int,
     if not (-1.0 < correlation < 1.0):
         raise DistributionError(f"correlation must lie strictly inside (-1, 1), got {correlation!r}")
     _check_grid(nx, ny)
-    if span_sigmas <= 0:
-        raise DistributionError("span_sigmas must be positive")
-    xs = np.linspace(-span_sigmas, span_sigmas, nx)
-    ys = np.linspace(-span_sigmas, span_sigmas, ny)
+    xs = np.linspace(-SPAN_SIGMAS, SPAN_SIGMAS, nx)
+    ys = np.linspace(-SPAN_SIGMAS, SPAN_SIGMAS, ny)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     rho = float(correlation)
     # Work with the log-density and subtract the max before exponentiating;
@@ -248,7 +247,7 @@ def discretized_gaussian(correlation: float, nx: int, ny: int,
     if np.any(dens <= 0.0):
         raise DistributionError(
             f"correlation {rho!r} underflows grid cells on this grid; "
-            "reduce |correlation| or span_sigmas"
+            "reduce |correlation|"
         )
     probs = dens / dens.sum()
     return JointPmf(probs, tuple(float(v) for v in xs), tuple(float(v) for v in ys))
@@ -263,7 +262,7 @@ def _check_grid(nx: int, ny: int) -> None:
 def _max_valid_correlation(nx: int, ny: int) -> float:
     """Largest correlation on this grid that keeps every cell strictly positive."""
     lo, hi = 0.0, 1.0 - 1e-12
-    for _ in range(200):
+    while hi - lo >= 1e-12:
         mid = 0.5 * (lo + hi)
         try:
             discretized_gaussian(mid, nx, ny)
@@ -271,8 +270,6 @@ def _max_valid_correlation(nx: int, ny: int) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-12:
-            break
     return lo
 
 

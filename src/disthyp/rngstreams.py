@@ -10,6 +10,8 @@ from the worker count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Trials per chunk. Fixed: changing this would change which stream serves
@@ -31,12 +33,5 @@ def stream(master_seed: int, *ids: int) -> np.random.Generator:
 
 def chunk_spans(total: int) -> list[tuple[int, int]]:
     """(chunk_index, chunk_size) pairs covering `total` trials."""
-    spans = []
-    idx = 0
-    remaining = int(total)
-    while remaining > 0:
-        take = min(CHUNK_TRIALS, remaining)
-        spans.append((idx, take))
-        idx += 1
-        remaining -= take
-    return spans
+    return [(idx, min(CHUNK_TRIALS, total - idx * CHUNK_TRIALS))
+            for idx in range(math.ceil(total / CHUNK_TRIALS))]

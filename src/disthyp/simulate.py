@@ -115,13 +115,12 @@ def _optimal_split_cells(pts: np.ndarray, wts: np.ndarray, levels: int) -> np.nd
     w1 = np.concatenate(([0.0], np.cumsum(wts * pts)))
     w2 = np.concatenate(([0.0], np.cumsum(wts * pts * pts)))
 
-    def seg_cost(i: np.ndarray, j: int) -> np.ndarray:
+    def seg_cost(i: np.ndarray | int, j: np.ndarray | int) -> np.ndarray:
         dw = w0[j] - w0[i]
         return (w2[j] - w2[i]) - (w1[j] - w1[i]) ** 2 / dw
 
     dp = np.full(npts + 1, np.inf)
-    for j in range(1, npts + 1):
-        dp[j] = seg_cost(np.array([0]), j)[0]
+    dp[1:] = seg_cost(0, np.arange(1, npts + 1))
     back = np.zeros((levels + 1, npts + 1), dtype=np.int64)
     for k in range(2, levels + 1):
         new = np.full(npts + 1, np.inf)

@@ -685,14 +685,20 @@ class TestInvariantChecks:
         (["cns", "--xi", 0.7, "--c", 1.92, "--regimes", "const:0.1"], bounds,
          "critical_sample_size", lambda *_, **__: 1,  # far from feasible at n = 1
          "feasibility condition holds at the reported cns"),
+        (["cns", "--xi", 0.7, "--c", 1.92, "--regimes", "const:0.1"], bounds,
+         "feasibility_interval", _feasibility_with(ub_prob=math.nan),
+         "feasibility condition holds at the reported cns"),
+        (["cns", "--xi", 0.7, "--c", 1.92, "--regimes", "const:0.1"], bounds,
+         "feasibility_interval", _feasibility_with(lb_prob=math.nan),
+         "feasibility condition holds at the reported cns"),
         (["simulate", "--identity-encoder", "--n", 4, "--regime", "const:0.1",
           "--trials", 200, "--force-threshold", 0], simulate, "wilson_interval",
          lambda *_: (2.0, 3.0), "type1 estimate inside its wilson interval"),
         (["simulate", "--identity-encoder", "--n", 4, "--regime", "const:0.1",
           "--trials", 200, "--force-threshold", 0], simulate, "empirical_bernstein_interval",
          lambda *_: (2.0, 3.0), "type2 estimate inside its empirical_bernstein interval"),
-    ], ids=["model", "bounds-order", "bounds-clamp", "cns", "simulate",
-            "simulate-bernstein"])
+    ], ids=["model", "bounds-order", "bounds-clamp", "cns", "cns-nan-ub", "cns-nan-lb",
+            "simulate", "simulate-bernstein"])
     def test_violation_exits_1(self, tmp_path, capsys, monkeypatch,
                                argv, module, name, fake, check):
         if argv[0] == "simulate":

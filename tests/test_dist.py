@@ -162,8 +162,9 @@ class TestDiscretizedGaussian:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_labels_hold_grid_coordinates(self):
-        p = d.discretized_gaussian(0.2, 5, 5, span_sigmas=2.0)
-        assert p.x_labels[0] == -2.0 and p.x_labels[-1] == 2.0
+        p = d.discretized_gaussian(0.2, 5, 5)
+        assert p.x_labels == p.y_labels == (-d.dist.SPAN_SIGMAS, -d.dist.SPAN_SIGMAS / 2, 0.0,
+                                            d.dist.SPAN_SIGMAS / 2, d.dist.SPAN_SIGMAS)
 
     def test_rejects_degenerate_correlation(self):
         for rho in (1.0, -1.0, 1.5):
@@ -182,10 +183,14 @@ class TestDiscretizedGaussian:
         d.dist._check_grid(2048, 2048)  # 2^22 cells is allowed
 
     def test_rejects_underflowing_cells(self):
-        # corner cells need exp(-span^2/(1-rho)) roughly; span 8, rho 0.95
-        # pushes the range past the float64 exponent budget
-        with pytest.raises(d.DistributionError, match="underflow"):
-            d.discretized_gaussian(0.95, 16, 16, span_sigmas=8.0)
+        # the corner (-span, span) sits span^2 / (1 - rho) nats below the
+        # peak: at span 4 that passes the float64 exponent range (~745)
+        # between rho 0.97 and 0.98 (the largest accepted is 0.97848)
+        with pytest.raises(d.DistributionError,
+                           match=r"^correlation 0.98 underflows grid cells on this grid; "
+                                 r"reduce \|correlation\|$"):
+            d.discretized_gaussian(0.98, 16, 16)
+        d.discretized_gaussian(0.97, 16, 16)
 
 
 class TestCalibration:

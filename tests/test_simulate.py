@@ -384,6 +384,18 @@ class TestLogRatioClasses:
             assert np.allclose(got_m, want_m, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("total", [0, 1, rngstreams.CHUNK_TRIALS,
+                                   rngstreams.CHUNK_TRIALS + 1, s.MAX_TRIALS])
+def test_chunk_spans_cover_the_total(total):
+    spans = rngstreams.chunk_spans(total)
+    indices = [idx for idx, _ in spans]
+    sizes = [size for _, size in spans]
+    assert indices == list(range(len(spans)))
+    assert all(size == rngstreams.CHUNK_TRIALS for size in sizes[:-1])
+    assert all(0 < size <= rngstreams.CHUNK_TRIALS for size in sizes[-1:])
+    assert sum(sizes) == total
+
+
 def readme_table(grid, block_len):
     return s.quantized_model(*readme_model(grid, block_len))
 

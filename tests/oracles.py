@@ -382,20 +382,38 @@ def plain_errors(qm: simulate.QuantizedModel, n: int, t: float, trials: int,
     streams: null trials with S <= t and alternative trials with S > t.
 
     Each chunk draws its whole count matrix at once from the stream that
-    simulate.estimate_errors draws from for the same hypothesis, so a
-    count here equals that estimator's count of the same error bit for bit.
+    simulate.estimate_errors draws from for the same hypothesis, with the
+    classes in the sampler's order, so a count here equals that
+    estimator's count of the same error bit for bit.
     """
     k = n // qm.block_len
+    order = simulate.draw_order(qm)
+    lr = qm.class_lr[order]
     errors = []
     for pmf, purpose, is_error in (
-            (qm.class_h0, rngstreams.PURPOSE_H0, lambda stat: stat <= t),
-            (qm.class_h1, rngstreams.PURPOSE_H1, lambda stat: stat > t)):
+            (qm.class_h0[order], rngstreams.PURPOSE_H0, lambda stat: stat <= t),
+            (qm.class_h1[order], rngstreams.PURPOSE_H1, lambda stat: stat > t)):
         count = 0
         for idx, size in rngstreams.chunk_spans(trials):
             draws = rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=size)
-            count += int(is_error((draws * qm.class_lr).sum(axis=1) / n).sum())
+            count += int(is_error((draws * lr).sum(axis=1) / n).sum())
         errors.append(count)
     return errors[0], errors[1]
+
+
+def max_valid_correlation(nx: int, ny: int) -> float:
+    """The bisection of dist._max_valid_correlation, each step deciding by
+    building the whole discretized Gaussian."""
+    lo, hi = 0.0, 1.0 - 1e-12
+    while hi - lo >= 1e-12:
+        mid = 0.5 * (lo + hi)
+        try:
+            dist.discretized_gaussian(mid, nx, ny)
+        except dist.DistributionError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def exact_threshold(values: np.ndarray, p0: np.ndarray, eps: float) -> float:

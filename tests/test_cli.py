@@ -475,13 +475,13 @@ class TestSimulateCommand:
         assert "preset" not in meta
         # the 12 x 12 Gaussian is symmetric under x <-> y and under negating
         # both, so its 144 cells tie in orbits of up to four: 42 classes
-        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 4
+        assert meta["sampler_version"] == simulate.SAMPLER_VERSION == 5
         assert meta["table_cells"] == 144
         assert meta["sampled_classes"] == 42
         # one chunk for calibration and one for the evaluation stream
         assert meta["chunks"] == 2
         assert ((meta["count_block_rows"], meta["count_block_bytes"])
-                == simulate.count_block(42) == (1560, 1560 * 42 * 8))
+                == simulate.count_block(42) == (390, 390 * 42 * 8))
 
     def test_levels_with_regime(self, tmp_path):
         model = make_model(tmp_path)

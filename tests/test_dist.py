@@ -6,6 +6,8 @@ import pytest
 
 import disthyp as d
 
+import oracles
+
 SYM = np.array([[0.4, 0.1], [0.1, 0.4]])
 
 
@@ -216,6 +218,15 @@ class TestCalibration:
         # below the entropy cap but above what positive-support grids reach
         with pytest.raises(d.UnreachableTargetError):
             d.calibrate_correlation(math.log(8) * 0.999, 8, 8)
+
+    def test_max_valid_correlation_matches_full_grid_bisection(self):
+        # most steps are decided from the corner and ridge cells alone; the
+        # rest need the whole grid's sum, and none may move a bit
+        shapes = ([(k, k) for k in range(2, 65)]
+                  + [(2, 64), (64, 2), (3, 64), (64, 3), (5, 17), (100, 7), (512, 512)])
+        for nx, ny in shapes:
+            got = d.dist._max_valid_correlation(nx, ny)
+            assert got == oracles.max_valid_correlation(nx, ny), (nx, ny)
 
     def test_rejects_grid_over_the_cap_before_searching(self, monkeypatch):
         # not read as a correlation too large for the grid

@@ -430,15 +430,15 @@ class TestBlockedSampling:
                         lr, n)
 
     @pytest.mark.parametrize("case, span, blocks", [
-        ("readme_64", (0, 3000), [1024, 1024, 952]),
-        ("readme_528", (1, rngstreams.CHUNK_TRIALS), [124] * 132 + [16]),
-        ("synthetic_16384", (2, 64), [4] * 16),
-        ("synthetic_100", (3, 3001), [655] * 4 + [381]),
-        ("readme_64", (4, 2049), [1024, 1024, 1]),
-        ("synthetic_2080", (5, 57), [31, 26]),
-        ("synthetic_16384", (6, 9), [4, 4, 1]),
+        ("readme_64", (0, 3000), [256] * 11 + [184]),
+        ("readme_528", (1, rngstreams.CHUNK_TRIALS), [31] * 528 + [16]),
+        ("synthetic_16384", (2, 64), [1] * 64),
+        ("synthetic_100", (3, 3001), [163] * 18 + [67]),
+        ("readme_64", (4, 2049), [256] * 8 + [1]),
+        ("synthetic_2080", (5, 57), [7] * 8 + [1]),
+        ("synthetic_16384", (6, 9), [1] * 9),
         ("synthetic_16384", (7, 1), [1]),
-        ("synthetic_2", (8, rngstreams.CHUNK_TRIALS), [rngstreams.CHUNK_TRIALS]),
+        ("synthetic_2", (8, rngstreams.CHUNK_TRIALS), [8192, 8192]),
     ])
     def test_blocks_match_one_shot_draw(self, case, span, blocks, draw_sizes):
         kind, classes = case.split("_")
@@ -475,6 +475,42 @@ class TestBlockedSampling:
         assert sum(draw_sizes) == rngstreams.CHUNK_TRIALS + 300 + 2000
         assert max(draw_sizes) == rows and nbytes <= s.COUNT_BLOCK_BYTES
 
+    def test_streams_draw_heavy_classes_first(self, monkeypatch):
+        # both streams draw the classes by descending null mass, tied masses
+        # in class order; the alternative's stream keeps the null's order
+        h0, h1 = np.array([0.1, 0.3, 0.2, 0.3, 0.1]), np.array([0.2, 0.2, 0.2, 0.1, 0.3])
+        qm = s.QuantizedModel(h0.reshape(1, 5), 1, h0, h1, np.log(h0) - np.log(h1))
+        order = [1, 3, 2, 0, 4]
+        assert s.draw_order(qm).tolist() == order
+        drawn = {}
+        chunk_stats = s._chunk_stats
+
+        def recorded(pmf, lr, *args):
+            drawn[args[3]] = pmf.tolist(), lr.tolist()
+            return chunk_stats(pmf, lr, *args)
+
+        monkeypatch.setattr(s, "_chunk_stats", recorded)
+        s.calibrate_threshold(qm, 4, 0.1, 2000, seed=0)
+        assert s.estimate_errors(qm, 4, 0.5, 100, seed=0).evaluation_stream == "h0"
+        assert s.estimate_errors(qm, 4, -0.5, 100, seed=0).evaluation_stream == "h1"
+        lr = qm.class_lr[order].tolist()
+        assert drawn == {rngstreams.PURPOSE_CALIBRATE: (h0[order].tolist(), lr),
+                         rngstreams.PURPOSE_H0: (h0[order].tolist(), lr),
+                         rngstreams.PURPOSE_H1: (h1[order].tolist(), lr)}
+
+    def test_class_arrays_keep_first_cell_order(self):
+        # the README table is not drawn in class order, but its class arrays
+        # still list each class at its first cell, in cell order
+        qm = readme_table(32, 1)
+        _, _, cell_lr = oracles.cell_law(*readme_model(32, 1))
+        tol = s.CLASS_RTOL * np.abs(cell_lr).max()
+        first = [int(np.flatnonzero(np.abs(cell_lr - v) <= tol)[0]) for v in qm.class_lr]
+        assert first == sorted(set(first))
+        assert np.allclose(qm.class_lr, cell_lr[first], rtol=0, atol=tol)
+        order = s.draw_order(qm)
+        assert np.all(np.diff(qm.class_h0[order]) <= 0)
+        assert order.tolist() != list(range(order.size))
+
     def test_blas_thread_count_moves_no_bit(self):
         # a 2-thread matrix-vector product over a whole 8,230-row chunk
         # moved bits; a row sum reduces each row on its own
@@ -507,7 +543,8 @@ class TestBlockedSampling:
         null = stream == "h0"
         pmf, purpose = ((qm.class_h0, rngstreams.PURPOSE_H0) if null
                         else (qm.class_h1, rngstreams.PURPOSE_H1))
-        stats = sample_stats(pmf, qm.class_lr, n, n, trials, 21, purpose)
+        order = s.draw_order(qm)
+        stats = sample_stats(pmf[order], qm.class_lr[order], n, n, trials, 21, purpose)
         counted = stats <= t if null else stats > t
         k = int(counted.sum())
         # dP1/dP0 = e^{-nS} weighs the null's trials, dP0/dP1 = e^{nS} the alternative's
@@ -563,9 +600,10 @@ class TestCalibration:
         qm = s.quantized_model(sym_model(), identity(2))
         m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
+        order = s.draw_order(qm)
         stats = np.concatenate([
             row_sums(rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
-                n, qm.class_h0, size=cnt), qm.class_lr, n)
+                n, qm.class_h0[order], size=cnt), qm.class_lr[order], n)
             for idx, cnt in rngstreams.chunk_spans(m)])
         allowed = math.floor(eps * m)
         assert (stats <= cal.t).sum() <= allowed
@@ -586,19 +624,24 @@ class TestCalibration:
         assert np.unique(stats).size == n + 1
 
     def test_sample_is_held_once(self):
-        # 30 chunks of the 2-class DSBS statistic at 2 workers: 8 bytes per
-        # trial, plus per worker one count block, its weighted copy and a
-        # chunk of S.  Concatenating per-chunk arrays would hold it twice.
-        qm = s.quantized_model(sym_model(), identity(2))
-        trials, workers = 30 * rngstreams.CHUNK_TRIALS, 2
-        block = rngstreams.CHUNK_TRIALS * qm.class_lr.size * 8
-        tracemalloc.start()
-        try:
-            s.calibrate_threshold(qm, 8, 0.1, trials, seed=3, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * trials + workers * (2 * block + 8 * rngstreams.CHUNK_TRIALS)
+        # calibration at 2 workers holds 8 bytes per trial, plus per worker
+        # one count block, its weighted copy and a chunk of S; a count block
+        # is 128 KiB on both the 2-class DSBS and the 64-class README table.
+        # Concatenating per-chunk arrays would hold the sample twice
+        workers = 2
+        for qm, chunks in ((s.quantized_model(sym_model(), identity(2)), 30),
+                           (readme_table(32, 1), 16)):
+            trials = chunks * rngstreams.CHUNK_TRIALS
+            block = s.count_block(qm.class_lr.size)[1]
+            assert block == 1 << 17
+            s.estimate_errors(qm, 8, 0.0, 1, seed=3)  # loads the thread pool's modules
+            tracemalloc.start()
+            try:
+                s.calibrate_threshold(qm, 8, 0.1, trials, seed=3, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 8 * trials + workers * (2 * block + 8 * rngstreams.CHUNK_TRIALS)
 
     def test_multiple_of_block_length_enforced(self):
         qm = s.quantized_model(sym_model(), identity(2).blockwise(2))

@@ -16,7 +16,9 @@ first, even pairs the change first.  Each workload's summary gives, per
 end-to-end metric of ``BENCHMARK.json``, both sides' median and quartiles
 (inclusive method), the pairs each side won (ties count for neither), the
 change's median relative to the parent's, and whether the metric is
-``unresolved`` (see ``summarize``), once its pairs are done.
+``unresolved`` (see ``summarize``), once its pairs are done.  Each
+``--other W`` then pairs a workload that ``BENCHMARK.json`` does not list
+the same way, into ``other_runs``.
 The Tier-1 command of ROADMAP.md then runs TIER1_RUNS times on each side,
 alternating the same way.  The file is rewritten after every pair, so an
 interrupted run keeps the pairs it finished.  Needs Python 3.10.12 or
@@ -151,6 +153,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     ap.add_argument("--note", required=True, help="one line on what the change does")
+    ap.add_argument("--other", action="append", default=[], metavar="W",
+                    help="also pair this workload, which BENCHMARK.json does not list")
     args = ap.parse_args(argv)
     parent = git("rev-parse", "HEAD").strip()
     declared = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -173,9 +177,13 @@ def main(argv=None) -> int:
         export_commit(parent, trees["parent"])
         copy_worktree(trees["change"])
         work = Path(tmp) / "run"
-        for name in workloads:
+        for name in workloads + args.other:
             pairs = []
-            bench["workloads"][name] = {"pairs": pairs, "summary": {}}
+            if name in workloads:
+                entry = bench["workloads"][name] = {"pairs": pairs, "summary": {}}
+            else:
+                entry = {"workload": name, "pairs": pairs, "summary": {}}
+                bench["other_runs"].append(entry)
             for i in range(1, PAIRS + 1):
                 order = SIDES if i % 2 else SIDES[::-1]
                 pair = {"pair": i, "seed": SEED_BASE + i, "first": order[0]}
@@ -189,7 +197,7 @@ def main(argv=None) -> int:
                 print(f"{name} pair {i}: " + " ".join(
                     f"{side} {pair[side]['metrics']['item_us']:.6g}" for side in SIDES),
                     flush=True)
-            bench["workloads"][name]["summary"] = summarize(pairs, declared["end_to_end"])
+            entry["summary"] = summarize(pairs, declared["end_to_end"])
             write()
         runs = []
         bench["tier1"] = {"command": TIER1, "runs": runs}

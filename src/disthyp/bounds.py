@@ -52,10 +52,11 @@ class RegimeSpecError(ValueError):
 
 
 # Per regime spelling: the open interval its parameter lies in (None: it
-# takes no parameter), the first n at which eps_n is an error level, and
-# the first n at which its gap bounds are defined (None: it has none).
+# takes no parameter), the first n at which eps_n is an error level, i.e.
+# 0 < eps_n < 1 (a budget of 1 restricts nothing), and the first n at
+# which its gap bounds are defined (None: it has none).
 _REGIMES = {"const": ((0.0, 1.0), 1, None), "log": (None, 3, 16),
-            "poly": ((0.0, math.inf), 1, 2), "superpoly": ((0.0, 1.0), 1, 2)}
+            "poly": ((0.0, math.inf), 2, 2), "superpoly": ((0.0, 1.0), 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,11 @@ class TypeIRegime:
 
     const:     eps_n = param, param in (0, 1)
     log:       eps_n = 1 / ln(n), defined from n = 3 on
-    poly:      eps_n = n ** -param, param > 0
+    poly:      eps_n = n ** -param, param > 0, defined from n = 2 on
     superpoly: eps_n = exp(-n ** param), param in (0, 1)
+
+    Each regime starts at its first n with 0 < eps_n < 1: eps_1 = 1 under
+    poly, and eps_n >= 1 for n <= 2 under log.
     """
 
     kind: str

@@ -47,6 +47,26 @@ class TestEpsAt:
                 b.eps_at(b.TypeIRegime("log"), n)
         assert 0 < b.eps_at(b.TypeIRegime("log"), 3) < 1
 
+    def test_each_regime_starts_at_its_first_budget_below_one(self):
+        # a budget of 1 restricts nothing: every regime starts at its first
+        # n with 0 < eps_n < 1, and the size before it is refused
+        regimes = [b.TypeIRegime.parse(spec) for spec in (
+            "const:1e-300", "const:0.999", "log", "poly:0.01", "poly:1", "poly:70",
+            "superpoly:0.01", "superpoly:0.99")]
+        assert {reg.kind for reg in regimes} == set(b._REGIMES)
+        for reg in regimes:
+            first = b._REGIMES[reg.kind][1]
+            assert 0.0 < b.eps_at(reg, first) < 1.0, reg.label
+            with pytest.raises(b.RegimeDomainError, match=f"needs n >= {first}"):
+                b.eps_at(reg, first - 1)
+            with pytest.raises(b.RegimeDomainError, match=f"needs n >= {first}"):
+                b.feasibility_interval((0.7, 0.0), 1.92, reg, first - 1)
+            if first > 1:
+                # the refused size's budget, as the arithmetic gives it, is no error level
+                with np.errstate(all="ignore"):
+                    eps = b._budget(reg, np.array([first - 1.0]))[0][0]
+                assert not eps < 1.0, reg.label
+
     def test_refuses_n_beyond_float64(self):
         # every size is evaluated in float64; these used to end in OverflowError
         reg = b.TypeIRegime("poly", 1.0)
@@ -77,8 +97,12 @@ class TestSelectors:
         assert _report(b.TypeIRegime("superpoly", 0.5), 64).block_l == 2
 
     def test_block_length_floor_case(self):
-        for reg in (b.TypeIRegime("poly", 1.0), b.TypeIRegime("const", 0.2)):
+        # only n = 1 gives n^(1/3) = 1; poly refuses it, as eps_1 = 1
+        for reg in (b.TypeIRegime("const", 0.2), b.TypeIRegime("superpoly", 0.5)):
             assert _report(reg, 1).block_l == 1
+        with pytest.raises(b.RegimeDomainError, match="n >= 2"):
+            _report(b.TypeIRegime("poly", 1.0), 1)
+        assert _report(b.TypeIRegime("poly", 1.0), 2).block_l == 2
 
     def test_block_length_is_ceiling(self):
         assert _report(b.TypeIRegime("log"), 1001).block_l == 11
@@ -233,10 +257,14 @@ class TestFeasibilityInterval:
 
     def test_vanishing_budget_kills_concentration_penalty(self):
         # eps_n = 1 makes ln(1/eps) = 0, so the upper exponent reduces to
-        # xi + d_slope ln(l)/(2l); polynomial budgets hit eps = 1 at n = 1
-        rep = b.feasibility_interval((0.7, -0.1), 1.92, b.TypeIRegime("poly", 1.0), 1)
-        assert rep.delta_tilde == 0.0
-        assert rep.ub_prob == pytest.approx(
+        # xi + d_slope ln(l)/(2l); polynomial budgets hit eps = 1 at n = 1,
+        # which poly therefore refuses, and _interval still computes
+        reg = b.TypeIRegime("poly", 1.0)
+        with pytest.raises(b.RegimeDomainError, match=r"n = 1 \(needs n >= 2\)"):
+            b.feasibility_interval((0.7, -0.1), 1.92, reg, 1)
+        at = b._interval(0.7, -0.1, 1.92, reg, np.array([1.0]))
+        assert at["eps_n"][0] == 1.0 and at["delta_tilde"][0] == 0.0
+        assert at["ub_prob"][0] == pytest.approx(
             math.exp(-(0.7 + -0.1 * math.log(1) / 2.0)), rel=1e-12)
 
     def test_log_gap_matches_direct_computation_without_underflow(self):
@@ -298,8 +326,9 @@ class TestFeasibilityInterval:
 class TestCriticalSampleSize:
     def test_big_delta_returns_smallest_admissible_n(self):
         # eps_n is undefined below the first admissible n: n = 1, 2 for log
+        # and n = 1 for poly, where eps_1 = 1
         point, c = (0.7, 0.0), 1.0
-        for spec, first in (("const:0.1", 1), ("log", 3), ("poly:1", 1), ("superpoly:0.5", 1)):
+        for spec, first in (("const:0.1", 1), ("log", 3), ("poly:1", 2), ("superpoly:0.5", 1)):
             reg = b.TypeIRegime.parse(spec)
             for at in (lambda n: b.eps_at(reg, n),
                        lambda n: b.feasibility_interval(point, c, reg, n)):
@@ -375,16 +404,17 @@ class TestCnsScanAgainstReference:
             assert got is not None
             assert got == oracles.cns_reference((3.0, 0.0), 2.47, reg, 1e-300, cap=3000)
 
-    @pytest.mark.parametrize("spec,first", [("poly:1", 1), ("log", 3)])
+    @pytest.mark.parametrize("spec,start", [("poly:1", 1), ("poly:1", 2), ("log", 3)])
     @pytest.mark.parametrize("chunk_end", [64, 192, 448, 960, 1984, 2048, 4032, 4096, 6080,
                                            6144])
-    def test_chunk_edges(self, spec, first, chunk_end):
-        # chunks hold 2048 sizes each from the first admissible n; the other
-        # ends are those of chunks that once doubled from 64 sizes.  This
-        # cell's gap falls strictly over [60, 6200], so delta = gap(m) makes
-        # m the cns with equality in the condition.
+    def test_chunk_edges(self, spec, start, chunk_end):
+        # chunks hold 2048 sizes each from the first admissible n (2 for poly,
+        # 3 for log); the other ends are those of chunks that once doubled
+        # from 64 sizes, and start = 1 gives those of poly's chunks when they
+        # began at n = 1.  This cell's gap falls strictly over [60, 6200], so
+        # delta = gap(m) makes m the cns with equality in the condition.
         reg, point, c = b.TypeIRegime.parse(spec), (0.05, 0.0), 0.2
-        edge = first - 1 + chunk_end
+        edge = start - 1 + chunk_end
         for m in (edge - 1, edge, edge + 1):
             delta = oracles.cns_gap(point, c, reg, m)
             assert oracles.cns_reference(point, c, reg, delta, cap=edge + 1) == m
@@ -410,11 +440,16 @@ class TestCnsScanAgainstReference:
                 assert got == oracles.cns_reference((0.7, 0.0), 1.92, reg, delta, cap=cap)
 
     def test_unit_budget_at_n_one(self):
-        # poly:1 has eps_1 = 1: ln(1/eps) = 0 and the converse degenerates
+        # poly:1 has eps_1 = 1: ln(1/eps) = 0 and the converse degenerates,
+        # so the regime refuses n = 1 and the scan starts at n = 2
         reg, point, c = b.TypeIRegime("poly", 1.0), (0.7, -0.1), 1.92
-        for delta in (1.0, oracles.cns_gap(point, c, reg, 1), 1e-5):
+        with pytest.raises(b.RegimeDomainError, match="n >= 2"):
+            oracles.cns_gap(point, c, reg, 1)
+        assert b.critical_sample_size(point, c, reg, 1.0, cap=1) is None
+        for delta in (1.0, oracles.cns_gap(point, c, reg, 2), 1e-5):
             got = b.critical_sample_size(point, c, reg, delta, cap=200)
             assert got == oracles.cns_reference(point, c, reg, delta, cap=200)
+        assert b.critical_sample_size(point, c, reg, 1.0, cap=200) == 2
 
     def test_superpolynomial_scan_past_budget_underflow(self):
         # eps_n underflows to 0 from n = 1554 on
@@ -438,10 +473,13 @@ class TestSizeAloneAndInAChunk:
             assert got.tobytes() == chunk[n - lo].tobytes(), (reg.label, point, c, n, lo, hi, key)
 
     def test_edge_sizes(self):
-        # poly:1 at n = 1 (eps = 1, the converse degenerates), superpoly:0.9
-        # on both sides of eps underflow (n = 1554), log at its first size
+        # poly:1 at its first size (n = 1, where eps = 1, is refused),
+        # superpoly:0.9 on both sides of eps underflow (n = 1554), log at its
+        # first size
         point, c = (0.7, -0.1), 1.92
-        for spec, n, lo, hi in (("poly:1", 1, 1, 64), ("superpoly:0.9", 1553, 1500, 1617),
+        with pytest.raises(b.RegimeDomainError, match="n >= 2"):
+            b.feasibility_interval(point, c, b.TypeIRegime("poly", 1.0), 1)
+        for spec, n, lo, hi in (("poly:1", 2, 2, 65), ("superpoly:0.9", 1553, 1500, 1617),
                                 ("superpoly:0.9", 1554, 1500, 1617),
                                 ("superpoly:0.9", 1554, 1554, 1554), ("log", 3, 3, 66)):
             self.assert_alone_matches_chunk(point, c, b.TypeIRegime.parse(spec), n, lo, hi)
@@ -497,9 +535,9 @@ class TestChunkScreen:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_skip_only_where_every_size_fails_the_upper_test(self):
         rng = np.random.default_rng(20)
-        # l crosses 1 -> 4 on [1, 64]; poly:1 has L = 0 at n = 1; superpoly:0.9's
-        # eps_n underflows from n = 1554 on; log starts at n = 3
-        edges = [("const:0.1", 1, 64), ("poly:1", 1, 64), ("poly:1", 1, 1), ("poly:1", 1, 2),
+        # l crosses 1 -> 4 on [1, 64] and 2 -> 5 on [2, 65]; poly starts at
+        # n = 2; superpoly:0.9's eps_n underflows from n = 1554 on; log starts at n = 3
+        edges = [("const:0.1", 1, 64), ("poly:1", 2, 65), ("poly:1", 2, 2), ("poly:1", 2, 3),
                  ("superpoly:0.9", 1554, 1554), ("superpoly:0.9", 1500, 1617),
                  ("superpoly:0.9", 1554, 3601), ("superpoly:0.9", 20_000, 22_047),
                  ("log", 3, 66), ("log", 3, 3), ("superpoly:0.01", 1, 64)]
@@ -571,6 +609,29 @@ class TestChunkScreen:
         point, c = (0.02213497157560763, -0.11413974114169244), 9.919821435033967
         assert b.critical_sample_size(point, c, reg, 1e-5) == cns
         assert 0 < seen[0] < 0.1 * (cns - b._REGIMES[reg.kind][1] + 1)
+
+    def test_readme_cells_evaluate_only_the_chunk_of_their_cns(self, monkeypatch):
+        # the screen drops every chunk before the cns, and a cell without a
+        # cns evaluates nothing
+        chunks = []
+
+        def recorded(xi, d_slope, c, regime, n):
+            chunks.append((int(n[0]), int(n[-1])))
+            return interval(xi, d_slope, c, regime, n)
+        interval = b._interval
+        monkeypatch.setattr(b, "_interval", recorded)
+        calls = 0
+        for spec in oracles.README_REGIMES:
+            reg = b.TypeIRegime.parse(spec)
+            for point in oracles.README_CURVE:
+                chunks.clear()
+                cns = b.critical_sample_size(point, oracles.README_C, reg, 1e-5, cap=100_000)
+                if cns is None:
+                    assert chunks == [], (spec, point)
+                else:
+                    assert len(chunks) == 1 and chunks[0][0] <= cns <= chunks[0][1], (spec, point)
+                calls += len(chunks)
+        assert calls == 7
 
     def test_readme_first_point_evaluates_almost_nothing(self, monkeypatch):
         seen = self.count_upper(monkeypatch)

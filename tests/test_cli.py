@@ -568,7 +568,8 @@ class TestSimulateCommand:
         assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize("regime,n,message", [
-        ("poly:1", 1, "eps must lie in (0, 1)"),  # eps_n = 1.0
+        # eps_1 = 1.0 lies outside poly's domain
+        ("poly:1", 1, "eps_n of the poly regime is undefined at n = 1 (needs n >= 2)"),
         ("superpoly:0.9", 2000, "eps must lie in (0, 1)"),  # eps_n underflows to 0.0
         ("const:7", 10, "const regime needs a parameter in (0, 1)"),
     ], ids=["poly:1", "superpoly:0.9", "const:7"])

@@ -455,10 +455,15 @@ class TestBlockedSampling:
         assert got.tobytes() == want.tobytes()
         assert draw_sizes == blocks
         rows, nbytes = s.count_block(lr.size)
-        assert rows == min(rngstreams.CHUNK_TRIALS,
-                           s.COUNT_BLOCK_BYTES // (8 * lr.size)) >= blocks[-1]
+        assert rows == s.COUNT_BLOCK_BYTES // (8 * lr.size) >= blocks[-1]
         assert blocks[:-1] == [rows] * (len(blocks) - 1)
         assert nbytes == rows * lr.size * 8 <= s.COUNT_BLOCK_BYTES
+
+    def test_a_block_fits_in_one_chunk(self):
+        # count_block does not cap its rows at a chunk: a one-class block,
+        # the largest, must still hold no more rows than a chunk has trials
+        assert s.COUNT_BLOCK_BYTES // 8 <= rngstreams.CHUNK_TRIALS
+        assert s.count_block(1)[0] <= rngstreams.CHUNK_TRIALS
 
     def test_one_row_per_draw_when_one_does_not_fit(self, draw_sizes):
         pmf, lr = synthetic_classes(s.COUNT_BLOCK_BYTES // 8 + 1)

@@ -96,7 +96,7 @@ class TestChannel:
         bad = np.argwhere(np.abs(rows - 1.0) > PROB_ATOL)
         if bad.size:
             raise SolverError(
-                f"channel row {bad[0][0]} sums to {rows[bad[0][0]]!r}, not 1"
+                f"channel row {bad[0][0]} sums to {float(rows[bad[0][0]])!r}, not 1"
             )
         mat = mat.copy()
         mat.setflags(write=False)

@@ -104,7 +104,9 @@ class TypeIRegime:
 
     @property
     def label(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
+        """The spec that parse reads back as this regime: the parameter is its
+        shortest round-trip repr, less a trailing .0 (poly:1, not poly:1.0)."""
+        return self.kind if self.param is None else f"{self.kind}:{self.param!r}".removesuffix(".0")
 
 
 def _check_size(regime: TypeIRegime, n: int) -> None:

@@ -353,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "column of an exponent curve (default 0)")
 
     parser = argparse.ArgumentParser(
-        prog="disthyp",
+        prog="disthyp", allow_abbrev=False,
         description="Error exponents and finite-length Type II error bounds for "
                     "distributed tests of independence under a rate constraint.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pm = sub.add_parser("model", parents=[common],
+    pm = sub.add_parser("model", allow_abbrev=False, parents=[common],
                         help="build a discretized standard bivariate Gaussian model file")
     group = pm.add_mutually_exclusive_group(required=True)
     group.add_argument("--target-mi-nats", type=float,
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", default="model.json", help="model filename (default model.json)")
     pm.set_defaults(func=cmd_model)
 
-    pe = sub.add_parser("exponent", parents=[common],
+    pe = sub.add_parser("exponent", allow_abbrev=False, parents=[common],
                         help="trace the exponent curve xi(R) on a rate grid")
     pe.add_argument("--model", required=True, help="model JSON path")
     pe.add_argument("--rates", type=_list_of(float, "floats"), required=True,
@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", default="curve.csv", help="curve filename (default curve.csv)")
     pe.set_defaults(func=cmd_exponent)
 
-    pb = sub.add_parser("bounds", parents=[common, point], help="evaluate feasibility intervals")
+    pb = sub.add_parser("bounds", allow_abbrev=False, parents=[common, point],
+                        help="evaluate feasibility intervals")
     pb.add_argument("--regime", required=True,
                     help="const:<eps> | log | poly:<p> | superpoly:<p>")
     pb.add_argument("--n-grid", type=_list_of(int, "integers"), required=True,
@@ -389,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default="bounds.csv")
     pb.set_defaults(func=cmd_bounds)
 
-    pc = sub.add_parser("cns", parents=[common, point], help="evaluate critical sample sizes")
+    pc = sub.add_parser("cns", allow_abbrev=False, parents=[common, point],
+                        help="evaluate critical sample sizes")
     pc.add_argument("--regimes", required=True,
                     help="comma-separated regime specs")
     pc.add_argument("--delta", type=float, default=1e-5,
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default="cns.csv")
     pc.set_defaults(func=cmd_cns)
 
-    ps = sub.add_parser("simulate", parents=[common],
+    ps = sub.add_parser("simulate", allow_abbrev=False, parents=[common],
                         help="Monte Carlo run of a quantize-then-test scheme")
     ps.add_argument("--model", required=True, help="model JSON path")
     encoder = ps.add_mutually_exclusive_group(required=True)

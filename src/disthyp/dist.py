@@ -53,7 +53,7 @@ def _as_prob_matrix(probs) -> np.ndarray:
     if np.any(mat <= 0.0):
         bad = np.argwhere(mat <= 0.0)[0]
         raise DistributionError(
-            f"cell ({bad[0]}, {bad[1]}) has mass {mat[bad[0], bad[1]]!r}; "
+            f"cell ({bad[0]}, {bad[1]}) has mass {float(mat[bad[0], bad[1]])!r}; "
             "full support (every cell > 0) is required"
         )
     total = float(mat.sum())
@@ -229,8 +229,8 @@ def discretized_gaussian(correlation: float, nx: int, ny: int) -> JointPmf:
     uniform nx-by-ny grid over [-SPAN_SIGMAS, SPAN_SIGMAS]^2 and renormalized.
 
     Grid coordinates are kept as labels so quantizers can act on geometry.
-    Correlations so extreme that a cell underflows to zero are rejected
-    (full support is a hard invariant).
+    Correlations so extreme that a cell's mass underflows to zero are
+    rejected (full support is a hard invariant): see _full_support.
     """
     if not (-1.0 < correlation < 1.0):
         raise DistributionError(f"correlation must lie strictly inside (-1, 1), got {correlation!r}")
@@ -239,7 +239,7 @@ def discretized_gaussian(correlation: float, nx: int, ny: int) -> JointPmf:
     ys = np.linspace(-SPAN_SIGMAS, SPAN_SIGMAS, ny)
     rho = float(correlation)
     dens = _densities(rho, xs, ys)
-    if np.any(dens <= 0.0):
+    if not _full_support(dens):
         raise DistributionError(
             f"correlation {rho!r} underflows grid cells on this grid; "
             "reduce |correlation|"
@@ -254,67 +254,42 @@ def _check_grid(nx: int, ny: int) -> None:
                                 f"{MAX_GRID_CELLS} cells, got {nx} x {ny}")
 
 
-def _quad(rho: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minus the log-density of discretized_gaussian at (x, y), broadcast,
-    up to the constant that renormalization drops:
-    (x x - 2 rho x y + y y) / (2 (1 - rho^2)), in that order, in one array."""
-    quad = 2.0 * rho * x * y
-    np.subtract(x * x, quad, out=quad)
-    quad += y * y
-    quad /= 2.0 * (1.0 - rho * rho)
-    return quad
-
-
 def _densities(rho: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The grid's densities relative to the largest: exp of the log-density
-    less its max, so the constant that renormalization drops never enters."""
-    quad = _quad(rho, xs[:, None], ys)
+    """The grid's densities relative to the largest, in one array: exp of
+    minus (x x - 2 rho x y + y y) / (2 (1 - rho^2)), less its max, so the
+    constant that renormalization drops never enters."""
+    x = xs[:, None]
+    quad = 2.0 * rho * x * ys
+    np.subtract(x * x, quad, out=quad)
+    quad += ys * ys
+    quad /= 2.0 * (1.0 - rho * rho)
     return np.exp(np.subtract(quad.min(), quad, out=quad), out=quad)
+
+
+def _full_support(dens: np.ndarray) -> bool:
+    """Whether every cell of dens / dens.sum() is > 0.  The smallest mass
+    is the smallest density over the sum, so this one test catches a
+    density that underflows and a mass that does."""
+    return dens.min() / dens.sum() > 0.0
 
 
 def _max_valid_correlation(nx: int, ny: int) -> float:
     """Largest correlation on this grid that keeps every cell strictly positive.
 
-    Bisects on what discretized_gaussian refuses, bit for bit, without
-    building a JointPmf: see _cells_positive.
+    Bisects on what discretized_gaussian refuses, bit for bit: each step
+    computes the grid's densities and asks _full_support, without building
+    a JointPmf.
     """
     xs = np.linspace(-SPAN_SIGMAS, SPAN_SIGMAS, nx)
     ys = np.linspace(-SPAN_SIGMAS, SPAN_SIGMAS, ny)
     lo, hi = 0.0, 1.0 - 1e-12
     while hi - lo >= 1e-12:
         mid = 0.5 * (lo + hi)
-        if _cells_positive(mid, xs, ys):
+        if _full_support(_densities(mid, xs, ys)):
             lo = mid
         else:
             hi = mid
     return lo
-
-
-# ln of the least positive double, 2^-1074
-_LN_LEAST_DOUBLE = -1074 * math.log(2.0)
-
-
-def _cells_positive(rho: float, xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether discretized_gaussian(rho) on this grid keeps every cell > 0.
-
-    Its smallest cell underflows in one of two ways: its density, exp of
-    the log-density's span, or its mass, that density over the densities'
-    sum S <= nx * ny.  The span is read off the cells that set it: the
-    log-density's minimum lies at a corner, and its maximum, for each x, at
-    one of the two ys that bracket rho x.  A span more than 1 below
-    ln 2^-1074 underflows the density; one more than ln(nx * ny) + 1 above
-    it leaves a mass over e * 2^-1074.  In between, S decides, so the whole
-    grid's densities are computed, as discretized_gaussian computes them.
-    """
-    j = np.searchsorted(ys, rho * xs).clip(1, ys.size - 1)
-    ridge = min(_quad(rho, xs, ys[j - 1]).min(), _quad(rho, xs, ys[j]).min())
-    span = ridge - _quad(rho, xs[[0, 0, -1, -1]], ys[[0, -1, 0, -1]]).max()
-    if span < _LN_LEAST_DOUBLE - 1.0:
-        return False
-    if span > _LN_LEAST_DOUBLE + math.log(xs.size * ys.size) + 1.0:
-        return True
-    dens = _densities(rho, xs, ys)
-    return dens.min() / dens.sum() > 0.0
 
 
 def calibrate_correlation(target_mi: float, nx: int, ny: int) -> tuple[float, JointPmf]:

@@ -259,7 +259,7 @@ def quantized_model(p: JointPmf, enc: Encoder) -> QuantizedModel:
         h0, h1 = np.kron(h0, s0), np.kron(h1, s1)
     for name, table in (("H0", h0), ("H1", h1)):
         if abs(table.sum() - 1.0) > 1e-9:
-            raise SimulationError(f"{name} quantized table sums to {table.sum()!r}")
+            raise SimulationError(f"{name} quantized table sums to {float(table.sum())!r}")
     lr = np.log(h0) - np.log(h1)
     classes = _merge_tied_cells(h0.ravel(), h1.ravel(), lr.ravel())
     for arr in (h0,) + classes:

@@ -70,6 +70,9 @@ class TestTestChannel:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(bn.SolverError):
             bn.TestChannel(np.array([[0.6, 0.6], [0.5, 0.5]]))
+        # the sum is spelled as a Python float, not numpy's np.float64(0.9)
+        with pytest.raises(bn.SolverError, match=r"^channel row 1 sums to 0\.9, not 1$"):
+            bn.TestChannel(np.array([[0.5, 0.5], [0.4, 0.5]]))
 
     def test_identity_plus_noise_rows(self):
         ch = bn.TestChannel.identity_plus_noise(2, 3)

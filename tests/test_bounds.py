@@ -18,6 +18,18 @@ class TestRegimeSpec:
             assert reg.kind == kind and reg.param == param
             assert b.TypeIRegime.parse(reg.label) == reg
 
+    def test_label_round_trips_every_digit(self):
+        regimes = [b.TypeIRegime("poly", p) for p in (0.1234567, 0.1234568, 1.0, 2.0, 1e-05, 1e22)]
+        regimes += [b.TypeIRegime("const", 0.1 + 0.2), b.TypeIRegime("superpoly", 1 / 3)]
+        for reg in regimes:
+            assert b.TypeIRegime.parse(reg.label) == reg, reg.label
+        assert len({reg.label for reg in regimes}) == len(regimes)
+        assert [reg.label for reg in regimes[:3]] == ["poly:0.1234567", "poly:0.1234568", "poly:1"]
+        # the README's labels keep their bytes
+        for text in ("const:0.1", "log", "poly:0.01", "poly:0.1", "poly:0.5", "poly:1", "poly:2",
+                     "superpoly:0.5"):
+            assert b.TypeIRegime.parse(text).label == text
+
     def test_parse_rejects_garbage(self):
         for text in ("exp:1", "poly", "log:3", "const:1.5", "poly:-1",
                      "superpoly:1.0", "const:abc", "poly:nan", "poly:inf", "const:nan",

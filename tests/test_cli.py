@@ -414,6 +414,9 @@ class TestRemovedFlags:
         ("exponent", "--rate-max", 0.25), ("exponent", "--rate-points", 7),
         ("simulate", "--eps", 0.2), ("simulate", "--workers", 2),
         ("exponent", "--restarts", 4),
+        # each flag has one spelling: a unique prefix is not an alias of it
+        ("cns", "--regime", "log"), ("model", "--gr", 8), ("bounds", "--n-gr", 50),
+        ("simulate", "--tri", 200), ("cns", "--out-d", "."),
     ])
     def test_rejected_and_not_echoed(self, tmp_path, capsys, command, flag, value):
         extra = [flag] if value is None else [flag, value]
@@ -1021,7 +1024,8 @@ class TestParserReuse:
         (["cns", "--xi", "3.0", "--c", "2.47", "--regimes", "log", "--delta", "1e-3",
           "--cap", "x"], 2),
         (["cns", "--delta", "1e-3", "--bogus"], 2),
-        (["--version"], 0)])
+        (["--version"], 0),
+        (["--vers"], 2)])
     def test_valid_call_after_an_exit(self, tmp_path, capsys, bad, code):
         with pytest.raises(SystemExit) as exc:
             cli.main(bad)

@@ -19,7 +19,8 @@ def random_joint(rng, nx, ny, floor=1e-4):
 
 class TestValidation:
     def test_rejects_zero_cell_naming_it(self):
-        with pytest.raises(d.DistributionError, match=r"cell \(0, 1\)"):
+        # the mass is spelled as a Python float, not numpy's np.float64(0.0)
+        with pytest.raises(d.DistributionError, match=r"^cell \(0, 1\) has mass 0\.0; "):
             d.JointPmf.from_probs(np.array([[0.5, 0.0], [0.25, 0.25]]))
 
     def test_rejects_negative_cell(self):
@@ -194,6 +195,15 @@ class TestDiscretizedGaussian:
             d.discretized_gaussian(0.98, 16, 16)
         d.discretized_gaussian(0.97, 16, 16)
 
+    def test_rejects_underflowing_masses(self):
+        # every density is positive here, but the smallest over their sum is not
+        rho = 0.978500392898112
+        dens = d.dist._densities(rho, np.linspace(-4.0, 4.0, 8), np.linspace(-4.0, 4.0, 8))
+        assert dens.min() > 0.0
+        with pytest.raises(d.DistributionError,
+                           match=r"^correlation 0.978500392898112 underflows grid cells"):
+            d.discretized_gaussian(rho, 8, 8)
+
 
 class TestCalibration:
     def test_hits_target(self):
@@ -220,10 +230,11 @@ class TestCalibration:
             d.calibrate_correlation(math.log(8) * 0.999, 8, 8)
 
     def test_max_valid_correlation_matches_full_grid_bisection(self):
-        # most steps are decided from the corner and ridge cells alone; the
-        # rest need the whole grid's sum, and none may move a bit
+        # each step asks the whole grid's smallest mass, as discretized_gaussian
+        # does, without building a JointPmf; no step may move a bit
         shapes = ([(k, k) for k in range(2, 65)]
-                  + [(2, 64), (64, 2), (3, 64), (64, 3), (5, 17), (100, 7), (512, 512)])
+                  + [(2, 64), (64, 2), (3, 64), (64, 3), (5, 17), (100, 7), (512, 512),
+                     (2, 2048), (2048, 2)])
         for nx, ny in shapes:
             got = d.dist._max_valid_correlation(nx, ny)
             assert got == oracles.max_valid_correlation(nx, ny), (nx, ny)

@@ -358,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "distributed tests of independence under a rate constraint.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # not required here: argparse would report a missing command before an
+    # unknown flag, so `disthyp --vers` would never name --vers (see main)
+    sub = parser.add_subparsers(dest="command")
 
     pm = sub.add_parser("model", allow_abbrev=False, parents=[common],
                         help="build a discretized standard bivariate Gaussian model file")
@@ -446,7 +448,10 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_signed_values(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_join_signed_values(list(argv)))
+    if args.command is None:
+        parser.error("the following arguments are required: command")
     try:
         return args.func(args)
     except (dist.DistributionError, bottleneck.SolverError, simulate.SimulationError,

@@ -17,9 +17,10 @@ S depends only on how many blocks fall in each log-ratio class, not on
 which cell holds them, so the sampler draws class counts: cells whose
 log-ratios tie (up to rounding) are merged once, when the model is built,
 into classes that carry the summed masses of both hypotheses.  One atom of
-S then comes out as one float.  A table without ties has one class per
-cell, in cell order, and samples exactly as a cell-level draw in the same
-order would.
+S then comes out as one float.  The classes are stored heavy first, by
+descending null mass with ties in the order of their first cell, and drawn
+as stored.  A table without ties has one class per cell, so it samples
+exactly as a cell-level draw in that order would.
 
 Trials are driven by fixed-size chunks of counter-based random streams
 (see rngstreams), making every estimate a pure function of (seed, config)
@@ -29,12 +30,12 @@ COUNT_BLOCK_BYTES, 128 KiB (see count_block), in trial order from the
 chunk's one stream, so a sampling worker holds one block and its weighted
 copy, not a chunk's count matrix.  numpy's multinomial draws one
 conditional binomial per class and stops once a trial's blocks are used
-up, so both streams draw the classes heavy first: by descending null mass,
-ties in class order (see draw_order).  Each trial's S is a row sum over its
-own counts in that one order, so its bits depend on neither the block
-split, the BLAS thread count nor the stream drawn.  Evaluation keeps three
-sums per chunk; only calibration holds its whole sample, in one array that
-it sorts in place.
+up, so storing the classes heavy first spares binomials on both streams
+(see _merge_tied_cells).  Each trial's S is a row sum over its own counts
+in that one order, so its bits depend on neither the block split, the BLAS
+thread count nor the stream drawn.  Evaluation keeps three sums per chunk;
+only calibration holds its whole sample, in one array that it sorts in
+place.
 
 Evaluation draws one stream, not one per hypothesis.  A trial's likelihood
 ratio is dP1/dP0 = e^{-nS}, so the null's trials also carry the Type II
@@ -185,7 +186,9 @@ class QuantizedModel:
     sidecar reports its cells and codes.  ``class_h0``, ``class_h1`` and
     ``class_lr`` are the law merged over cells with tied log-ratios: per
     class, the summed masses under each hypothesis and the log-ratio of
-    its first cell, with classes in the order of their first cell.
+    its first cell.  The classes are stored heavy first, by descending null
+    mass with ties in the order of their first cell, and both streams draw
+    them as stored.
     """
 
     h0: np.ndarray
@@ -196,25 +199,29 @@ class QuantizedModel:
 
 
 def _merge_tied_cells(h0: np.ndarray, h1: np.ndarray, lr: np.ndarray):
-    """Class masses and log-ratios of flat cell arrays.
+    """Class masses and log-ratios of flat cell arrays, stored in the
+    order both streams draw them.
 
     Sorted log-ratios start a new class wherever the gap exceeds
     CLASS_RTOL * max(1, max|lr|).  Each class keeps its first cell's
-    log-ratio, and classes keep the order of their first cell, so a table
-    without ties returns its arrays unchanged, bit for bit.
+    log-ratio and sums its masses in cell order.  Classes come heavy first,
+    by descending null mass, tied masses in the order of their first cell,
+    so a table without ties returns its cell arrays permuted that way, bit
+    for bit.
     """
     order = np.argsort(lr, kind="stable")
     gaps = np.diff(lr[order]) > CLASS_RTOL * max(1.0, np.abs(lr).max())
     group = np.empty(lr.size, dtype=np.int64)
     group[order] = np.concatenate(([0], np.cumsum(gaps)))
-    # renumber the groups (0..g-1 by value) in the order of their first cell
+    mass0, mass1 = np.bincount(group, weights=h0), np.bincount(group, weights=h1)
     _, first = np.unique(group, return_index=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    cls = rank[group]
-    return (np.bincount(cls, weights=h0, minlength=first.size),
-            np.bincount(cls, weights=h1, minlength=first.size),
-            lr[np.sort(first)])
+    # A multinomial row stops at its last nonzero class, so heavy first draws
+    # fewer binomials: 46 instead of 58 per trial on the README 4-level table
+    # at n = 400.  The alternative's stream keeps the null's order, so a count
+    # vector sums to one float of S on either stream: calibration's t is such
+    # a float, and evaluation for t < 0 draws the alternative's stream.
+    heavy = np.lexsort((first, -mass0))
+    return mass0[heavy], mass1[heavy], lr[first[heavy]]
 
 
 def check_scheme(p: JointPmf, codes: int, block_len: int) -> None:
@@ -309,6 +316,13 @@ def check_trials(name: str, trials: int) -> None:
         raise SimulationError(f"{name} = {trials} must lie in [1, {MAX_TRIALS}]")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative master seed, which numpy's SeedSequence rejects
+    from inside a sampling thread, before anything is sampled."""
+    if seed < 0:
+        raise SimulationError(f"seed = {seed} must be >= 0")
+
+
 def blocks_per_trial(n: int, block_len: int) -> int:
     """n // block_len, refused before anything is sampled unless n is a positive
     multiple of block_len in at most 2^63 - 1 blocks, the most numpy's multinomial draws."""
@@ -325,30 +339,14 @@ def _sampling_threads() -> int:
     return os.cpu_count() or 1
 
 
-def draw_order(qm: QuantizedModel) -> np.ndarray:
-    """The order in which both streams draw the classes: descending null
-    mass, tied masses in class order.
-
-    A multinomial row stops at its last nonzero class, so heavy classes
-    first means fewer binomials: 46 instead of 58 expected per trial on
-    the README 4-level table at n = 400.  The alternative's stream keeps
-    the null's order, so that a count vector sums to one float of S on
-    either stream: calibration's t is such a float, and evaluation for
-    t < 0 draws the alternative's stream.
-    """
-    return np.argsort(-qm.class_h0, kind="stable")
-
-
-def _map_chunks(summary, qm: QuantizedModel, pmf: np.ndarray, k_blocks: int, n: int,
+def _map_chunks(summary, pmf: np.ndarray, lr: np.ndarray, k_blocks: int, n: int,
                 trials: int, seed: int, purpose: int, workers: int | None) -> list:
-    """summary(span, S) of each chunk of trials drawn from the class masses
-    ``pmf`` of ``qm``, in chunk order, on at most ``workers`` threads
+    """summary(span, S) of each chunk of trials drawn from the class law
+    (``pmf``, ``lr``), in chunk order, on at most ``workers`` threads
     (default _sampling_threads()), which the pool starts only as chunks
     need them.  A chunk's statistics are dropped once summarized."""
     # on first call, not on import: it loads logging, +0.3 MB peak RSS
     from concurrent.futures import ThreadPoolExecutor
-    order = draw_order(qm)
-    pmf, lr = pmf[order], qm.class_lr[order]
     threads = _sampling_threads() if workers is None else workers
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(
@@ -378,6 +376,7 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
     if not (0.0 < eps < 1.0):
         raise SimulationError(f"eps must lie in (0, 1), got {eps!r}")
     check_trials("cal_trials", cal_trials)
+    _check_seed(seed)
     k = blocks_per_trial(n, qm.block_len)
     if cal_trials < 100.0 / eps:
         warnings.warn(
@@ -390,7 +389,7 @@ def calibrate_threshold(qm: QuantizedModel, n: int, eps: float, cal_trials: int,
         start = span[0] * rngstreams.CHUNK_TRIALS
         stats[start:start + span[1]] = chunk
 
-    _map_chunks(keep, qm, qm.class_h0, k, n, cal_trials,
+    _map_chunks(keep, qm.class_h0, qm.class_lr, k, n, cal_trials,
                 seed, rngstreams.PURPOSE_CALIBRATE, workers)
     stats.sort()
     allowed = int(math.floor(eps * cal_trials + 1e-9))
@@ -502,6 +501,7 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
     if math.isnan(t):
         raise SimulationError("threshold t must not be NaN")
     check_trials("trials", trials)
+    _check_seed(seed)
     k = blocks_per_trial(n, qm.block_len)
     null = t >= 0
     # u = e^{sign n (S - t)} on the far side of t; the weighted error is e^{sign n t} E[u]
@@ -516,7 +516,7 @@ def estimate_errors(qm: QuantizedModel, n: int, t: float, trials: int,
                     else (qm.class_h1, rngstreams.PURPOSE_H1))
     # summed in chunk order, whichever thread drew each chunk
     count, total, total_sq = map(sum, zip(*_map_chunks(
-        summary, qm, pmf, k, n, trials, seed, purpose, workers)))
+        summary, pmf, qm.class_lr, k, n, trials, seed, purpose, workers)))
     scale = math.exp(sign * n * t)
     lo, hi = empirical_bernstein_interval(total, total_sq, trials)
     counted = count / trials, wilson_interval(count, trials)

@@ -383,16 +383,15 @@ def plain_errors(qm: simulate.QuantizedModel, n: int, t: float, trials: int,
 
     Each chunk draws its whole count matrix at once from the stream that
     simulate.estimate_errors draws from for the same hypothesis, with the
-    classes in the sampler's order, so a count here equals that
-    estimator's count of the same error bit for bit.
+    classes as stored, the order the sampler draws them, so a count here
+    equals that estimator's count of the same error bit for bit.
     """
     k = n // qm.block_len
-    order = simulate.draw_order(qm)
-    lr = qm.class_lr[order]
+    lr = qm.class_lr
     errors = []
     for pmf, purpose, is_error in (
-            (qm.class_h0[order], rngstreams.PURPOSE_H0, lambda stat: stat <= t),
-            (qm.class_h1[order], rngstreams.PURPOSE_H1, lambda stat: stat > t)):
+            (qm.class_h0, rngstreams.PURPOSE_H0, lambda stat: stat <= t),
+            (qm.class_h1, rngstreams.PURPOSE_H1, lambda stat: stat > t)):
         count = 0
         for idx, size in rngstreams.chunk_spans(trials):
             draws = rngstreams.stream(seed, purpose, idx).multinomial(k, pmf, size=size)

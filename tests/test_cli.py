@@ -982,12 +982,32 @@ class TestRangeFlags:
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("forced", [[], ["--force-threshold", 0.5]],
+                             ids=["calibrated", "forced"])
+    def test_negative_seed_is_an_error(self, tmp_path, capsys, forced):
+        out = tmp_path / "out"
+        argv = ["simulate", "--model", make_model(tmp_path, grid=8), "--levels", 2,
+                "--n", 8, "--regime", "const:0.2", "--trials", 200, "--seed", -1]
+        assert run([*argv, *forced, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == "error: seed = -1 must be >= 0\n"
+        assert not out.exists()
+
 
 class TestTopLevel:
-    def test_no_subcommand_exits_2(self):
+    def test_no_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "disthyp: error: the following arguments are required: command\n")
+
+    def test_unknown_flag_is_named(self, capsys):
+        # also without a subcommand, whose absence argparse would report first
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--vers"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "disthyp: error: unrecognized arguments: --vers\n")
 
     def test_version_banner(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -318,6 +318,11 @@ class TestLogRatioClasses:
             qm = s.quantized_model(p, enc)
             pmf0, pmf1, lr = oracles.cell_law(p, enc)
             assert np.unique(lr).size == lr.size
+            # one class per cell, stored heavy first: by descending null
+            # mass, tied masses in cell order
+            heavy = sorted(range(lr.size), key=lambda cell: (-pmf0[cell], cell))
+            assert heavy != sorted(heavy)
+            pmf0, pmf1, lr = pmf0[heavy], pmf1[heavy], lr[heavy]
             for cls, cell in ((qm.class_h0, pmf0), (qm.class_h1, pmf1),
                               (qm.class_lr, lr)):
                 assert cls.tobytes() == cell.tobytes()
@@ -481,40 +486,46 @@ class TestBlockedSampling:
         assert max(draw_sizes) == rows and nbytes <= s.COUNT_BLOCK_BYTES
 
     def test_streams_draw_heavy_classes_first(self, monkeypatch):
-        # both streams draw the classes by descending null mass, tied masses
-        # in class order; the alternative's stream keeps the null's order
+        # the classes are stored by descending null mass, tied masses in the
+        # order of their first cell (cell 0 before cell 4, though its
+        # log-ratio is larger); all three streams draw them as stored, so
+        # the alternative's stream keeps the null's order
         h0, h1 = np.array([0.1, 0.3, 0.2, 0.3, 0.1]), np.array([0.2, 0.2, 0.2, 0.1, 0.3])
-        qm = s.QuantizedModel(h0.reshape(1, 5), 1, h0, h1, np.log(h0) - np.log(h1))
+        lr = np.log(h0) - np.log(h1)
+        qm = s.QuantizedModel(h0.reshape(1, 5), 1, *s._merge_tied_cells(h0, h1, lr))
         order = [1, 3, 2, 0, 4]
-        assert s.draw_order(qm).tolist() == order
+        for cls, cell in ((qm.class_h0, h0), (qm.class_h1, h1), (qm.class_lr, lr)):
+            assert cls.tobytes() == cell[order].tobytes()
         drawn = {}
         chunk_stats = s._chunk_stats
 
         def recorded(pmf, lr, *args):
-            drawn[args[3]] = pmf.tolist(), lr.tolist()
+            drawn[args[3]] = pmf, lr
             return chunk_stats(pmf, lr, *args)
 
         monkeypatch.setattr(s, "_chunk_stats", recorded)
         s.calibrate_threshold(qm, 4, 0.1, 2000, seed=0)
         assert s.estimate_errors(qm, 4, 0.5, 100, seed=0).evaluation_stream == "h0"
         assert s.estimate_errors(qm, 4, -0.5, 100, seed=0).evaluation_stream == "h1"
-        lr = qm.class_lr[order].tolist()
-        assert drawn == {rngstreams.PURPOSE_CALIBRATE: (h0[order].tolist(), lr),
-                         rngstreams.PURPOSE_H0: (h0[order].tolist(), lr),
-                         rngstreams.PURPOSE_H1: (h1[order].tolist(), lr)}
+        assert drawn.keys() == {rngstreams.PURPOSE_CALIBRATE, rngstreams.PURPOSE_H0,
+                                rngstreams.PURPOSE_H1}
+        for purpose, stored in ((rngstreams.PURPOSE_CALIBRATE, qm.class_h0),
+                                (rngstreams.PURPOSE_H0, qm.class_h0),
+                                (rngstreams.PURPOSE_H1, qm.class_h1)):
+            assert drawn[purpose][0] is stored and drawn[purpose][1] is qm.class_lr
 
-    def test_class_arrays_keep_first_cell_order(self):
-        # the README table is not drawn in class order, but its class arrays
-        # still list each class at its first cell, in cell order
+    def test_class_arrays_are_stored_heavy_first(self):
+        # the README table's classes come by descending null mass, tied
+        # masses in the order of their first cell, each with its first
+        # cell's log-ratio; that is not cell order on this table
         qm = readme_table(32, 1)
         _, _, cell_lr = oracles.cell_law(*readme_model(32, 1))
         tol = s.CLASS_RTOL * np.abs(cell_lr).max()
         first = [int(np.flatnonzero(np.abs(cell_lr - v) <= tol)[0]) for v in qm.class_lr]
-        assert first == sorted(set(first))
-        assert np.allclose(qm.class_lr, cell_lr[first], rtol=0, atol=tol)
-        order = s.draw_order(qm)
-        assert np.all(np.diff(qm.class_h0[order]) <= 0)
-        assert order.tolist() != list(range(order.size))
+        assert len(set(first)) == len(first) and first != sorted(first)
+        assert qm.class_lr.tobytes() == cell_lr[first].tobytes()
+        keys = list(zip(-qm.class_h0, first))
+        assert keys == sorted(keys)
 
     def test_blas_thread_count_moves_no_bit(self):
         # a 2-thread matrix-vector product over a whole 8,230-row chunk
@@ -548,8 +559,7 @@ class TestBlockedSampling:
         null = stream == "h0"
         pmf, purpose = ((qm.class_h0, rngstreams.PURPOSE_H0) if null
                         else (qm.class_h1, rngstreams.PURPOSE_H1))
-        order = s.draw_order(qm)
-        stats = sample_stats(pmf[order], qm.class_lr[order], n, n, trials, 21, purpose)
+        stats = sample_stats(pmf, qm.class_lr, n, n, trials, 21, purpose)
         counted = stats <= t if null else stats > t
         k = int(counted.sum())
         # dP1/dP0 = e^{-nS} weighs the null's trials, dP0/dP1 = e^{nS} the alternative's
@@ -605,10 +615,9 @@ class TestCalibration:
         qm = s.quantized_model(sym_model(), identity(2))
         m = 30_000
         cal = s.calibrate_threshold(qm, n, eps, m, seed=77)
-        order = s.draw_order(qm)
         stats = np.concatenate([
             row_sums(rngstreams.stream(77, rngstreams.PURPOSE_CALIBRATE, idx).multinomial(
-                n, qm.class_h0[order], size=cnt), qm.class_lr[order], n)
+                n, qm.class_h0, size=cnt), qm.class_lr, n)
             for idx, cnt in rngstreams.chunk_spans(m)])
         allowed = math.floor(eps * m)
         assert (stats <= cal.t).sum() <= allowed
@@ -697,6 +706,18 @@ class TestCalibration:
             s.calibrate_threshold(qm, 4, 0.1, s.MAX_TRIALS + 1, seed=0)
         with pytest.raises(s.SimulationError, match=str(s.MAX_TRIALS)):
             s.estimate_errors(qm, 4, 0.0, s.MAX_TRIALS + 1, seed=0)
+
+    def test_negative_seed(self, monkeypatch):
+        # SeedSequence would raise a bare ValueError from a sampling thread;
+        # the seed is refused before the calibration sample or any chunk exists
+        qm = s.quantized_model(sym_model(), identity(2))
+        monkeypatch.setattr(s, "_map_chunks", None)
+        monkeypatch.setattr(s.np, "empty", None)
+        for t in (0.5, -0.5):
+            with pytest.raises(s.SimulationError, match=r"^seed = -1 must be >= 0$"):
+                s.estimate_errors(qm, 4, t, 100, seed=-1)
+        with pytest.raises(s.SimulationError, match=r"^seed = -1 must be >= 0$"):
+            s.calibrate_threshold(qm, 4, 0.1, 2000, seed=-1)
 
 
 class TestEstimateErrors:

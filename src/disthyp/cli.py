@@ -5,16 +5,19 @@ finite-length feasibility bounds and critical sample sizes, and run the
 Monte Carlo validation, writing UTF-8 CSV tables plus JSON sidecars that
 echo the full configuration (seed included).  This module alone formats
 the CSVs: each subcommand names its columns next to their values, and
-_cell spells every cell.  Each input has one flag: `exponent` reads its
-rate grid from --rates, in bits per sample unless --units nats is given,
-and `simulate` its Type I budget from --regime (const:<eps> is a fixed
-one).  The curve point that `bounds` and `cns` take (--xi, --d-slope, --c)
-and all CSV columns are always in nats.  A token that starts with one `-`
-after --d-slope or --force-threshold is that flag's value, so -1e-05 and
--inf need no `=`.  No flag sets the sampling threads: the sampler picks
-them, and they move no output byte.  Every command is deterministic given
-its arguments, and the exit code is 0 only when the run's invariant
-checks pass.  The parser is built once per process, on the first call of
+_cell spells every cell.  _write_artifact is the one writer of every
+artifact and its <stem>.meta.json sidecar; each subcommand calls it
+once.  Each input has one flag: `exponent` reads its rate grid from
+--rates, in bits per sample unless --units nats is given, and `simulate`
+its Type I budget from --regime (const:<eps> is a fixed one).  The curve
+point that `bounds` and `cns` take (--xi, --d-slope, --c) and all CSV
+columns are always in nats.  A token that starts with one `-` after
+--d-slope or --force-threshold is that flag's value, so -1e-05 and -inf
+need no `=`.  No flag sets the sampling threads: the sampler picks them,
+and they move no output byte.  Every command is deterministic given its
+arguments, and the exit code is 0 only when the run's invariant checks
+pass; a library warning is printed as one `warning:` line and changes
+neither.  The parser is built once per process, on the first call of
 main; later calls only parse, since each parse starts from a fresh
 namespace.  An artifact that exists already is overwritten in place and
 cut at its new length, so it holds the bytes a fresh file would, with no
@@ -30,6 +33,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +53,6 @@ def _list_of(kind, noun: str):
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {noun}, got {text!r}") from exc
     return parse
-
-
-def _out_path(args, name: str) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -85,11 +83,11 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _csv(rows: list[dict]) -> str:
     """A CSV table whose header is the first row's keys."""
     lines = [",".join(rows[0])]
     lines.extend(",".join(_cell(value) for value in row.values()) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _strict_json(value):
@@ -104,16 +102,18 @@ def _strict_json(value):
     return value
 
 
-def _write_sidecar(out_path: Path, payload: dict) -> None:
-    sidecar = out_path.parent / (out_path.stem + ".meta.json")
-    _write_text(sidecar, json.dumps(_strict_json(payload), indent=2, allow_nan=False) + "\n")
-
-
-def _config_echo(args, **extra) -> dict:
-    skip = {"func"}
-    config = {key: value for key, value in sorted(vars(args).items()) if key not in skip}
-    config.update(extra)
-    return config
+def _write_artifact(args, text: str, **facts) -> Path:
+    """Write text to --out under --out-dir, creating the artifact's
+    directory, and beside it the sidecar <stem>.meta.json: every flag but
+    func in sorted order, then the command's facts in order, where a fact
+    named like a flag takes that flag's place.  Returns the artifact's path."""
+    path = Path(args.out_dir) / args.out
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(path, text)
+    flags = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+    meta = json.dumps(_strict_json({**flags, **facts}), indent=2, allow_nan=False)
+    _write_text(path.parent / (path.stem + ".meta.json"), meta + "\n")
+    return path
 
 
 def _load_model(path: str) -> dist.JointPmf:
@@ -152,13 +152,10 @@ def cmd_model(args) -> int:
         rho = args.rho
         p = dist.discretized_gaussian(rho, args.grid, args.grid)
     stats = dist.divergence_stats(p)
-    path = _out_path(args, args.out)
-    _write_text(path, p.to_json() + "\n")
-    _write_sidecar(path, _config_echo(
-        args, rho=rho, mi_nats=stats.mi, mi_bits=stats.mi / LN2,
-        entropy_x_nats=p.entropy_x, entropy_y_nats=p.entropy_y,
-        c_nats=stats.c_const, **_c_attainment(p, stats.c_const), var_div=stats.var_div,
-        fingerprint=p.fingerprint()))
+    path = _write_artifact(
+        args, p.to_json() + "\n", rho=rho, mi_nats=stats.mi, mi_bits=stats.mi / LN2,
+        entropy_x_nats=p.entropy_x, entropy_y_nats=p.entropy_y, c_nats=stats.c_const,
+        **_c_attainment(p, stats.c_const), var_div=stats.var_div, fingerprint=p.fingerprint())
     print(f"model {path}: rho={rho:.6f} mi={stats.mi:.6f} nats "
           f"({stats.mi / LN2:.6f} bits) hx={p.entropy_x:.6f} hy={p.entropy_y:.6f} "
           f"c={stats.c_const:.6f}")
@@ -175,12 +172,11 @@ def cmd_exponent(args) -> int:
     p = _load_model(args.model)
     per_unit = LN2 if args.units == "bits" else 1.0  # nats per unit of --rates
     curve = bottleneck.build_curve(p, np.array(args.rates) * per_unit)
-    path = _out_path(args, args.out)
-    _write_csv(path, [{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
-                      for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)])
     stats = dist.divergence_stats(p)
-    _write_sidecar(path, _config_echo(args, c_nats=stats.c_const, fingerprint=p.fingerprint(),
-                                      diagnostics=curve.diagnostics))
+    path = _write_artifact(
+        args, _csv([{"R_nats": r, "xi_nats": xi, "D_nats": d, "dD_dR": slope}
+                    for r, xi, d, slope in zip(curve.r, curve.xi, curve.d, curve.d_slope)]),
+        c_nats=stats.c_const, fingerprint=p.fingerprint(), diagnostics=curve.diagnostics)
     for i in range(len(curve.r)):
         print(f"R={float(curve.r[i]) / per_unit:.6f} {args.units}: "
               f"xi={float(curve.xi[i]):.6f} D={float(curve.d[i]):.6f} nats")
@@ -205,13 +201,12 @@ def cmd_bounds(args) -> int:
             print(f"skipping n={n}: {exc}", file=sys.stderr)
     if not reports:
         raise bounds.RegimeDomainError("no sample size in --n-grid is admissible")
-    path = _out_path(args, args.out)
-    _write_csv(path, [{"n": rep.n, "eps_n": rep.eps_n, "l": rep.block_l, "h_n": rep.h_n,
-                       "delta_tilde": rep.delta_tilde, "lb_prob": rep.lb_prob,
-                       "nominal": rep.nominal, "ub_prob": rep.ub_prob,
-                       "gap_lower": rep.gap_lower, "gap_upper": rep.gap_upper,
-                       "valid_lb": rep.valid_lb} for rep in reports])
-    _write_sidecar(path, _config_echo(args, regime=regime.label))
+    path = _write_artifact(
+        args, _csv([{"n": rep.n, "eps_n": rep.eps_n, "l": rep.block_l, "h_n": rep.h_n,
+                     "delta_tilde": rep.delta_tilde, "lb_prob": rep.lb_prob,
+                     "nominal": rep.nominal, "ub_prob": rep.ub_prob,
+                     "gap_lower": rep.gap_lower, "gap_upper": rep.gap_upper,
+                     "valid_lb": rep.valid_lb} for rep in reports]), regime=regime.label)
     for rep in reports:
         print(f"n={rep.n}: lb={rep.lb_prob:.3e} nominal={rep.nominal:.3e} "
               f"ub={rep.ub_prob:.3e} valid_lb={rep.valid_lb}")
@@ -237,17 +232,21 @@ def _at_cns(report: bounds.BoundReport | None, delta: float) -> dict:
 
 def cmd_cns(args) -> int:
     xi, d_slope, c = args.xi, args.d_slope, args.c
-    regimes = [bounds.TypeIRegime.parse(token) for token in args.regimes.split(",")]
+    # --regimes stays a string, so the sidecar echoes it as given; its empty
+    # parts are skipped as _list_of skips them in the other list flags
+    specs = [token for token in args.regimes.split(",") if token.strip()]
+    if not specs:
+        raise bounds.RegimeSpecError(f"--regimes names no regime: {args.regimes!r}")
+    regimes = [bounds.TypeIRegime.parse(token) for token in specs]
     sizes = [bounds.critical_sample_size((xi, d_slope), c, regime, args.delta, cap=args.cap)
              for regime in regimes]
     reports = [None if cns is None else bounds.feasibility_interval((xi, d_slope), c, regime, cns)
                for regime, cns in zip(regimes, sizes)]
-    path = _out_path(args, args.out)
-    _write_csv(path, [{"regime": regime.label, "delta": args.delta, "cns": cns}
-                      for regime, cns in zip(regimes, sizes)])
-    _write_sidecar(path, _config_echo(args, at_cns=[
-        {"regime": regime.label, **_at_cns(report, args.delta)}
-        for regime, report in zip(regimes, reports)]))
+    path = _write_artifact(
+        args, _csv([{"regime": regime.label, "delta": args.delta, "cns": cns}
+                    for regime, cns in zip(regimes, sizes)]),
+        at_cns=[{"regime": regime.label, **_at_cns(report, args.delta)}
+                for regime, report in zip(regimes, reports)])
     for regime, cns in zip(regimes, sizes):
         shown = cns if cns is not None else f"not found below {args.cap}"
         print(f"{regime.label}: cns={shown}")
@@ -302,20 +301,18 @@ def cmd_simulate(args) -> int:
     chunks = cal_chunks + len(rngstreams.chunk_spans(args.trials))
 
     block_rows, block_bytes = simulate.count_block(qm.class_lr.size)
-    path = _out_path(args, args.out)
-    _write_csv(path, [{"n": args.n, "eps_n": eps, "t": t, "type1_hat": result.type1_hat,
-                       "type2_hat": result.type2_hat, "ci_lo": result.type2_ci[0],
-                       "ci_hi": result.type2_ci[1], "seed": args.seed}])
-    _write_sidecar(path, _config_echo(
-        args, eps_n=eps, threshold_t=t, saturated=saturated,
-        cal_trials=cal_trials, sampler_version=simulate.SAMPLER_VERSION,
-        evaluation_stream=result.evaluation_stream,
+    path = _write_artifact(
+        args, _csv([{"n": args.n, "eps_n": eps, "t": t, "type1_hat": result.type1_hat,
+                     "type2_hat": result.type2_hat, "ci_lo": result.type2_ci[0],
+                     "ci_hi": result.type2_ci[1], "seed": args.seed}]),
+        eps_n=eps, threshold_t=t, saturated=saturated, cal_trials=cal_trials,
+        sampler_version=simulate.SAMPLER_VERSION, evaluation_stream=result.evaluation_stream,
         type1_interval=result.interval_kinds[0], type2_interval=result.interval_kinds[1],
         table_cells=qm.h0.size, sampled_classes=qm.class_lr.size, chunks=chunks,
         count_block_rows=block_rows, count_block_bytes=block_bytes,
         codebook_size=qm.h0.shape[0],
         levels_reduced=args.levels is not None and args.levels > p.nx,
-        model_fingerprint=p.fingerprint()))
+        model_fingerprint=p.fingerprint())
     # type2_hat <= 1, so -ln is abs(ln), which reads 0.0 rather than -0.0 at type2_hat = 1
     exponent = abs(math.log(result.type2_hat)) / args.n if result.type2_hat > 0 else math.inf
     print(f"simulate {path}: n={args.n} eps={eps:.4g} t={t:.6g} "
@@ -452,12 +449,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_signed_values(list(argv)))
     if args.command is None:
         parser.error("the following arguments are required: command")
-    try:
-        return args.func(args)
-    except (dist.DistributionError, bottleneck.SolverError, simulate.SimulationError,
-            bounds.RegimeSpecError, bounds.RegimeDomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a library warning is one `warning:` line, whatever the -W filters say
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (dist.DistributionError, bottleneck.SolverError, simulate.SimulationError,
+                bounds.RegimeSpecError, bounds.RegimeDomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -318,6 +318,22 @@ class TestCnsCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "cns.csv").exists()
 
+    def test_empty_regime_parts_are_skipped(self, tmp_path):
+        # as --rates and --n-grid skip theirs; the sidecar echoes the flag as given
+        written = []
+        for sub, regimes in (("a", "log"), ("b", ",log,")):
+            assert run(["cns", "--xi", 0.7, "--c", 1.92, "--regimes", regimes, "--cap", 30,
+                        "--out-dir", tmp_path / sub]) == 0
+            written.append((tmp_path / sub / "cns.csv").read_bytes())
+            assert json.loads((tmp_path / sub / "cns.meta.json").read_text())["regimes"] == regimes
+        assert written[0] == written[1] == b"regime,delta,cns\nlog,1e-05,28\n"
+
+    def test_regimes_naming_none_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["cns", "--xi", 0.7, "--c", 1.92, "--regimes", ",", "--out-dir", out]) == 1
+        assert capsys.readouterr().err == "error: --regimes names no regime: ','\n"
+        assert not out.exists()
+
 
 class TestSignedFlagValues:
     """A value that starts with "-" and is not a plain decimal parses after
@@ -620,6 +636,16 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "sim.csv").exists()
 
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        # pytest's filterwarnings = error would raise it; main prints it instead
+        model = make_model(tmp_path, grid=8)
+        capsys.readouterr()
+        assert run(["simulate", "--model", model, "--levels", 2, "--n", 8,
+                    "--regime", "const:0.1", "--trials", 100, "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().err == (
+            "warning: cal_trials = 100 is small for eps = 0.1; recommend at least 1000\n")
+        assert (tmp_path / "sim.csv").exists() and (tmp_path / "sim.meta.json").exists()
+
 
 class TestMalformedInput:
     """Malformed inputs end in an error line, never a traceback, and
@@ -819,6 +845,56 @@ class TestArtifactFormat:
         rows = [line.split(",") for line in lines[1:-1]]
         assert all(len(row) == len(names) for row in rows)
         assert [row[names.index(column)] for row in rows] == want
+
+
+class TestSidecarFormat:
+    """Every subcommand's sidecar is <stem>.meta.json beside its artifact:
+    the flags but func in sorted order, then the command's facts in order; a
+    fact named like a flag (model's rho, bounds' regime, simulate's
+    cal_trials) holds the flag's place."""
+
+    CASES = {
+        "model": (["--target-mi-nats", 0.05, "--grid", 6], "m.json",
+                  ["rho", "mi_nats", "mi_bits", "entropy_x_nats", "entropy_y_nats", "c_nats",
+                   "c_cell", "c_cell_mass", "c_ties", "mass_above_half_c", "var_div",
+                   "fingerprint"]),
+        "exponent": (["--rates", "0.05,0.1"], "c.csv", ["c_nats", "fingerprint", "diagnostics"]),
+        "bounds": (["--xi", 0.05, "--c", 1.3, "--regime", "const:0.1", "--n-grid", "2"],
+                   "b.csv", ["regime"]),
+        "cns": (["--xi", 0.7, "--c", 1.92, "--regimes", "log", "--cap", 30], "c.csv",
+                ["at_cns"]),
+        "simulate": (["--levels", 2, "--n", 4, "--regime", "const:0.1", "--trials", 1000],
+                     "run.sim.csv",
+                     ["eps_n", "threshold_t", "saturated", "cal_trials", "sampler_version",
+                      "evaluation_stream", "type1_interval", "type2_interval", "table_cells",
+                      "sampled_classes", "chunks", "count_block_rows", "count_block_bytes",
+                      "codebook_size", "levels_reduced", "model_fingerprint"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_keys_are_sorted_flags_then_facts(self, tmp_path, command):
+        args, name, facts = self.CASES[command]
+        if command in ("exponent", "simulate"):
+            args = ["--model", make_model(tmp_path / "in", grid=8), *args]
+        out = tmp_path / "out"
+        argv = [str(a) for a in [command, *args, "--out-dir", out, "--out", name]]
+        assert cli.main(argv) == 0
+        stem = name.rsplit(".", 1)[0]
+        assert sorted(os.listdir(out)) == sorted([name, stem + ".meta.json"])
+        meta = json.loads((out / (stem + ".meta.json")).read_text(encoding="utf-8"))
+        flags = sorted(set(vars(cli.build_parser().parse_args(argv))) - {"func"})
+        assert list(meta) == flags + [fact for fact in facts if fact not in flags]
+        if command == "simulate":
+            # the effective count, where the flag's None would be
+            assert flags.index("cal_trials") == list(meta).index("cal_trials")
+            assert meta["cal_trials"] == meta["trials"] == 1000
+
+    def test_out_names_a_subdirectory(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["cns", "--xi", 0.7, "--c", 1.92, "--regimes", "log", "--cap", 30,
+                    "--out", Path("sub") / "cns.csv", "--out-dir", out]) == 0
+        assert sorted(os.listdir(out / "sub")) == ["cns.csv", "cns.meta.json"]
+        assert (out / "sub" / "cns.csv").read_bytes() == b"regime,delta,cns\nlog,1e-05,28\n"
 
 
 class TestDeterminism:
